@@ -12,12 +12,17 @@ actually running the benchmark — in memory per process (``lru_cache``)
 and on disk across processes: :meth:`WorkloadSpec.arrays` memoises each
 generated Olden trace as a ``file_format`` npz under the runtime cache
 dir, keyed by (workload, scale, seed, code version), so repeated sweep
-jobs skip pure-Python trace regeneration entirely.
+jobs skip pure-Python trace regeneration entirely.  A memo that fails
+to load (bit rot, a torn file) is regenerated and replaced.
+
+SPEC traces are not memoised: :meth:`SpecModel.arrays` generates them
+vectorised, a chunk at a time, faster than a memo could be written.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,24 +67,27 @@ class WorkloadSpec:
         """The workload's access trace (deterministic, replayable)."""
         if self.is_olden:
             return _olden_trace(self.name, self.scale, self.seed).accesses()
-        model = spec_model(self.name, seed=self.seed)
-        # Scale each model's own calibrated default length (2-6 x 10^6;
-        # the splittable models carry longer defaults for convergence).
-        model.length = max(10_000, int(model.length * self.scale))
-        return model.accesses()
+        return self._spec_model().accesses()
 
     def arrays(self):
         """The trace as ``(addresses, kinds, instructions)`` arrays.
 
         Olden traces go through the on-disk npz memo (generation means
-        actually running the benchmark); SPEC models are cheap streams
-        and are just materialised.
+        actually running the benchmark); SPEC models generate their
+        arrays vectorised (:meth:`SpecModel.arrays`, equal to
+        materialising :meth:`accesses`).
         """
         if self.is_olden:
             return _olden_arrays(self.name, self.scale, self.seed)
-        from repro.kernels.arrays import trace_to_arrays
+        return self._spec_model().arrays()
 
-        return trace_to_arrays(self.accesses())
+    def _spec_model(self):
+        """The SPEC model at this workload's scaled trace length."""
+        model = spec_model(self.name, seed=self.seed)
+        # Scale each model's own calibrated default length (2-6 x 10^6;
+        # the splittable models carry longer defaults for convergence).
+        model.length = max(10_000, int(model.length * self.scale))
+        return model
 
 
 @lru_cache(maxsize=8)
@@ -101,14 +109,26 @@ def olden_trace_path(name: str, scale: float, seed: "int | None" = None):
 
 
 def _olden_arrays(name: str, scale: float, seed: "int | None"):
-    from repro.traces.file_format import load_trace, save_trace_arrays
+    from repro.runtime.health import health_counter
+    from repro.traces.file_format import (
+        CORRUPT_NPZ_ERRORS,
+        load_trace,
+        save_trace_arrays,
+    )
 
     path = olden_trace_path(name, scale, seed)
     if path.is_file():
         try:
             return load_trace(path).arrays()
-        except (OSError, ValueError, KeyError):
-            pass  # corrupt/stale memo: fall through and regenerate
+        except CORRUPT_NPZ_ERRORS as exc:
+            # Corrupt or stale memo (bit rot, a torn file, an old format
+            # version): regenerate the trace and replace the memo below.
+            health_counter("recovery.trace_memo.regenerated").inc()
+            print(
+                f"[workloads] corrupt trace memo {path.name}: {exc}; "
+                "regenerating",
+                file=sys.stderr,
+            )
     arrays = _olden_trace(name, scale, seed).arrays()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
-import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,6 +52,7 @@ from repro.caches.set_assoc import SetAssociativeCache
 from repro.runtime.cache import QUARANTINE_DIR, ResultCache
 from repro.runtime.health import health_counter
 from repro.runtime.job import Job
+from repro.traces.file_format import CORRUPT_NPZ_ERRORS
 
 #: miss-stream record kinds
 FETCH_MISS = 0
@@ -265,7 +265,10 @@ class L1FilterRecord:
         )
         try:
             with handle:
-                np.savez_compressed(
+                # Stored, not deflated: deflating took about as long as
+                # building the record, and the zip CRC-32 still guards
+                # every member on load (docs/performance.md, "Cold path").
+                np.savez(
                     handle,
                     version=np.int64(_RECORD_VERSION),
                     line_size=np.int64(self.line_size),
@@ -298,6 +301,12 @@ class L1FilterRecord:
                     f"unsupported L1-filter record version {version} "
                     f"(expected {_RECORD_VERSION})"
                 )
+            indices, lines, kinds = data["indices"], data["lines"], data["kinds"]
+            # A member's CRC-32 is checked only when it is read to the
+            # end, so a damaged .npy header that shortens one array
+            # would load unnoticed; the three arrays must agree.
+            if not len(indices) == len(lines) == len(kinds):
+                raise ValueError("L1-filter record arrays disagree on length")
             return cls(
                 line_size=int(data["line_size"]),
                 il1_bytes=int(data["il1_bytes"]),
@@ -305,9 +314,9 @@ class L1FilterRecord:
                 l1_ways=int(data["l1_ways"]),
                 accesses=int(data["accesses"]),
                 max_instruction=int(data["max_instruction"]),
-                indices=data["indices"],
-                lines=data["lines"],
-                kinds=data["kinds"].astype(np.uint8),
+                indices=indices,
+                lines=lines,
+                kinds=kinds.astype(np.uint8),
             )
 
 
@@ -371,8 +380,8 @@ def _sidecar_path(cache: ResultCache, job: Job) -> Path:
 #
 # A sweep process (serial mode, a service worker replaying many
 # variants, the population coordinator) calls ``ensure_l1_filter`` once
-# per variant; re-reading the same ``.l1f.npz`` each time costs an npz
-# decompress *and* forfeits the per-record precompute memoised on the
+# per variant; re-reading the same ``.l1f.npz`` each time costs a full
+# npz read *and* forfeits the per-record precompute memoised on the
 # record object.  Successfully *loaded* records are therefore kept in a
 # small process-level LRU keyed by the sidecar's on-disk identity
 # ``(path, inode, mtime_ns, size)`` — a rebuilt or replaced sidecar
@@ -449,7 +458,7 @@ def ensure_l1_filter(
             process_counter("l1filter.record_cache.loads").inc()
             _remember_open_record(key, record)
             return record, True
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        except CORRUPT_NPZ_ERRORS as exc:
             # Corrupt or stale sidecar (torn write survived a crash, bit
             # rot, old record version): quarantine it next to corrupt
             # cache artifacts, count the fault, rebuild below.  Because

@@ -2,7 +2,7 @@
 
 A variant sweep replays one :class:`~repro.kernels.l1filter.L1FilterRecord`
 through every chip configuration.  The per-job path
-(:func:`repro.experiments.variants.variant_job`) has each worker decompress
+(:func:`repro.experiments.variants.variant_job`) has each worker read
 the ``.l1f.npz`` sidecar for itself — for an N-variant population that is
 N npz loads of the *same* bytes.  This module amortises the record across
 the whole population:
@@ -387,7 +387,7 @@ def _resolve_record(
 
     Resolution order — coordinator object inherited over fork, then the
     shared-memory segment, then the ordinary sidecar path.  ``loads``
-    counts actual record materialisations (npz decompresses or L1
+    counts actual record materialisations (sidecar reads or L1
     rebuilds) this call performed; the first two sources are always 0.
     """
     cache = cache or ResultCache()

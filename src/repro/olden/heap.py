@@ -28,6 +28,10 @@ FIELD_BYTES = 8
 _LOAD_COST = 2  #: instructions charged per traced load
 _STORE_COST = 2  #: instructions charged per traced store
 
+#: ``AccessKind`` values as plain ints, for the recording hot path
+_LOAD = int(AccessKind.LOAD)
+_STORE = int(AccessKind.STORE)
+
 
 class RecordedTrace:
     """A replayable trace recorded by a :class:`TracedHeap` run."""
@@ -125,22 +129,20 @@ class HeapObject:
         value is a heap reference)."""
         heap = self._heap
         value = self._values[field]
-        heap._record(
-            self.address + self._offsets[field],
-            AccessKind.LOAD,
-            pointer=isinstance(value, HeapObject),
-        )
+        heap._append_address(self.address + self._offsets[field])
+        heap._append_kind(_LOAD)
+        heap._append_instruction(heap.instruction)
+        heap._append_pointer(isinstance(value, HeapObject))
         heap.instruction += _LOAD_COST
         return value
 
     def set(self, field: str, value) -> None:
         """Traced store to ``field``."""
         heap = self._heap
-        heap._record(
-            self.address + self._offsets[field],
-            AccessKind.STORE,
-            pointer=isinstance(value, HeapObject),
-        )
+        heap._append_address(self.address + self._offsets[field])
+        heap._append_kind(_STORE)
+        heap._append_instruction(heap.instruction)
+        heap._append_pointer(isinstance(value, HeapObject))
         heap.instruction += _STORE_COST
         self._values[field] = value
 
@@ -160,12 +162,12 @@ class TracedHeap:
         self._kinds = array("b")
         self._instructions = array("q")
         self._pointer_flags = array("b")
-
-    def _record(self, address: int, kind: AccessKind, pointer: bool = False) -> None:
-        self._addresses.append(address)
-        self._kinds.append(int(kind))
-        self._instructions.append(self.instruction)
-        self._pointer_flags.append(1 if pointer else 0)
+        # Bound appends: HeapObject.get/set record each access straight
+        # into the four buffers, without a method call of their own.
+        self._append_address = self._addresses.append
+        self._append_kind = self._kinds.append
+        self._append_instruction = self._instructions.append
+        self._append_pointer = self._pointer_flags.append
 
     def allocate(self, fields: "Sequence[str]", align: int = 8) -> HeapObject:
         """Allocate a record with the given fields (malloc-equivalent).

@@ -1,9 +1,15 @@
 """Trace capture and replay on disk.
 
 Trace-driven simulators live and die by trace files; this module stores
-any :class:`~repro.traces.trace.Access` stream as a compressed ``.npz``
-(three parallel ``numpy`` arrays: addresses, kinds, instruction
-indices) and replays it as a :class:`FileTrace`.
+any :class:`~repro.traces.trace.Access` stream as an ``.npz`` (three
+parallel ``numpy`` arrays: addresses, kinds, instruction indices) and
+replays it as a :class:`FileTrace`.
+
+Members are written stored, not deflated: writing a trace then costs
+little more than the disk bandwidth, at about five times the size of a
+deflated file.  Integrity does not depend on compression, because the
+zip CRC-32 of every member is checked when it is read.  Traces written
+deflated by earlier versions load unchanged (``np.load`` reads both).
 
 Capturing an expensive source once (an Olden run, a long SPEC model)
 and replaying it into many experiments keeps full-scale studies cheap::
@@ -16,6 +22,8 @@ and replaying it into many experiments keeps full-scale studies cheap::
 from __future__ import annotations
 
 import os
+import zipfile
+import zlib
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -23,6 +31,18 @@ import numpy as np
 from repro.traces.trace import Access, AccessKind
 
 _FORMAT_VERSION = 1
+
+#: what ``np.load`` of a damaged or stale ``.npz`` raises: a failed
+#: CRC-32 or a broken archive (``BadZipFile``), a broken deflate stream
+#: (``zlib.error``), a bad header or version (``ValueError``), a
+#: missing member (``KeyError``) or an unreadable file (``OSError``)
+CORRUPT_NPZ_ERRORS = (
+    OSError,
+    ValueError,
+    KeyError,
+    zipfile.BadZipFile,
+    zlib.error,
+)
 
 
 def save_trace(path: "str | os.PathLike", accesses: Iterable[Access]) -> int:
@@ -47,7 +67,7 @@ def save_trace_arrays(
     instructions = np.asarray(instructions, dtype=np.int64)
     if not len(addresses) == len(kinds) == len(instructions):
         raise ValueError("trace arrays must have equal lengths")
-    np.savez_compressed(
+    np.savez(
         path,
         version=np.int64(_FORMAT_VERSION),
         addresses=addresses,

@@ -23,8 +23,11 @@ paper-vs-measured for every figure and table built on them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Sequence, Tuple
+
+import numpy as np
 
 from repro.common.rng import make_rng, mix_seed
 from repro.traces.synthetic import (
@@ -155,6 +158,123 @@ class SpecModel:
                 gap_accumulator -= int(gap_accumulator)
                 instruction += gap
             produced += take
+
+    def arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The trace of :meth:`accesses` as ``(addresses int64, kinds
+        int8, instructions int64)`` arrays, generated a chunk at a time.
+
+        :meth:`accesses` is the specification; this is its vectorised
+        twin, equal to ``trace_to_arrays(self.accesses())`` in values
+        and dtypes (``tests/traces/test_spec_arrays.py``).  It makes
+        the same random draws in the same order and sizes, then gives
+        each component its share of the chunk as one block of elements
+        (:func:`_element_blocks`) scattered by pick.
+        """
+        cfg = self.config
+        rng = make_rng(self._mixture_seed)
+        components = cfg.components
+        blocks = [_element_blocks(c.behavior, self.length) for c in components]
+        component_kinds = np.array([int(c.kind) for c in components], np.int8)
+        length = self.length
+        addresses = np.empty(length, dtype=np.int64)
+        kinds = np.empty(length, dtype=np.int8)
+        instructions = np.empty(length, dtype=np.int64)
+        mean_gap = cfg.instructions_per_access
+        # An integral mean gap leaves the fractional accumulator of
+        # accesses() at 0.0, so its whole part is the mean itself.
+        fractional = not float(mean_gap).is_integer()
+        gap_accumulator = 0.0
+        instruction = 0
+        chunk = 65536  # accesses()'s draw size
+        for start in range(0, length, chunk):
+            take = min(chunk, length - start)
+            picks = rng.choice(len(components), size=take, p=self._probabilities)
+            store_draws = rng.random(take)
+            jitter = rng.integers(-1, 2, size=take)
+            end = start + take
+
+            elements = np.empty(take, dtype=np.int64)
+            counts = np.bincount(picks, minlength=len(components))
+            for which, count in enumerate(counts.tolist()):
+                if count:
+                    elements[picks == which] = (
+                        blocks[which](count) + self._bases[which]
+                    )
+            addresses[start:end] = elements * 64
+
+            chunk_kinds = component_kinds[picks]
+            stores = (chunk_kinds == AccessKind.LOAD) & (
+                store_draws < cfg.store_fraction
+            )
+            chunk_kinds[stores] = AccessKind.STORE
+            kinds[start:end] = chunk_kinds
+
+            if fractional:
+                wholes = []
+                for _ in range(take):
+                    gap_accumulator += mean_gap
+                    whole = int(gap_accumulator)
+                    wholes.append(whole)
+                    gap_accumulator -= whole
+                whole_gaps = np.array(wholes, dtype=np.int64)
+            else:
+                whole_gaps = int(mean_gap)
+            gaps = np.maximum(1, whole_gaps + jitter)
+            offsets = np.cumsum(gaps)
+            instructions[start] = instruction
+            instructions[start + 1 : end] = instruction + offsets[:-1]
+            instruction += int(offsets[-1])
+        return addresses, kinds, instructions
+
+
+def _element_blocks(behavior, length: int) -> "Callable[[int], np.ndarray]":
+    """``take(n)``: the next ``n`` elements of ``behavior.addresses(length)``
+    as one int64 array.
+
+    ``Circular``, ``Stride`` and ``PermutationCycle`` are index
+    arithmetic.  ``UniformRandom`` repeats its generator's draws, whose
+    sizes come from ``length`` (65 536 at a time), so the stream never
+    depends on how :meth:`SpecModel.arrays` splits it.  Any other
+    behaviour is read from its own generator.  Exact types only: a
+    subclass may override ``addresses``.
+    """
+    cls = type(behavior)
+    if cls is Circular or cls is Stride or cls is PermutationCycle:
+        lines = behavior.num_lines
+        step = behavior.stride % lines if cls is Stride else 1
+        order = behavior._order if cls is PermutationCycle else None
+        position = 0 if order is not None else behavior.start
+
+        def take(count: int) -> np.ndarray:
+            nonlocal position
+            index = (position + step * np.arange(count, dtype=np.int64)) % lines
+            position = (position + step * count) % lines
+            return index if order is None else order[index]
+
+        return take
+    if cls is UniformRandom:
+        rng = make_rng(behavior.seed)
+        remaining = length
+        pending = np.empty(0, dtype=np.int64)
+
+        def take(count: int) -> np.ndarray:
+            nonlocal remaining, pending
+            parts = [pending]
+            have = len(pending)
+            while have < count:
+                size = min(remaining, 65536)
+                parts.append(rng.integers(0, behavior.num_lines, size=size))
+                remaining -= size
+                have += size
+            drawn = np.concatenate(parts)
+            pending = drawn[count:]
+            return drawn[:count]
+
+        return take
+    iterator = behavior.addresses(length)
+    return lambda count: np.fromiter(
+        itertools.islice(iterator, count), dtype=np.int64, count=count
+    )
 
 
 def _mb(megabytes: float) -> int:

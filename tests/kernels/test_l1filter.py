@@ -67,6 +67,16 @@ class TestRecord:
         assert np.array_equal(loaded.lines, record.lines)
         assert np.array_equal(loaded.kinds, record.kinds)
 
+    def test_load_rejects_arrays_of_unequal_length(self, tmp_path):
+        # What a damaged .npy header that shortens one array looks like:
+        # the member is not read to its end, so its CRC never fails.
+        record, _arrays = _record()
+        record.lines = record.lines[:-1]
+        path = tmp_path / "rec.npz"
+        record.save(path)
+        with pytest.raises(ValueError, match="disagree on length"):
+            L1FilterRecord.load(path)
+
     def test_require_match_rejects_other_geometry(self):
         record, _arrays = _record()
         other = CoreCacheConfig(l1_ways=0)
