@@ -184,64 +184,3 @@ def test_chip_filtered_throughput(benchmark, e2e_trace):
         return chip.stats.l2_misses
 
     benchmark(run)
-
-
-def test_chip_inline_fast_throughput(benchmark, e2e_trace):
-    """The pre-specialization inline kernel, kept as the reference twin
-    (``run_filtered`` itself now dispatches to the generated kernel)."""
-    from repro.kernels.batch import _replay_chip_fast
-    from repro.multicore.chip import ChipConfig, MultiCoreChip
-
-    _spec, _arrays, record = e2e_trace
-    rec_line = record.lines.tolist()
-    rec_kind = record.kinds.tolist()
-
-    def run():
-        chip = MultiCoreChip(ChipConfig())
-        _replay_chip_fast(
-            chip, rec_line, rec_kind, record.accesses, record.max_instruction
-        )
-        return chip.stats.l2_misses
-
-    benchmark(run)
-
-
-@pytest.fixture(scope="module")
-def mid_replay_chip(e2e_trace):
-    """A chip halfway through the e2e record (non-trivial deep state)."""
-    from repro.kernels.specialize import replay_chip_slice
-    from repro.multicore.chip import ChipConfig, MultiCoreChip
-
-    _spec, _arrays, record = e2e_trace
-    chip = MultiCoreChip(ChipConfig())
-    half = record.records // 2
-    replay_chip_slice(
-        chip, record, 0, half, n_accesses=int(record.indices[half])
-    )
-    return chip
-
-
-def test_snapshot_capture_throughput(benchmark, mid_replay_chip):
-    from repro.multicore.state import snapshot_chip
-
-    benchmark(lambda: len(snapshot_chip(mid_replay_chip).arrays))
-
-
-def test_snapshot_restore_throughput(benchmark, mid_replay_chip):
-    from repro.multicore.chip import MultiCoreChip
-    from repro.multicore.state import restore_chip, snapshot_chip
-
-    snap = snapshot_chip(mid_replay_chip)
-    target = MultiCoreChip(mid_replay_chip.config)
-
-    def run():
-        restore_chip(target, snap)
-        return target.engine.active_core
-
-    benchmark(run)
-
-
-def test_chip_digest_throughput(benchmark, mid_replay_chip):
-    from repro.multicore.state import chip_digest
-
-    benchmark(lambda: chip_digest(mid_replay_chip))

@@ -1,7 +1,7 @@
 """End-to-end chip throughput: per-access seed path vs the batched paths.
 
 Times one Table 2 pointer-chasing workload (Olden ``mst``) through
-:class:`~repro.multicore.chip.MultiCoreChip` five ways and writes
+:class:`~repro.multicore.chip.MultiCoreChip` three ways and writes
 ``benchmarks/BENCH_throughput.json``::
 
     python benchmarks/throughput_e2e.py [--scale 0.5] [--repeats 3]
@@ -9,37 +9,15 @@ Times one Table 2 pointer-chasing workload (Olden ``mst``) through
 * ``per_access`` — the seed path: ``chip.run(spec.accesses())``;
 * ``batched`` — ``chip.run_arrays(*spec.arrays())``, the array-native
   fast path of :mod:`repro.kernels.batch`;
-* ``filtered`` — the *inline* fast kernel (``_replay_chip_fast``)
-  over a precomputed :class:`~repro.kernels.l1filter.L1FilterRecord`
-  (the record build is timed separately as ``l1_filter_build_sec``; in
-  a sweep it is paid once and shared by every variant);
 * ``specialized`` — the shape-specialized generated kernel
-  (:mod:`repro.kernels.specialize`, what ``run_filtered`` now
-  dispatches to).  The reported number is the *warm* replay (per-record
-  precompute memoised, as in any sweep replaying a record more than
-  once — the same accounting as ``l1_filter_build_sec``); the cold
-  first replay is reported separately as ``specialized_cold_sec``;
-* ``segmented`` — segment-parallel replay
-  (:mod:`repro.kernels.segmented`): snapshot capture is timed
-  separately (``snapshot_capture_sec``, content-addressed and reused
-  across runs), the reported time covers restoring every snapshot,
-  replaying every segment, and digest-verifying the stitch, executed
-  in-process (``jobs=1`` — the lower bound a multi-core box divides by
-  the worker count).
-
-Two additional *sweep* modes time the 3-variant population end to end
-(``per_job_sweep_sec`` vs ``population_sec``, ratio
-``population_speedup``): ``per_job`` pins the per-job replay semantics
-the population path replaces — ``run_sweep`` fanning one scheduler
-fork per variant, each deserializing its own copy of the ``.l1f.npz``
-sidecar and walking the L2/affinity tag path through the scalar
-reference twins (the inline kernels the vectorized specialized kernels
-are differentially verified against) — while ``population`` runs
-:func:`repro.kernels.sweep.evaluate_population`: one record load
-shared by the whole population (``shared_record_loads`` must be
-exactly 1), replayed through the specialized kernels with the
-slot-matrix precompute paid once.  The variant rows of both must
-match exactly.
+  (:mod:`repro.kernels.specialize`, what ``run_filtered`` dispatches
+  to) over a precomputed :class:`~repro.kernels.l1filter.L1FilterRecord`
+  (the record build is timed separately as ``l1_filter_build_sec``; in
+  a sweep it is paid once and shared by every variant).  The reported
+  number is the *warm* replay (per-record precompute memoised, as in
+  any sweep replaying a record more than once — the same accounting as
+  ``l1_filter_build_sec``); the cold first replay is reported
+  separately as ``specialized_cold_sec``.
 
 Each timed run happens in a fresh subprocess and the configurations are
 interleaved round-robin with best-of-N as the estimator, exactly like
@@ -70,14 +48,13 @@ import json, sys, time
 sys.path.insert(0, sys.argv[1])
 mode = sys.argv[2]
 scale = float(sys.argv[3])
-segments = int(sys.argv[4])
 from repro.experiments.workloads import workload
 from repro.multicore.chip import ChipConfig, MultiCoreChip
 spec = workload({workload!r}, scale=scale)
 arrays = spec.arrays()
 build_sec = None
 extra = {{}}
-if mode in ("filtered", "specialized"):
+if mode == "specialized":
     from repro.kernels.l1filter import build_l1_filter
     start = time.perf_counter()
     record = build_l1_filter(*arrays)
@@ -91,15 +68,6 @@ elif mode == "batched":
     start = time.perf_counter()
     chip.run_arrays(*arrays)
     elapsed = time.perf_counter() - start
-elif mode == "filtered":
-    from repro.kernels.batch import _replay_chip_fast
-    rec_line = record.lines.tolist()
-    rec_kind = record.kinds.tolist()
-    start = time.perf_counter()
-    _replay_chip_fast(
-        chip, rec_line, rec_kind, record.accesses, record.max_instruction
-    )
-    elapsed = time.perf_counter() - start
 elif mode == "specialized":
     from repro.kernels.specialize import replay_chip_specialized
     start = time.perf_counter()
@@ -112,157 +80,21 @@ elif mode == "specialized":
         replay_chip_specialized(chip, record)
         warm = time.perf_counter() - start
         elapsed = warm if elapsed is None else min(elapsed, warm)
-elif mode == "per_job":
-    # The per-job replay path the population mode replaces, pinned end
-    # to end: ``run_sweep`` first maps the L1-filter wave (one
-    # scheduler job that re-loads the prebuilt sidecar), then fans one
-    # fork-worker job per variant — each of which deserializes the
-    # sidecar for itself and replays through the *scalar reference
-    # twins* (``_replay_hierarchy_fast`` / ``_replay_chip_fast``, the
-    # inline per-access loops the vectorized specialized kernels are
-    # differentially verified against; pinned below — forked workers
-    # inherit the patches because ``run_filtered`` resolves the module
-    # attribute at call time).  The timed region is the whole
-    # run_sweep call.
-    import repro.kernels.batch as batch
-    from repro.experiments.variants import VARIANT_NAMES, run_sweep
-    from repro.kernels.l1filter import drop_open_records, ensure_l1_filter
-    from repro.runtime.cache import ResultCache
-    from repro.runtime.events import EventBus
-    from repro.runtime.scheduler import ExperimentRuntime, RuntimeConfig
-    cache = ResultCache()
-    start = time.perf_counter()
-    ensure_l1_filter({workload!r}, scale=scale, cache=cache)
-    build_sec = time.perf_counter() - start
-
-    def _legacy_hier(hierarchy, record):
-        record.require_match(hierarchy.config)
-        batch._replay_hierarchy_fast(
-            hierarchy,
-            record.lines.tolist(),
-            record.kinds.tolist(),
-            record.accesses,
-            record.max_instruction,
-        )
-        return hierarchy.stats
-
-    def _legacy_chip(chip_, record):
-        record.require_match(chip_.config.caches)
-        batch._replay_chip_fast(
-            chip_,
-            record.lines.tolist(),
-            record.kinds.tolist(),
-            record.accesses,
-            record.max_instruction,
-        )
-        return chip_.stats
-
-    batch.run_hierarchy_filtered = _legacy_hier
-    batch.run_chip_filtered = _legacy_chip
-    drop_open_records()  # every worker loads the sidecar itself
-    runtime = ExperimentRuntime(
-        RuntimeConfig(jobs=3, use_cache=False), cache=cache, bus=EventBus([])
-    )
-    try:
-        start = time.perf_counter()
-        full_rows = run_sweep({workload!r}, scale=scale, runtime=runtime)
-        elapsed = time.perf_counter() - start
-    finally:
-        runtime.close()
-    extra["rows"] = [
-        {{k: row[k] for k in (
-            "variant", "l1_misses", "l2_accesses", "l2_misses",
-            "migrations", "instructions",
-        )}}
-        for row in full_rows
-    ]
-    # the wave job and each of the three variant workers deserialize
-    # the record once apiece
-    extra["record_loads"] = 1 + len(VARIANT_NAMES)
-    chip = None
-    stats = None
-elif mode == "population":
-    # The population-batch path: evaluate_population loads the record
-    # once in the coordinating process and replays every variant
-    # against it in-process — record object, slot-matrix precompute,
-    # and generated kernels all shared across the population (fanning
-    # over the scheduler/service instead is ``run_all --population
-    # --jobs N``: workers then share the record by fork inheritance or
-    # shared memory, at one fork per job).  The timed region covers
-    # the whole call, single record load included.
-    from repro.kernels.l1filter import drop_open_records, ensure_l1_filter
-    from repro.kernels.sweep import evaluate_population
-    from repro.runtime.cache import ResultCache
-    cache = ResultCache()
-    start = time.perf_counter()
-    ensure_l1_filter({workload!r}, scale=scale, cache=cache)
-    build_sec = time.perf_counter() - start
-    drop_open_records()  # the timed region pays the one record load itself
-    start = time.perf_counter()
-    result = evaluate_population({workload!r}, scale=scale, cache=cache)
-    elapsed = time.perf_counter() - start
-    extra["rows"] = [
-        {{k: row[k] for k in (
-            "variant", "l1_misses", "l2_accesses", "l2_misses",
-            "migrations", "instructions",
-        )}}
-        for row in result.rows
-    ]
-    extra["record_loads"] = result.shared_record_loads
-    extra["record_sources"] = result.record_sources
-    chip = None
-    stats = None
-else:
-    from repro.kernels.l1filter import ensure_l1_filter
-    from repro.kernels.segmented import ensure_segment_snapshots, run_segmented
-    from repro.runtime.cache import ResultCache
-    from repro.runtime.scheduler import ExperimentRuntime, RuntimeConfig
-    cache = ResultCache()
-    start = time.perf_counter()
-    record2, cached = ensure_l1_filter({workload!r}, scale=scale, cache=cache)
-    build_sec = time.perf_counter() - start
-    start = time.perf_counter()
-    ensure_segment_snapshots(
-        {workload!r}, scale=scale, segments=segments, cache=cache
-    )
-    extra["capture_sec"] = time.perf_counter() - start
-    extra["segments"] = segments
-    runtime = ExperimentRuntime(
-        RuntimeConfig(jobs=1, use_cache=False), cache=cache
-    )
-    try:
-        start = time.perf_counter()
-        stitched = run_segmented(
-            {workload!r}, scale=scale, segments=segments,
-            runtime=runtime, cache=cache,
-        )
-        elapsed = time.perf_counter() - start
-    finally:
-        runtime.close()
-    chip = None
-    stats = stitched.stats.to_dict()
-if chip is not None:
-    stats = chip.stats.to_dict()
 print(json.dumps({{
     "refs_per_sec": len(arrays[0]) / elapsed,
     "seconds": elapsed,
     "build_sec": build_sec,
-    "stats": stats,
+    "stats": chip.stats.to_dict(),
     **extra,
 }}))
 """.format(workload=WORKLOAD)
 
-MODES = ("per_access", "batched", "filtered", "specialized", "segmented")
-#: the sweep pair: the pinned per-job path vs the population-batch path
-SWEEP_MODES = ("per_job", "population")
+MODES = ("per_access", "batched", "specialized")
 
 
-def _run_once(mode: str, scale: float, segments: int) -> "dict[str, object]":
+def _run_once(mode: str, scale: float) -> "dict[str, object]":
     out = subprocess.run(
-        [
-            sys.executable, "-c", _WORKER,
-            str(REPO_SRC), mode, str(scale), str(segments),
-        ],
+        [sys.executable, "-c", _WORKER, str(REPO_SRC), mode, str(scale)],
         capture_output=True,
         text=True,
         check=True,
@@ -270,24 +102,17 @@ def _run_once(mode: str, scale: float, segments: int) -> "dict[str, object]":
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def measure(
-    scale: float, repeats: int, segments: int
-) -> "tuple[dict[str, object], bool]":
-    modes = MODES + SWEEP_MODES
-    runs: "dict[str, list[dict[str, object]]]" = {m: [] for m in modes}
+def measure(scale: float, repeats: int) -> "tuple[dict[str, object], bool]":
+    runs: "dict[str, list[dict[str, object]]]" = {m: [] for m in MODES}
     for _ in range(repeats):  # interleaved: one round per repeat
-        for mode in modes:
-            runs[mode].append(_run_once(mode, scale, segments))
+        for mode in MODES:
+            runs[mode].append(_run_once(mode, scale))
     best = {
         mode: max(results, key=lambda r: r["refs_per_sec"])
         for mode, results in runs.items()
     }
     stats = {mode: best[mode]["stats"] for mode in MODES}
     identical = all(stats[mode] == stats["per_access"] for mode in MODES)
-    # The sweep pair must agree variant-by-variant (the population path
-    # only counts if it reproduces the per-job numbers exactly).
-    rows_identical = best["per_job"]["rows"] == best["population"]["rows"]
-    identical = identical and rows_identical
     base = best["per_access"]["refs_per_sec"]
 
     def speedup(mode: str) -> float:
@@ -302,23 +127,10 @@ def measure(
             mode: round(r["refs_per_sec"], 1) for mode, r in best.items()
         },
         "seconds": {mode: round(r["seconds"], 3) for mode, r in best.items()},
-        "l1_filter_build_sec": round(best["filtered"]["build_sec"], 3),
+        "l1_filter_build_sec": round(best["specialized"]["build_sec"], 3),
         "specialized_cold_sec": round(best["specialized"]["cold_sec"], 3),
-        "snapshot_capture_sec": round(best["segmented"]["capture_sec"], 3),
-        "segments": segments,
         "batched_speedup": speedup("batched"),
-        "filtered_speedup": speedup("filtered"),
         "specialized_speedup": speedup("specialized"),
-        "segmented_speedup": speedup("segmented"),
-        "per_job_sweep_sec": round(best["per_job"]["seconds"], 3),
-        "population_sec": round(best["population"]["seconds"], 3),
-        "population_speedup": round(
-            best["per_job"]["seconds"] / best["population"]["seconds"], 2
-        ),
-        "shared_record_loads": best["population"]["record_loads"],
-        "per_job_record_loads": best["per_job"]["record_loads"],
-        "population_record_sources": best["population"]["record_sources"],
-        "population_rows_identical": rows_identical,
         "stats_identical": identical,
         "chip_stats": stats["per_access"],
     }
@@ -329,7 +141,6 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=0.5)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--segments", type=int, default=2)
     parser.add_argument(
         "--min-speedup",
         type=float,
@@ -343,19 +154,12 @@ def main(argv: "list[str] | None" = None) -> int:
         help="fail when specialized_speedup falls below this (CI gate)",
     )
     parser.add_argument(
-        "--min-population-speedup",
-        type=float,
-        default=1.0,
-        help="fail when population_speedup falls below this, or the "
-        "population performed more than one record load (CI gate)",
-    )
-    parser.add_argument(
         "-o",
         "--output",
         default=str(Path(__file__).parent / "BENCH_throughput.json"),
     )
     args = parser.parse_args(argv)
-    result, identical = measure(args.scale, args.repeats, args.segments)
+    result, identical = measure(args.scale, args.repeats)
     Path(args.output).write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -374,20 +178,6 @@ def main(argv: "list[str] | None" = None) -> int:
         print(
             f"FAIL: specialized speedup {result['specialized_speedup']} < "
             f"{args.min_specialized_speedup}",
-            file=sys.stderr,
-        )
-        return 1
-    if result["population_speedup"] < args.min_population_speedup:
-        print(
-            f"FAIL: population speedup {result['population_speedup']} < "
-            f"{args.min_population_speedup}",
-            file=sys.stderr,
-        )
-        return 1
-    if result["shared_record_loads"] != 1:
-        print(
-            f"FAIL: population performed {result['shared_record_loads']} "
-            "record loads (expected exactly 1)",
             file=sys.stderr,
         )
         return 1

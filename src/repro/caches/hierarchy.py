@@ -38,22 +38,6 @@ class CoreCacheConfig:
     l2_ways: int = 4
     l2_skewed: bool = True
 
-    def to_dict(self) -> dict:
-        """JSON-able form (for segment-job parameters and snapshots)."""
-        return {
-            "line_size": self.line_size,
-            "il1_bytes": self.il1_bytes,
-            "dl1_bytes": self.dl1_bytes,
-            "l1_ways": self.l1_ways,
-            "l2_bytes": self.l2_bytes,
-            "l2_ways": self.l2_ways,
-            "l2_skewed": self.l2_skewed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoreCacheConfig":
-        return cls(**data)
-
     def make_l1(self, capacity_bytes: int):
         """Instantiate one L1 cache per this geometry."""
         if self.l1_ways == 0:

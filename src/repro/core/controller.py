@@ -63,28 +63,6 @@ class ControllerConfig:
                 f"num_subsets must be 2 or 4, got {self.num_subsets}"
             )
 
-    def to_dict(self) -> dict:
-        """JSON-able form (for segment-job parameters and snapshots)."""
-        return {
-            "num_subsets": self.num_subsets,
-            "affinity_bits": self.affinity_bits,
-            "filter_bits": self.filter_bits,
-            "x_window_size": self.x_window_size,
-            "y_window_size": self.y_window_size,
-            "sampling": self.sampling.to_dict(),
-            "affinity_cache_entries": self.affinity_cache_entries,
-            "affinity_cache_ways": self.affinity_cache_ways,
-            "l2_filtering": self.l2_filtering,
-            "lru_window": self.lru_window,
-            "exact_window_affinity": self.exact_window_affinity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ControllerConfig":
-        data = dict(data)
-        data["sampling"] = SamplingPolicy.from_dict(data["sampling"])
-        return cls(**data)
-
     @classmethod
     def stack_experiment(cls) -> "ControllerConfig":
         """Section 4.1: 4-way, unlimited affinity cache, 20-bit filters,

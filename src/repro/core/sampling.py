@@ -101,18 +101,3 @@ class SamplingPolicy:
         even hash -> ``Y[sign(F_X)]`` (section 3.6)."""
         return (line % self.modulus) % 2 == 1
 
-    def to_dict(self) -> dict:
-        """JSON-able form (for segment-job parameters and snapshots)."""
-        residues = self.sampled_residues
-        return {
-            "modulus": self.modulus,
-            "sampled_residues": None if residues is None else sorted(residues),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SamplingPolicy":
-        residues = data["sampled_residues"]
-        return cls(
-            modulus=int(data["modulus"]),
-            sampled_residues=None if residues is None else frozenset(residues),
-        )

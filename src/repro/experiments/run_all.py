@@ -20,6 +20,7 @@ The output of a full run (scale 1.0) is what EXPERIMENTS.md records.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 import traceback
@@ -30,6 +31,7 @@ from repro.experiments.table1 import render_table1, run_table1
 from repro.experiments.speedups import project_speedups, render_speedups
 from repro.experiments.table2 import render_table2, run_table2
 from repro.experiments.workloads import WORKLOAD_NAMES
+from repro.runtime.cache import CACHE_DIR_ENV
 from repro.runtime.scheduler import ExperimentRuntime, runtime_from_args
 
 _EXPERIMENTS = ("figure3", "table1", "figures45", "table2", "speedups")
@@ -70,24 +72,13 @@ def _run_experiment(
     # invocation selecting both simulates each workload once even with
     # the cache disabled.
     if "rows" not in table2_memo:
-        if args.segments:
-            from repro.experiments.table2 import run_table2_segmented
-
-            table2_memo["rows"] = run_table2_segmented(
-                args.workloads,
-                scale=args.scale,
-                seed=args.seed,
-                runtime=runtime,
-                segments=args.segments,
-            )
-        else:
-            table2_memo["rows"] = run_table2(
-                args.workloads,
-                scale=args.scale,
-                seed=args.seed,
-                runtime=runtime,
-                obs_dir=args.obs,
-            )
+        table2_memo["rows"] = run_table2(
+            args.workloads,
+            scale=args.scale,
+            seed=args.seed,
+            runtime=runtime,
+            obs_dir=args.obs,
+        )
     if experiment == "table2":
         return render_table2(table2_memo["rows"])
     if experiment == "speedups":
@@ -147,17 +138,8 @@ def main(argv: "list[str] | None" = None) -> int:
         action="store_true",
         help="run the variant population sweep instead of the paper "
         "experiments: every chip variant replays one shared L1-filter "
-        "record per workload (fork-inherited or shared-memory; see "
-        "docs/performance.md)",
-    )
-    parser.add_argument(
-        "--segments",
-        type=int,
-        default=None,
-        metavar="K",
-        help="replay the table2/speedups chip pass segment-parallel: "
-        "capture K exact snapshots per workload and fan one runtime "
-        "job per segment (digest-verified stitch; bit-identical rows)",
+        "record per workload (loaded once, inherited by forked "
+        "workers; see docs/performance.md)",
     )
     parser.add_argument(
         "--timeout",
@@ -219,14 +201,6 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.segments is not None and args.segments < 1:
-        parser.error(f"--segments must be >= 1, got {args.segments}")
-    if args.segments and args.obs:
-        parser.error(
-            "--segments replays the chip pass through the probe-free "
-            "specialized kernels; --obs needs instrumented runs and "
-            "cannot be combined with it"
-        )
     if args.server and (args.obs or args.profile or args.checkpoint):
         parser.error(
             "--server executes on the remote service; --obs/--profile/"
@@ -286,6 +260,13 @@ def main(argv: "list[str] | None" = None) -> int:
     failures: "list[tuple[str, str]]" = []
     completed = 0
     table2_memo: "dict[str, list]" = {}
+    # L1-filter sidecars, their job records and Olden trace memos live
+    # under the default cache root, not the runtime's: point it at
+    # --cache-dir for this run (workers inherit the environment) and
+    # restore it afterwards for later in-process callers.
+    saved_cache_root = os.environ.get(CACHE_DIR_ENV)
+    if args.cache_dir:
+        os.environ[CACHE_DIR_ENV] = args.cache_dir
     try:
         for experiment in selected:
             experiment_start = time.time()
@@ -317,6 +298,10 @@ def main(argv: "list[str] | None" = None) -> int:
         # Flush/close event sinks even on Ctrl-C so run logs (and the
         # bridged obs runlog) are never truncated.
         runtime.close()
+        if saved_cache_root is None:
+            os.environ.pop(CACHE_DIR_ENV, None)
+        else:
+            os.environ[CACHE_DIR_ENV] = saved_cache_root
 
     if args.obs:
         _finalize_obs(args.obs)

@@ -209,47 +209,6 @@ def run_table2(
     return [table2_row_from_payload(p) for p in payloads(outcomes)]
 
 
-def run_table2_segmented(
-    names: "Sequence[str]" = WORKLOAD_NAMES,
-    scale: float = 1.0,
-    seed: "int | None" = None,
-    runtime=None,
-    segments: int = 2,
-) -> "list[Table2Row]":
-    """Table 2 with the chip pass replayed segment-parallel.
-
-    The baseline hierarchy replays serially in the driver (one pass per
-    workload); the migration-mode chip pass runs through
-    :func:`repro.kernels.segmented.run_segmented` — snapshot capture,
-    one runtime job per segment, digest-verified stitch.  Rows are
-    bit-identical to :func:`run_table2`'s (the stitch raises on any
-    divergence rather than returning approximate rows).
-    """
-    from repro.kernels.segmented import run_segmented
-
-    rows = []
-    for name in names:
-        record, _cached = ensure_l1_filter(name, scale=scale, seed=seed)
-        baseline = SingleCoreHierarchy()
-        baseline.run_filtered(record)
-        stitched = run_segmented(
-            name, scale=scale, seed=seed, segments=segments, runtime=runtime
-        )
-        stats = stitched.stats
-        rows.append(
-            Table2Row(
-                name=name,
-                instructions=stats.instructions,
-                l1_misses=stats.l1_misses,
-                l2_misses_baseline=baseline.stats.l2_misses,
-                l2_misses_migrating=stats.l2_misses,
-                migrations=stats.migrations,
-                accesses=stats.accesses,
-            )
-        )
-    return rows
-
-
 def _per_cell(value: float) -> str:
     if value == float("inf"):
         return "-"

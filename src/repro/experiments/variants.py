@@ -118,26 +118,20 @@ def run_population(
     seed: "int | None" = None,
     runtime=None,
     variants: "Sequence[str]" = VARIANT_NAMES,
-    share_memory: bool = True,
 ):
     """Population-batch twin of :func:`run_sweep`.
 
     Delegates to :func:`repro.kernels.sweep.evaluate_population`: the
     L1-filter record is materialised once in the coordinating process
-    and shared with workers (fork inheritance or shared memory) instead
-    of each variant job re-reading the sidecar.  Returns the
+    and inherited by forked workers instead of each variant job
+    re-reading the sidecar.  Returns the
     :class:`~repro.kernels.sweep.PopulationResult`; ``result.rows`` is
     render-compatible with :func:`render_sweep`.
     """
     from repro.kernels.sweep import evaluate_population
 
     return evaluate_population(
-        name,
-        variants,
-        scale=scale,
-        seed=seed,
-        runtime=runtime,
-        share_memory=share_memory,
+        name, variants, scale=scale, seed=seed, runtime=runtime
     )
 
 

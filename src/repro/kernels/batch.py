@@ -13,22 +13,19 @@ Entry points (normally reached via ``MultiCoreChip.run_arrays`` /
 Every path is **bit-identical** to the per-access simulator: same
 ``ChipStats`` / ``HierarchyStats``, same cache contents and per-cache
 ``CacheStats``, same controller/affinity state, same update-bus bytes.
-The differential tests in ``tests/kernels/test_batch.py`` enforce this
-on synthetic and Olden traces.
+The differential tests in ``tests/kernels`` enforce this on synthetic
+and Olden traces.
 
 Two regimes:
 
-* **fast** — when the chip is built from the exact standard component
-  types with no probe and no prefetchers, the whole L2 + coherence +
-  controller pipeline is inlined over precomputed skewed-cache slot
-  rows (:func:`repro.kernels.arrays.skew_slot_matrix`), with counters
-  accumulated in locals and flushed once.  The inline transcriptions
-  mirror ``CoherentL2s.access``, ``SkewedAssociativeCache._install``,
-  ``MigrationController.observe`` and ``SplitMechanism.process``
-  statement for statement; the controller additionally exploits the
-  invariant ``engine.active_core == controller._previous_subset ==
-  current_subset()`` (checked up front) to skip subset recomputation
-  on the ~97% of steps that cannot move the filters' signs.
+* **specialized** — when the model is built from the exact standard
+  component types with no probe and no prefetchers, the post-L1
+  pipeline replays through the kernel generated for its shape
+  (:mod:`repro.kernels.specialize`).  The arrays entry points first
+  run the model's own L1 pair over the trace
+  (:func:`~repro.kernels.l1filter.l1_miss_stream`, which leaves the
+  L1s exactly as per-access simulation would) and replay the
+  resulting miss stream the same way.
 * **generic** — any probe, prefetcher, or non-standard component type
   falls back to a fused loop over the real component methods.  This is
   still faster than per-``Access`` simulation (no namedtuple churn,
@@ -41,21 +38,17 @@ Two regimes:
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.caches.base import EvictedLine
-from repro.caches.skewed import SkewedAssociativeCache, skew_hash
+from repro.caches.skewed import SkewedAssociativeCache
 from repro.core.affinity_store import AffinityCache, UnboundedAffinityStore
 from repro.core.controller import MigrationController
-from repro.core.mechanism import RWindowEntry, SplitMechanism
+from repro.core.mechanism import SplitMechanism
 from repro.core.transition_filter import TransitionFilter
-from repro.kernels.arrays import as_trace_arrays, skew_slot_matrix
-from repro.kernels.l1filter import L1FilterRecord, _l1_view, l1_miss_stream
+from repro.kernels.arrays import as_trace_arrays
+from repro.kernels.l1filter import L1FilterRecord, _l1_view, filter_through_l1s
 from repro.multicore.coherence import CoherentL2s
 from repro.multicore.migration import MigrationEngine
 
 _CHUNK = 1 << 16
-_UNSET = object()  # "cache never accessed here" sentinel for last_eviction
 
 
 # -- public entry points ------------------------------------------------
@@ -66,38 +59,22 @@ def run_chip_arrays(chip, addresses, kinds, instructions):
     addresses, kinds, instructions = as_trace_arrays(
         addresses, kinds, instructions
     )
-    line_size = chip.config.caches.line_size
     if (
         _chip_fast_eligible(chip)
         and _l1_view(chip.il1) is not None
         and _l1_view(chip.dl1) is not None
     ):
-        rec_index, rec_line, rec_kind = l1_miss_stream(
-            chip.il1, chip.dl1, addresses, kinds, line_size
-        )
-        max_instruction = (
-            int(instructions.max()) if len(instructions) else -1
-        )
-        # Package the miss stream as a record and replay it through the
-        # shape-specialized kernel (repro.kernels.specialize) — exact,
-        # and the config branches are hoisted out of the per-miss loop.
         from repro.kernels.specialize import replay_chip_specialized
 
-        caches = chip.config.caches
-        record = L1FilterRecord(
-            line_size=caches.line_size,
-            il1_bytes=caches.il1_bytes,
-            dl1_bytes=caches.dl1_bytes,
-            l1_ways=caches.l1_ways,
-            accesses=len(addresses),
-            max_instruction=max_instruction,
-            indices=np.asarray(rec_index, dtype=np.int64),
-            lines=np.asarray(rec_line, dtype=np.int64),
-            kinds=np.asarray(rec_kind, dtype=np.uint8),
+        record = filter_through_l1s(
+            chip.il1, chip.dl1, chip.config.caches,
+            addresses, kinds, instructions,
         )
         replay_chip_specialized(chip, record)
     else:
-        _run_chip_generic(chip, addresses, kinds, instructions, line_size)
+        _run_chip_generic(
+            chip, addresses, kinds, instructions, chip.config.caches.line_size
+        )
     return chip.stats
 
 
@@ -110,11 +87,6 @@ def run_chip_filtered(chip, record: L1FilterRecord):
     """
     record.require_match(chip.config.caches)
     if _chip_fast_eligible(chip):
-        # Shape-specialized replay (repro.kernels.specialize): same
-        # exactness contract as _replay_chip_fast, but the kernel is
-        # generated per chip shape with every config branch hoisted out
-        # of the loop.  The inline fast path remains as the reference
-        # twin the differential tests replay against.
         from repro.kernels.specialize import replay_chip_specialized
 
         replay_chip_specialized(chip, record)
@@ -129,24 +101,21 @@ def run_hierarchy_arrays(hierarchy, addresses, kinds, instructions):
     addresses, kinds, instructions = as_trace_arrays(
         addresses, kinds, instructions
     )
-    line_size = hierarchy.config.line_size
     if (
         _hierarchy_fast_eligible(hierarchy)
         and _l1_view(hierarchy.il1) is not None
         and _l1_view(hierarchy.dl1) is not None
     ):
-        _, rec_line, rec_kind = l1_miss_stream(
-            hierarchy.il1, hierarchy.dl1, addresses, kinds, line_size
+        from repro.kernels.specialize import replay_hierarchy_specialized
+
+        record = filter_through_l1s(
+            hierarchy.il1, hierarchy.dl1, hierarchy.config,
+            addresses, kinds, instructions,
         )
-        max_instruction = (
-            int(instructions.max()) if len(instructions) else -1
-        )
-        _replay_hierarchy_fast(
-            hierarchy, rec_line, rec_kind, len(addresses), max_instruction
-        )
+        replay_hierarchy_specialized(hierarchy, record)
     else:
         _run_hierarchy_generic(
-            hierarchy, addresses, kinds, instructions, line_size
+            hierarchy, addresses, kinds, instructions, hierarchy.config.line_size
         )
     return hierarchy.stats
 
@@ -155,9 +124,6 @@ def run_hierarchy_filtered(hierarchy, record: L1FilterRecord):
     """Replay an L1-filter record through the baseline's L2."""
     record.require_match(hierarchy.config)
     if _hierarchy_fast_eligible(hierarchy):
-        # Shape-specialized replay (repro.kernels.specialize): exact
-        # same contract as _replay_hierarchy_fast, which remains below
-        # as the reference twin the differential tests replay against.
         from repro.kernels.specialize import replay_hierarchy_specialized
 
         replay_hierarchy_specialized(hierarchy, record)
@@ -166,15 +132,16 @@ def run_hierarchy_filtered(hierarchy, record: L1FilterRecord):
     return hierarchy.stats
 
 
-# -- fast-path eligibility ----------------------------------------------
+# -- specialized-kernel eligibility -------------------------------------
 
 
 def _chip_fast_eligible(chip) -> bool:
-    """Whether the inline fast replay is exact for this chip.
+    """Whether the specialized chip kernels are exact for this chip.
 
     Exact component types only (a subclass may override any method the
-    inline loop transcribes), no probes anywhere, no prefetchers, FIFO
-    R-windows, and the active-core/controller-subset invariant intact.
+    generated loop transcribes), no probes anywhere, no prefetchers,
+    FIFO R-windows, and the active-core/controller-subset invariant
+    intact.
     """
     if chip.probe is not None or chip.prefetchers is not None:
         return False
@@ -220,9 +187,10 @@ def _chip_fast_eligible(chip) -> bool:
             or transition_filter.probe is not None
         ):
             return False
-    # The inline controller skips subset recomputation on steps that
-    # cannot change it, which is only sound under this invariant (it
-    # holds for any chip driven solely through the public run paths).
+    # The generated loop recomputes the subset only when a filter
+    # updates and takes the active core as the previous subset, which
+    # is only sound under this invariant (it holds for any chip driven
+    # solely through the public run paths).
     subset = controller.current_subset()
     if controller._previous_subset != subset or engine.active_core != subset:
         return False
@@ -410,538 +378,3 @@ def _replay_hierarchy_generic(hierarchy, record: L1FilterRecord):
     stats.accesses += n
     if record.max_instruction >= stats.instructions:
         stats.instructions = record.max_instruction + 1
-
-
-# -- fast paths (inline transcriptions, exact standard types only) ------
-
-
-def _replay_hierarchy_fast(
-    hierarchy, rec_line, rec_kind, n_accesses, max_instruction
-):
-    """Inline replay of the baseline's skewed L2."""
-    l2 = hierarchy.l2
-    slot_rows = skew_slot_matrix(
-        np.asarray(rec_line, dtype=np.int64), l2.num_sets, l2.ways
-    ).tolist()
-    cache_lines = l2._lines
-    cache_dirty = l2._dirty
-    cache_time = l2._time
-    clock = l2._clock
-    accesses = hits = evictions = writebacks = 0
-    last_eviction = _UNSET
-    for line, rkind, srow in zip(rec_line, rec_kind, slot_rows):
-        write = rkind >= 2
-        clock += 1
-        accesses += 1
-        hit_slot = -1
-        for slot in srow:
-            if cache_lines[slot] == line:
-                hit_slot = slot
-                break
-        if hit_slot >= 0:
-            hits += 1
-            cache_time[hit_slot] = clock
-            if write:
-                cache_dirty[hit_slot] = True
-            last_eviction = None
-            continue
-        victim = -1
-        victim_time = None
-        for slot in srow:
-            if cache_lines[slot] is None:
-                victim = slot
-                victim_time = None
-                break
-            slot_time = cache_time[slot]
-            if victim_time is None or slot_time < victim_time:
-                victim = slot
-                victim_time = slot_time
-        victim_line = cache_lines[victim]
-        if victim_line is not None:
-            evictions += 1
-            victim_dirty = cache_dirty[victim]
-            if victim_dirty:
-                writebacks += 1
-            last_eviction = EvictedLine(victim_line, victim_dirty)
-        else:
-            last_eviction = None
-        cache_lines[victim] = line
-        cache_dirty[victim] = write
-        cache_time[victim] = clock
-    stats = l2.stats
-    stats.accesses += accesses
-    stats.hits += hits
-    stats.misses += accesses - hits
-    stats.evictions += evictions
-    stats.writebacks += writebacks
-    l2._clock = clock
-    if last_eviction is not _UNSET:
-        l2.last_eviction = last_eviction
-    hstats = hierarchy.stats
-    hstats.accesses += n_accesses
-    hstats.l1_misses += (
-        rec_kind.count(0) + rec_kind.count(1) + rec_kind.count(3)
-    )
-    hstats.l2_accesses += accesses
-    hstats.l2_misses += accesses - hits
-    if max_instruction >= hstats.instructions:
-        hstats.instructions = max_instruction + 1
-
-
-def _make_store_ops(store, slot_of, slots_shared):
-    """Inline read/write/flush closures over the shared affinity store.
-
-    ``slots_shared`` is true when the store is an :class:`AffinityCache`
-    with the *same* geometry as the L2s, so the precomputed L2 slot row
-    of the current record doubles as the store's probe sequence (the
-    skew hash depends only on (line, way, index_bits)).  Window
-    evictions may write back lines that are no longer the current
-    record; ``slot_of`` memoises rows per line, with a scalar
-    ``skew_hash`` fallback for lines never seen this replay (window
-    leftovers from a previous run).
-    """
-    if type(store) is UnboundedAffinityStore:
-        values = store._values
-        get = values.get
-        reads = writes = misses = 0
-
-        def read(line, srow):
-            nonlocal reads, misses
-            reads += 1
-            value = get(line)
-            if value is None:
-                misses += 1
-            return value
-
-        def write(line, value):
-            nonlocal writes
-            writes += 1
-            values[line] = value
-
-        def flush():
-            store.reads += reads
-            store.writes += writes
-            store.misses += misses
-
-        return read, write, flush
-
-    cache_lines = store._lines
-    cache_values = store._values
-    cache_time = store._time
-    num_sets = store._num_sets
-    index_bits = store._index_bits
-    way_range = range(store.ways)
-    clock = store._clock
-    reads = writes = misses = evictions = 0
-
-    def rows_of(line):
-        row = slot_of.get(line) if slots_shared else None
-        if row is None:
-            row = [
-                way * num_sets + skew_hash(line, way, index_bits)
-                for way in way_range
-            ]
-        return row
-
-    def read(line, srow):
-        nonlocal reads, misses, clock
-        reads += 1
-        clock += 1
-        row = srow if slots_shared else rows_of(line)
-        for slot in row:
-            if cache_lines[slot] == line:
-                cache_time[slot] = clock
-                return cache_values[slot]
-        misses += 1
-        return None
-
-    def write(line, value):
-        nonlocal writes, evictions, clock
-        writes += 1
-        clock += 1
-        row = rows_of(line)
-        for slot in row:
-            if cache_lines[slot] == line:
-                cache_values[slot] = value
-                cache_time[slot] = clock
-                return
-        victim = -1
-        victim_time = None
-        for slot in row:
-            if cache_lines[slot] is None:
-                victim = slot
-                victim_time = None
-                break
-            slot_time = cache_time[slot]
-            if victim_time is None or slot_time < victim_time:
-                victim = slot
-                victim_time = slot_time
-        if cache_lines[victim] is not None:
-            evictions += 1
-        cache_lines[victim] = line
-        cache_values[victim] = value
-        cache_time[victim] = clock
-
-    def flush():
-        store.reads += reads
-        store.writes += writes
-        store.misses += misses
-        store.evictions += evictions
-        store._clock = clock
-
-    return read, write, flush
-
-
-def _make_mechanism_step(mechanism, store_read, store_write):
-    """Inline FIFO-mode ``SplitMechanism.process`` (exact or literal
-    window-affinity mode; LRU windows are excluded by eligibility)."""
-    window_size = mechanism.window_size
-    lo = -(1 << (mechanism.affinity_bits - 1))
-    hi = (1 << (mechanism.affinity_bits - 1)) - 1
-    delta_counter = mechanism.delta
-    d_lo = delta_counter._lo
-    d_hi = delta_counter._hi
-    d_value = delta_counter._value
-    wa_counter = mechanism.window_affinity
-    w_lo = wa_counter._lo
-    w_hi = wa_counter._hi
-    w_value = wa_counter._value
-    track = mechanism.track_true_window_affinity
-    fifo = mechanism._fifo
-    append = fifo.append
-    popleft = fifo.popleft
-    make_entry = RWindowEntry
-    references = 0
-
-    def process(line, srow):
-        nonlocal d_value, w_value, references
-        references += 1
-        delta = d_value
-        o_e = store_read(line, srow)
-        if o_e is None:
-            # Store miss: force A_e = 0 by taking O_e = saturate(Δ).
-            o_e = lo if delta < lo else hi if delta > hi else delta
-        value = o_e - delta
-        a_e = lo if value < lo else hi if value > hi else value
-        value = o_e - 2 * delta
-        i_e = lo if value < lo else hi if value > hi else value
-        append(make_entry(line, i_e))
-        if len(fifo) > window_size:
-            evicted = popleft()
-            value = evicted[1] + 2 * delta
-            o_f = lo if value < lo else hi if value > hi else value
-            store_write(evicted[0], o_f)
-            value = w_value + (o_e - o_f)
-        else:
-            value = w_value + a_e  # window still filling
-        w_value = w_lo if value < w_lo else w_hi if value > w_hi else value
-        step = 1 if w_value >= 0 else -1
-        value = d_value + step
-        d_value = d_lo if value < d_lo else d_hi if value > d_hi else value
-        if track:
-            value = w_value + len(fifo) * step
-            w_value = (
-                w_lo if value < w_lo else w_hi if value > w_hi else value
-            )
-        return a_e
-
-    def flush():
-        delta_counter._value = d_value
-        wa_counter._value = w_value
-        mechanism.references += references
-
-    return process, flush
-
-
-def _make_controller_step(controller, slot_of, slots_shared):
-    """Inline sampled-reference step of ``MigrationController.observe``.
-
-    Unsampled references reduce to a references count in the caller
-    (they cannot move any filter, hence cannot change the subset under
-    the checked invariant).  Returns ``(step, flush)``; ``step`` returns
-    the post-update subset, which is also the migration target.
-    """
-    cfg = controller.config
-    four_way = cfg.num_subsets == 4
-    l2_filtering = cfg.l2_filtering
-    filter_x = controller.filter_x
-    fx_update = filter_x.update
-    fx_counter = filter_x._counter
-    store_read, store_write, flush_store = _make_store_ops(
-        controller.store, slot_of, slots_shared
-    )
-    mechanisms = controller.mechanisms()
-    process_x, flush_x = _make_mechanism_step(
-        mechanisms[0], store_read, store_write
-    )
-    flushes = [flush_x, flush_store]
-    if four_way:
-        filter_yp = controller.filter_y[+1]
-        filter_yn = controller.filter_y[-1]
-        fyp_update = filter_yp.update
-        fyn_update = filter_yn.update
-        fyp_counter = filter_yp._counter
-        fyn_counter = filter_yn._counter
-        process_yp, flush_yp = _make_mechanism_step(
-            mechanisms[1], store_read, store_write
-        )
-        process_yn, flush_yn = _make_mechanism_step(
-            mechanisms[2], store_read, store_write
-        )
-        flushes = [flush_x, flush_yp, flush_yn, flush_store]
-    prev_subset = controller._previous_subset
-    sampled = updates = transitions = 0
-
-    def step(line, l2_miss, srow, residue):
-        nonlocal prev_subset, sampled, updates, transitions
-        sampled += 1
-        if four_way and not (residue & 1):
-            # Even sampling hash routes to Y[sign(F_X)] (section 3.6).
-            if fx_counter._value >= 0:
-                affinity = process_yp(line, srow)
-                update = fyp_update
-            else:
-                affinity = process_yn(line, srow)
-                update = fyn_update
-        else:
-            affinity = process_x(line, srow)
-            update = fx_update
-        if l2_miss or not l2_filtering:
-            update(affinity)
-            updates += 1
-            if four_way:
-                if fx_counter._value >= 0:
-                    subset = 0 if fyp_counter._value >= 0 else 1
-                else:
-                    subset = 2 if fyn_counter._value >= 0 else 3
-            else:
-                subset = 0 if fx_counter._value >= 0 else 1
-            if subset != prev_subset:
-                transitions += 1
-                prev_subset = subset
-        return prev_subset
-
-    def flush(references):
-        stats = controller.stats
-        stats.references += references
-        stats.sampled_references += sampled
-        stats.filter_updates += updates
-        stats.transitions += transitions
-        controller._previous_subset = prev_subset
-        for flush_one in flushes:
-            flush_one()
-
-    return step, flush
-
-
-def _replay_chip_fast(
-    chip, rec_line, rec_kind, n_accesses, max_instruction
-):
-    """Inline replay of coherent L2s + migration controller."""
-    line_size = chip.config.caches.line_size
-    caches = chip.l2s.caches
-    num_cores = len(caches)
-    first = caches[0]
-    slot_rows = skew_slot_matrix(
-        np.asarray(rec_line, dtype=np.int64), first.num_sets, first.ways
-    ).tolist()
-    lines_by_core = [cache._lines for cache in caches]
-    dirty_by_core = [cache._dirty for cache in caches]
-    time_by_core = [cache._time for cache in caches]
-    clock_by_core = [cache._clock for cache in caches]
-    acc_by_core = [0] * num_cores
-    hit_by_core = [0] * num_cores
-    evict_by_core = [0] * num_cores
-    wb_by_core = [0] * num_cores
-    last_by_core = [_UNSET] * num_cores
-    inactive_cores = [
-        tuple(other for other in range(num_cores) if other != core)
-        for core in range(num_cores)
-    ]
-    coh_hits = coh_misses = coh_forwards = coh_l3 = 0
-    coh_writebacks = coh_updates = 0
-
-    engine = chip.engine
-    active = engine.active_core
-    migrations = 0
-    ctrl_references = 0
-
-    migration_on = chip.config.migration_enabled
-    slot_of = {}
-    if migration_on:
-        controller = chip.controller
-        store = controller.store
-        slots_shared = (
-            type(store) is AffinityCache
-            and store._num_sets == first.num_sets
-            and store.ways == first.ways
-        )
-        sampled_step, flush_controller = _make_controller_step(
-            controller, slot_of, slots_shared
-        )
-        sampling = controller.config.sampling
-        residues = sampling.sampled_residues
-        modulus = sampling.modulus
-    else:
-        slots_shared = False
-        residues = None
-        modulus = 31
-
-    # The active core's state lives in locals; migrations are rare
-    # (tens per run), so the flush-and-reload below is off the hot path.
-    a_lines = lines_by_core[active]
-    a_dirty = dirty_by_core[active]
-    a_time = time_by_core[active]
-    a_clock = clock_by_core[active]
-    a_acc = a_hit = a_evict = a_wb = 0
-    a_last = _UNSET
-    a_inactive = inactive_cores[active]
-
-    for line, rkind, srow in zip(rec_line, rec_kind, slot_rows):
-        write = rkind >= 2
-        # -- CoherentL2s.access(active, line, write), inlined ----------
-        a_clock += 1
-        a_acc += 1
-        hit_slot = -1
-        for slot in srow:
-            if a_lines[slot] == line:
-                hit_slot = slot
-                break
-        if hit_slot >= 0:
-            a_hit += 1
-            coh_hits += 1
-            a_time[hit_slot] = a_clock
-            if write:
-                a_dirty[hit_slot] = True
-            a_last = None
-            l2_miss = False
-        else:
-            coh_misses += 1
-            victim = -1
-            victim_time = None
-            for slot in srow:
-                if a_lines[slot] is None:
-                    victim = slot
-                    victim_time = None
-                    break
-                slot_time = a_time[slot]
-                if victim_time is None or slot_time < victim_time:
-                    victim = slot
-                    victim_time = slot_time
-            victim_line = a_lines[victim]
-            if victim_line is not None:
-                a_evict += 1
-                victim_dirty = a_dirty[victim]
-                if victim_dirty:
-                    a_wb += 1
-                    coh_writebacks += 1
-                a_last = EvictedLine(victim_line, victim_dirty)
-            else:
-                a_last = None
-            a_lines[victim] = line
-            a_dirty[victim] = write
-            a_time[victim] = a_clock
-            # A modified copy elsewhere forwards (and is cleaned);
-            # clean copies may not forward — the L3 serves the miss.
-            forwarded = False
-            for core in a_inactive:
-                other_lines = lines_by_core[core]
-                for slot in srow:
-                    if other_lines[slot] == line:
-                        if dirty_by_core[core][slot]:
-                            dirty_by_core[core][slot] = False
-                            forwarded = True
-                        break
-                if forwarded:
-                    break
-            if forwarded:
-                coh_forwards += 1
-            else:
-                coh_l3 += 1
-            l2_miss = True
-        if write:
-            # Demote inactive copies (update-bus store broadcast).
-            for core in a_inactive:
-                other_lines = lines_by_core[core]
-                for slot in srow:
-                    if other_lines[slot] == line:
-                        dirty_by_core[core][slot] = False
-                        coh_updates += 1
-                        break
-        # -- controller request (all kinds but STORE_L1_HIT) -----------
-        if rkind == 2:
-            continue
-        if migration_on:
-            ctrl_references += 1
-            residue = line % modulus
-            if residues is None or residue in residues:
-                if slots_shared:
-                    # Only sampled lines ever enter the R-windows, so
-                    # only they can come back as store write-backs.
-                    slot_of[line] = srow
-                target = sampled_step(line, l2_miss, srow, residue)
-                if target != active:
-                    migrations += 1
-                    clock_by_core[active] = a_clock
-                    acc_by_core[active] += a_acc
-                    hit_by_core[active] += a_hit
-                    evict_by_core[active] += a_evict
-                    wb_by_core[active] += a_wb
-                    last_by_core[active] = a_last
-                    active = target
-                    a_lines = lines_by_core[active]
-                    a_dirty = dirty_by_core[active]
-                    a_time = time_by_core[active]
-                    a_clock = clock_by_core[active]
-                    a_acc = a_hit = a_evict = a_wb = 0
-                    a_last = last_by_core[active]
-                    a_inactive = inactive_cores[active]
-
-    clock_by_core[active] = a_clock
-    acc_by_core[active] += a_acc
-    hit_by_core[active] += a_hit
-    evict_by_core[active] += a_evict
-    wb_by_core[active] += a_wb
-    last_by_core[active] = a_last
-
-    for core in range(num_cores):
-        cache = caches[core]
-        stats = cache.stats
-        stats.accesses += acc_by_core[core]
-        stats.hits += hit_by_core[core]
-        stats.misses += acc_by_core[core] - hit_by_core[core]
-        stats.evictions += evict_by_core[core]
-        stats.writebacks += wb_by_core[core]
-        cache._clock = clock_by_core[core]
-        if last_by_core[core] is not _UNSET:
-            cache.last_eviction = last_by_core[core]
-    records = len(rec_kind)
-    coherence = chip.l2s.stats
-    coherence.accesses += records
-    coherence.hits += coh_hits
-    coherence.misses += coh_misses
-    coherence.forwards += coh_forwards
-    coherence.l3_fetches += coh_l3
-    coherence.writebacks += coh_writebacks
-    coherence.inactive_updates += coh_updates
-    engine.active_core = active
-    engine.migrations += migrations
-    if migration_on:
-        flush_controller(ctrl_references)
-    fetch_misses = rec_kind.count(0)
-    load_misses = rec_kind.count(1)
-    store_hits = rec_kind.count(2)
-    store_misses = rec_kind.count(3)
-    stats = chip.stats
-    stats.accesses += n_accesses
-    if max_instruction >= stats.instructions:
-        stats.instructions = max_instruction + 1
-    stats.il1_misses += fetch_misses
-    stats.dl1_misses += load_misses + store_misses
-    stats.l1_miss_requests += fetch_misses + load_misses + store_misses
-    stats.l2_accesses += records
-    stats.l2_misses += coh_misses
-    stats.migrations += migrations
-    bus = chip.bus_traffic
-    bus.record_l1_fill(line_size, fetch_misses + load_misses)
-    bus.record_store(store_hits + store_misses)

@@ -320,21 +320,12 @@ class L1FilterRecord:
             )
 
 
-def build_l1_filter(
-    addresses,
-    kinds,
-    instructions,
-    config: "CoreCacheConfig | None" = None,
+def filter_through_l1s(
+    il1, dl1, config: CoreCacheConfig, addresses, kinds, instructions
 ) -> L1FilterRecord:
-    """Filter one trace through fresh L1s built from ``config``."""
-    from repro.kernels.arrays import as_trace_arrays
-
-    config = config or CoreCacheConfig()
-    addresses, kinds, instructions = as_trace_arrays(
-        addresses, kinds, instructions
-    )
-    il1 = config.make_l1(config.il1_bytes)
-    dl1 = config.make_l1(config.dl1_bytes)
+    """Run a trace (numpy arrays) through ``il1``/``dl1`` and package
+    the miss stream as a record of ``config``'s L1 geometry; the two
+    caches end up exactly as after per-access simulation."""
     rec_index, rec_line, rec_kind = l1_miss_stream(
         il1, dl1, addresses, kinds, config.line_size
     )
@@ -348,6 +339,29 @@ def build_l1_filter(
         indices=np.asarray(rec_index, dtype=np.int64),
         lines=np.asarray(rec_line, dtype=np.int64),
         kinds=np.asarray(rec_kind, dtype=np.uint8),
+    )
+
+
+def build_l1_filter(
+    addresses,
+    kinds,
+    instructions,
+    config: "CoreCacheConfig | None" = None,
+) -> L1FilterRecord:
+    """Filter one trace through fresh L1s built from ``config``."""
+    from repro.kernels.arrays import as_trace_arrays
+
+    config = config or CoreCacheConfig()
+    addresses, kinds, instructions = as_trace_arrays(
+        addresses, kinds, instructions
+    )
+    return filter_through_l1s(
+        config.make_l1(config.il1_bytes),
+        config.make_l1(config.dl1_bytes),
+        config,
+        addresses,
+        kinds,
+        instructions,
     )
 
 

@@ -1,16 +1,16 @@
-"""Trace-specialized chip replay kernels (generated per chip shape).
+"""Trace-specialized replay kernels (generated per chip shape).
 
-The batched fast path in :mod:`repro.kernels.batch` is one inline loop
-covering *every* eligible chip: each per-miss iteration still pays for
-configuration branches (L2 filtering on/off, 2-way vs 4-way routing,
-store kind, exact-window tracking) and closure indirection.  This
-module generates the inner loop **per chip shape** instead: every
-configuration branch is hoisted out of the loop at code-generation
-time, the mechanism/filter/store state lives in flat locals, L2
-residency is tracked in per-core ``line -> slot`` dicts (an O(1) hit
-check replacing the per-way tag scan), and per-record clocks are
-derived from the loop index instead of incremented (the LRU timestamp
-of record ``i`` in a reign is ``cbase + i``).
+These are the one fast replay of an L1-filter record: every
+probe-free chip and baseline hierarchy built from the standard
+component types replays through them (:mod:`repro.kernels.batch`
+dispatches).  The inner loop is generated **per chip shape**: every
+configuration branch (L2 filtering on/off, 2-way vs 4-way routing,
+store kind, exact-window tracking) is hoisted out of the loop at
+code-generation time, the mechanism/filter/store state lives in flat
+locals, L2 residency is tracked in per-core ``line -> slot`` dicts (an
+O(1) hit check replacing the per-way tag scan), and per-record clocks
+are derived from the loop index instead of incremented (the LRU
+timestamp of record ``i`` in a reign is ``cbase + i``).
 
 The **shape signature** — the dispatch key — is::
 
@@ -24,29 +24,27 @@ R-window evictions never hash scalar-ly in the loop (when the
 geometries agree — ``slots_shared`` — the L2 row is reused, as
 before).
 
-Generated kernels are cached in a module dispatch table
-(:func:`dispatch_table`); per-record precomputation (slot-matrix
-columns, store/control byte streams) is memoised on the record object
-in a small LRU (:data:`_PRECOMP_CAP` geometry keys; evictions counted
-on the process obs registry as ``kernels.precompute.evictions``), so
-sweeps replaying one record through many variants pay it once while
+Generated kernels are cached per signature for the life of the
+process; per-record precomputation (slot-matrix columns, store/control
+byte streams) is memoised on the record object in a small LRU
+(:data:`_PRECOMP_CAP` geometry keys; evictions counted on the process
+obs registry as ``kernels.precompute.evictions``), so sweeps
+replaying one record through many variants pay it once while
 long-lived service processes stay bounded.
 
 The single-core baseline gets the same treatment:
 :func:`replay_hierarchy_specialized` generates a per-associativity
 kernel for the skewed L2 of ``SingleCoreHierarchy`` (dict-based
-residency, index-derived clocks, precomputed slot columns) — the
-inline loop in :mod:`repro.kernels.batch` stays as its reference twin.
+residency, index-derived clocks, precomputed slot columns).
 
 Exactness contract: replaying through a specialized kernel leaves the
-chip in **bit-identical** state to the per-access seed simulator —
+chip in **bit-identical** state to the per-access simulator —
 ``ChipStats``, per-cache ``CacheStats`` and contents, controller,
 affinity store, filters, and update-bus bytes (the differential suite
 in ``tests/kernels`` enforces this).  The kernel also exposes a slice
 API (:func:`replay_chip_slice`): replaying ``[0, n)`` in any partition
-of consecutive slices is state-identical to one full replay, which is
-the property segment-parallel replay (:mod:`repro.kernels.segmented`)
-is built on.
+of consecutive slices is state-identical to one full replay, so a
+record can be streamed through one chip in bounded pieces.
 """
 
 from __future__ import annotations
@@ -60,27 +58,18 @@ from repro.caches.skewed import skew_hash
 from repro.core.affinity_store import AffinityCache
 from repro.core.mechanism import RWindowEntry
 from repro.kernels.arrays import skew_slot_matrix
-from repro.kernels.batch import (
-    _UNSET,
-    _chip_fast_eligible,
-    _hierarchy_fast_eligible,
-)
+from repro.kernels.batch import _chip_fast_eligible, _hierarchy_fast_eligible
 from repro.obs.metrics import process_counter
 
+_UNSET = object()  # "cache never accessed here" sentinel for last_eviction
 _PRECOMP_ATTR = "_specialized_precomp"
 _BASE_ATTR = "_specialized_base"
 
 #: geometry keys kept per record before LRU eviction
 _PRECOMP_CAP = 8
 
-#: signature -> (compiled kernel, generated source)
+#: signature -> compiled kernel
 _KERNELS: dict = {}
-
-
-def specializable(chip) -> bool:
-    """Whether a specialized kernel is exact for this chip (same
-    eligibility as the inline fast path)."""
-    return _chip_fast_eligible(chip)
 
 
 def chip_signature(chip) -> tuple:
@@ -111,11 +100,6 @@ def chip_signature(chip) -> tuple:
         controller.mechanism_x.track_true_window_affinity,
         store_ways,
     )
-
-
-def dispatch_table() -> "dict[tuple, str]":
-    """Generated kernels so far this process: signature -> source."""
-    return {sig: source for sig, (_, source) in _KERNELS.items()}
 
 
 # -- code generation ----------------------------------------------------
@@ -738,19 +722,18 @@ for {loop_vars} in zip({zip_args}):
 
 
 def _kernel_for(sig: tuple):
-    entry = _KERNELS.get(sig)
-    if entry is None:
-        source = _build_source(sig)
+    kernel = _KERNELS.get(sig)
+    if kernel is None:
         namespace = {
             "EvictedLine": EvictedLine,
             "skew_hash": skew_hash,
             "make_entry": RWindowEntry,
             "_UNSET": _UNSET,
         }
+        source = _build_source(sig)
         exec(compile(source, f"<specialized {sig}>", "exec"), namespace)
-        entry = (namespace["_replay"], source)
-        _KERNELS[sig] = entry
-    return entry[0]
+        kernel = _KERNELS[sig] = namespace["_replay"]
+    return kernel
 
 
 # -- per-record precomputation (memoised on the record) -----------------
@@ -936,9 +919,9 @@ def replay_chip_slice(
 def replay_chip_specialized(chip, record):
     """Full-record replay through the chip's specialized kernel.
 
-    Drop-in equivalent of the inline fast path: bit-identical final
-    state, selected automatically by ``run_chip_filtered`` when the
-    chip is eligible.
+    Bit-identical final state to per-access simulation (minus the L1
+    objects, which a record replaces); selected automatically by
+    ``run_chip_filtered`` when the chip is eligible.
     """
     return replay_chip_slice(
         chip,
@@ -952,22 +935,15 @@ def replay_chip_specialized(chip, record):
 
 # -- the single-core baseline's specialized replay ----------------------
 #
-# The baseline hierarchy replays a record through one skewed L2; the
-# inline loop in repro.kernels.batch (_replay_hierarchy_fast, the
-# reference twin) scans the slot row per record and recomputes the
-# whole slot matrix per call.  The generated kernel below applies the
-# chip kernel's tricks — dict-based residency for an O(1) hit check,
-# timestamps derived from the loop index, slot *columns* memoised on
-# the record — and is selected by ``run_hierarchy_filtered`` whenever
-# the hierarchy is fast-eligible.
+# The baseline hierarchy replays a record through one skewed L2.  The
+# generated kernel below applies the chip kernel's tricks — dict-based
+# residency for an O(1) hit check, timestamps derived from the loop
+# index, slot *columns* memoised on the record — and is selected by
+# ``run_hierarchy_filtered`` / ``run_hierarchy_arrays`` whenever the
+# hierarchy is fast-eligible.
 
-#: l2 ways -> (compiled kernel, generated source)
+#: l2 ways -> compiled kernel
 _HIER_KERNELS: dict = {}
-
-
-def hierarchy_specializable(hierarchy) -> bool:
-    """Same eligibility as the inline hierarchy fast path."""
-    return _hierarchy_fast_eligible(hierarchy)
 
 
 def _build_hierarchy_source(ways: int) -> str:
@@ -1038,14 +1014,13 @@ def _build_hierarchy_source(ways: int) -> str:
 
 
 def _hier_kernel_for(ways: int):
-    entry = _HIER_KERNELS.get(ways)
-    if entry is None:
+    kernel = _HIER_KERNELS.get(ways)
+    if kernel is None:
         source = _build_hierarchy_source(ways)
         namespace = {"EvictedLine": EvictedLine, "_UNSET": _UNSET}
         exec(compile(source, f"<specialized hier {ways}w>", "exec"), namespace)
-        entry = (namespace["_replay_hier"], source)
-        _HIER_KERNELS[ways] = entry
-    return entry[0]
+        kernel = _HIER_KERNELS[ways] = namespace["_replay_hier"]
+    return kernel
 
 
 def _hier_cols(record, num_sets: int, ways: int):
@@ -1059,10 +1034,10 @@ def _hier_cols(record, num_sets: int, ways: int):
 def replay_hierarchy_specialized(hierarchy, record):
     """Full-record replay through the baseline's specialized kernel.
 
-    Drop-in equivalent of the inline hierarchy fast path: bit-identical
-    final state (L2 contents, timestamps, clock, ``last_eviction``,
-    every stat), selected automatically by ``run_hierarchy_filtered``
-    when the hierarchy is eligible.
+    Bit-identical final state to per-access simulation (L2 contents,
+    timestamps, clock, ``last_eviction``, every stat), selected
+    automatically by ``run_hierarchy_filtered`` and
+    ``run_hierarchy_arrays`` when the hierarchy is eligible.
     """
     record.require_match(hierarchy.config)
     if not _hierarchy_fast_eligible(hierarchy):

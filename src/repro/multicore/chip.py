@@ -61,30 +61,6 @@ class ChipConfig:
                 f"controller, got {self.controller.num_subsets}-way"
             )
 
-    def to_dict(self) -> dict:
-        """JSON-able form — the config side of a chip snapshot, and the
-        parameter block segment jobs use to rebuild the chip."""
-        controller = self.controller
-        return {
-            "num_cores": self.num_cores,
-            "caches": self.caches.to_dict(),
-            "controller": None if controller is None else controller.to_dict(),
-            "migration_enabled": self.migration_enabled,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChipConfig":
-        controller = data["controller"]
-        return cls(
-            num_cores=int(data["num_cores"]),
-            caches=CoreCacheConfig.from_dict(data["caches"]),
-            controller=(
-                None if controller is None
-                else ControllerConfig.from_dict(controller)
-            ),
-            migration_enabled=bool(data["migration_enabled"]),
-        )
-
 
 @dataclass
 class ChipStats:
@@ -277,14 +253,6 @@ class MultiCoreChip:
         from repro.kernels.batch import run_chip_filtered
 
         return run_chip_filtered(self, record)
-
-    def replay_state(self) -> "ChipReplayState":
-        """The post-L1 pipeline as an explicit replayable state machine
-        with exact ``snapshot()``/``restore()``/``digest()`` (see
-        :mod:`repro.multicore.state`)."""
-        from repro.multicore.state import ChipReplayState
-
-        return ChipReplayState(self)
 
     def update_bus_bytes(self) -> "dict[str, float]":
         """Update-bus traffic summary: measured store/fill bytes plus

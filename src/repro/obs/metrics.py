@@ -332,11 +332,11 @@ def _merge_metric(target: "dict[str, object]", data: "dict[str, object]") -> Non
 
 # -- the process-global obs registry ------------------------------------
 #
-# Long-lived infrastructure (kernel memo caches, shared-memory record
-# lifecycles) counts what it did here, the same way fault/recovery
-# seams count on :data:`repro.runtime.health.HEALTH`.  One registry per
+# Long-lived infrastructure (kernel memo caches, the in-process record
+# cache) counts what it did here, the same way fault/recovery seams
+# count on :data:`repro.runtime.health.HEALTH`.  One registry per
 # process; worker processes keep their own (their counts describe their
-# own attaches/evictions).
+# own loads/evictions).
 
 #: the process-global metrics registry
 PROCESS = MetricsRegistry()

@@ -34,7 +34,6 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import random
-import sys
 import threading
 import time
 from collections import deque
@@ -282,15 +281,10 @@ class ExperimentRuntime:
 
     def close(self) -> None:
         """Flush and close every event sink (idempotent; sinks re-open
-        lazily if the runtime is used again) and the checkpoint; any
-        shared-memory records this process still owns are released
-        (lazily — the sweep module is never imported just to close)."""
+        lazily if the runtime is used again) and the checkpoint."""
         self.bus.close()
         if self.checkpoint is not None:
             self.checkpoint.close()
-        sweep = sys.modules.get("repro.kernels.sweep")
-        if sweep is not None:
-            sweep.release_owned()
 
     # -- shared helpers -------------------------------------------------
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-import sys
 from typing import Callable, Mapping
 
 from repro import faults
@@ -197,17 +196,10 @@ class ServiceServer:
         await self._server.serve_forever()
 
     async def shutdown(self, grace: "float | None" = None) -> None:
-        """Stop accepting, drain the broker, close the listener.
-
-        Shared-memory records published by population sweeps this
-        process coordinated are released with the drain (lazily — the
-        sweep module is never imported just to shut down)."""
+        """Stop accepting, drain the broker, close the listener."""
         if self._server is not None:
             self._server.close()
         await self.broker.drain(grace)
-        sweep = sys.modules.get("repro.kernels.sweep")
-        if sweep is not None:
-            sweep.release_owned()
         if self._server is not None:
             await self._server.wait_closed()
 

@@ -1,24 +1,17 @@
-"""Population-sweep chaos: workers die mid-sweep, ``/dev/shm`` stays clean.
+"""Population-sweep chaos: a worker dies mid-sweep, the sweep self-heals.
 
-The population path adds one piece of cross-process state the ordinary
-sweep does not have: the published shared-memory record segment and its
-manifest.  The recovery contract is therefore two-sided — the sweep
-itself must self-heal exactly like any other job fan-out (killed worker
-retried, rows bit-identical to an undisturbed run), *and* the segment
-must be released no matter how the sweep ends, success or typed failure.
+The population path fans its variants over the ordinary scheduler, so
+its recovery contract is the ordinary one: a killed worker is retried
+and the rows come out bit-identical to an undisturbed run, with the
+record still loaded once.
 """
-
-from json import loads
-from pathlib import Path
 
 import pytest
 
 from repro.faults import FaultSpec
-from repro.kernels import sweep
 from repro.kernels.l1filter import drop_open_records
-from repro.kernels.sweep import evaluate_population, record_key
+from repro.kernels.sweep import evaluate_population
 from repro.runtime.health import health_snapshot
-from repro.runtime.scheduler import JobError
 
 SCALE = 0.1
 
@@ -31,23 +24,12 @@ def _population_isolation(tmp_path, monkeypatch):
     """Private cache root (workers inherit it) and no leftover records."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     drop_open_records()
-    sweep.drop_shared_records()
     yield
-    sweep.release_owned()
-    sweep.drop_shared_records()
     drop_open_records()
 
 
-def _segment_artifacts(runtime):
-    key = record_key(runtime.cache, "mst", SCALE, None)
-    return (
-        Path("/dev/shm") / f"rl1f_{key}",
-        runtime.cache.root / sweep.SHM_DIR / f"{key}.json",
-    )
-
-
 class TestPopulationWorkerKill:
-    def test_killed_worker_retries_and_segment_is_released(
+    def test_killed_worker_is_retried_bit_identical(
         self, arm, quiet_runtime, tmp_path
     ):
         baseline = evaluate_population("mst", scale=SCALE)
@@ -68,48 +50,3 @@ class TestPopulationWorkerKill:
         assert [
             {key: row[key] for key in STAT_KEYS} for row in result.rows
         ] == [{key: row[key] for key in STAT_KEYS} for row in baseline.rows]
-
-        segment, manifest = _segment_artifacts(runtime)
-        assert not segment.exists()
-        assert not manifest.exists()
-
-    def test_segment_is_released_when_the_sweep_fails(
-        self, arm, quiet_runtime, tmp_path
-    ):
-        # Kill every launch: retries exhaust, the sweep raises a typed
-        # JobError — and the finally-path still unlinks the segment.
-        arm(
-            FaultSpec(
-                site="runtime.worker.kill", action="crash", nth=1, count=50
-            )
-        )
-        runtime = quiet_runtime(cache_dir=tmp_path / "chaos", jobs=2, retries=1)
-        with pytest.raises(JobError, match="did not complete"):
-            evaluate_population("mst", scale=SCALE, runtime=runtime)
-
-        segment, manifest = _segment_artifacts(runtime)
-        assert not segment.exists()
-        assert not manifest.exists()
-        assert not sweep._OWNED
-
-    def test_crashed_coordinator_manifest_is_taken_over(
-        self, quiet_runtime, tmp_path
-    ):
-        # A coordinator that died without releasing leaves a manifest
-        # whose owner pid is dead; the next sweep must take the key over
-        # (fresh segment, fresh owner list) rather than attach stale
-        # state or fail.
-        runtime = quiet_runtime(cache_dir=tmp_path / "chaos", jobs=2)
-        _, manifest = _segment_artifacts(runtime)
-        manifest.parent.mkdir(parents=True, exist_ok=True)
-        manifest.write_text(
-            '{"segment": "stale", "owners": [1073741824], "meta": {}}'
-        )
-
-        result = evaluate_population("mst", scale=SCALE, runtime=runtime)
-        assert result.shared_record_loads == 1
-        assert "sidecar" not in result.record_sources
-
-        segment, manifest = _segment_artifacts(runtime)
-        assert not segment.exists()
-        assert not manifest.exists()

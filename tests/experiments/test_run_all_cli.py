@@ -1,5 +1,7 @@
 """The run_all command-line driver."""
 
+import os
+
 import pytest
 
 from repro.experiments.run_all import main
@@ -45,6 +47,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "run_all: 1/1 experiments ok" in err
         assert "cache hits" in err
+
+    def test_cache_dir_holds_every_artifact(self, tmp_path, monkeypatch):
+        # L1-filter sidecars, their job records and the Olden trace memo
+        # follow --cache-dir (nothing lands in ./.repro-cache), and the
+        # environment is restored for later in-process callers.
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        cache_dir = tmp_path / "mycache"
+        assert main(
+            [
+                "--only", "table2",
+                "--workloads", "mst",
+                "--scale", "0.02",
+                "--cache-dir", str(cache_dir), "--quiet",
+            ]
+        ) == 0
+        assert list(cache_dir.glob("*/*.l1f.npz"))
+        assert list(cache_dir.glob("*/traces/olden-mst-*.npz"))
+        assert not (workdir / ".repro-cache").exists()
+        assert "REPRO_CACHE_DIR" not in os.environ
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

@@ -5,8 +5,7 @@ Hypothesis drives random mixed FETCH/LOAD/STORE traces through three
 executions of every model — ``run`` (seed), ``run_arrays`` (batched)
 and ``run_filtered`` (L1-filter replay, which dispatches to the
 generated specialized kernel) — and requires indistinguishable final
-state; the fast-eligible chip cases additionally pin the retired
-inline kernel (``run_legacy_inline``) to the same digests.  The filtered path is compared without the L1 cache
+state.  The filtered path is compared without the L1 cache
 objects: the record *replaces* the model's L1 pair by contract, so
 the replaying model's il1/dl1 stay untouched while its ``ChipStats``
 (including the L1 miss counters) must still match exactly.  The fixed
@@ -53,29 +52,6 @@ def run_three_ways(make_model, accesses, arrays, config=None):
     return seed, batched, filtered
 
 
-def run_legacy_inline(make_model, arrays):
-    """The pre-specialization inline chip kernel over the same record.
-
-    ``run_filtered`` now dispatches to the generated specialized kernel
-    (:mod:`repro.kernels.specialize`); the inline twin stays behind as
-    an independent reference implementation, and this keeps it pinned
-    to the seed path so a divergence in *either* kernel turns the
-    differential red.
-    """
-    from repro.kernels.batch import _replay_chip_fast
-
-    record = build_l1_filter(*arrays)
-    chip = make_model()
-    _replay_chip_fast(
-        chip,
-        record.lines.tolist(),
-        record.kinds.tolist(),
-        record.accesses,
-        record.max_instruction,
-    )
-    return chip
-
-
 class TestChipDifferential:
     @given(steps=steps_strategy)
     @settings(max_examples=30, deadline=None)
@@ -86,8 +62,6 @@ class TestChipDifferential:
         )
         assert chip_state(batched) == chip_state(seed)
         assert without_l1(chip_state(filtered)) == without_l1(chip_state(seed))
-        legacy = run_legacy_inline(lambda: MultiCoreChip(ChipConfig()), arrays)
-        assert without_l1(chip_state(legacy)) == without_l1(chip_state(seed))
 
     @given(steps=steps_strategy)
     @settings(max_examples=15, deadline=None)
@@ -107,8 +81,6 @@ class TestChipDifferential:
         )
         assert chip_state(batched) == chip_state(seed)
         assert without_l1(chip_state(filtered)) == without_l1(chip_state(seed))
-        legacy = run_legacy_inline(lambda: MultiCoreChip(config), arrays)
-        assert without_l1(chip_state(legacy)) == without_l1(chip_state(seed))
 
     @given(steps=steps_strategy)
     @settings(max_examples=15, deadline=None)
@@ -120,8 +92,6 @@ class TestChipDifferential:
         )
         assert chip_state(batched) == chip_state(seed)
         assert without_l1(chip_state(filtered)) == without_l1(chip_state(seed))
-        legacy = run_legacy_inline(lambda: MultiCoreChip(config), arrays)
-        assert without_l1(chip_state(legacy)) == without_l1(chip_state(seed))
 
     @given(steps=steps_strategy)
     @settings(max_examples=15, deadline=None)
@@ -134,8 +104,6 @@ class TestChipDifferential:
         )
         assert chip_state(batched) == chip_state(seed)
         assert without_l1(chip_state(filtered)) == without_l1(chip_state(seed))
-        legacy = run_legacy_inline(lambda: MultiCoreChip(config), arrays)
-        assert without_l1(chip_state(legacy)) == without_l1(chip_state(seed))
 
     @given(steps=steps_strategy)
     @settings(max_examples=10, deadline=None)

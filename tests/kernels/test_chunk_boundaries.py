@@ -4,10 +4,10 @@
 chunks; an off-by-one at the chunk seam would corrupt exactly the
 traces whose length lands on the boundary.  This file pins lengths 0,
 1, ``_CHUNK - 1``, ``_CHUNK`` and ``_CHUNK + 1`` through both the fast
-regime (no probe — ``run_arrays`` takes the inline kernel,
-``run_filtered`` dispatches to the specialized generated kernel) and
-the generic regime (probe attached, which makes the fast path
-ineligible), and requires identical deep state between the two.  The
+regime (no probe — ``run_arrays`` and ``run_filtered`` both replay the
+miss stream through the specialized generated kernel) and the generic
+regime (probe attached, which makes the fast path ineligible), and
+requires identical deep state between the two.  The
 tiny lengths are additionally compared against the seed per-access
 loop; the 64K lengths are not (a quarter-million per-access steps per
 case would dominate the suite for no extra seam coverage).

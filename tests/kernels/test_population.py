@@ -1,23 +1,18 @@
 """Population-batch evaluation: one record load, many variants.
 
-Covers the :mod:`repro.kernels.sweep` contract end to end — the
-shared-memory segment lifecycle (publish / attach / release, manifest
-owner lists, ``/dev/shm`` hygiene), the record resolution order
-(inherited → shared → sidecar), the ``shared_record_loads == 1`` happy
-path in both serial and multi-worker mode, and row identity against the
-per-job :func:`~repro.experiments.variants.run_sweep` path.  Also pins
-the bounded in-process caches feeding the sweep: the ``ensure_l1_filter``
+Covers the :mod:`repro.kernels.sweep` contract end to end — the record
+resolution order (inherited over fork → sidecar), the
+``shared_record_loads == 1`` happy path in both serial and forked
+multi-worker mode, spawned workers falling back to the sidecar, and row
+identity against the per-job
+:func:`~repro.experiments.variants.run_sweep` path.  Also pins the
+bounded in-process caches feeding the sweep: the ``ensure_l1_filter``
 open-record LRU and the per-record precompute memo.
 """
-
-import json
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.kernels import sweep
 from repro.kernels.l1filter import (
     build_l1_filter,
     drop_open_records,
@@ -25,13 +20,9 @@ from repro.kernels.l1filter import (
 )
 from repro.kernels.sweep import (
     PopulationResult,
-    attach_record,
-    drop_shared_records,
     evaluate_population,
     population_job,
-    publish_record,
     record_key,
-    release_record,
 )
 from repro.obs.metrics import process_counter
 from repro.runtime import EventBus, ExperimentRuntime, ResultCache, RuntimeConfig
@@ -53,13 +44,10 @@ STAT_KEYS = (
 
 @pytest.fixture(autouse=True)
 def _pristine(tmp_path, monkeypatch):
-    """Private cache root and empty record/segment state per test."""
+    """Private cache root and an empty in-process record cache per test."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     drop_open_records()
-    drop_shared_records()
     yield
-    sweep.release_owned()
-    drop_shared_records()
     drop_open_records()
 
 
@@ -121,14 +109,9 @@ class TestParallelPopulation:
         finally:
             runtime.close()
         assert result.shared_record_loads == 1
-        # every worker resolved the record without touching the npz
-        assert "sidecar" not in result.record_sources
+        # every forked worker inherited the coordinator's record
+        assert result.record_sources == {"inherited": 3}
         assert all(row["record_loads"] == 0 for row in result.rows)
-
-        # the segment and its manifest are gone once the sweep returns
-        key = record_key(runtime.cache, "mst", SCALE, None)
-        assert not (Path("/dev/shm") / f"rl1f_{key}").exists()
-        assert not (tmp_path / sweep.SHM_DIR / f"{key}.json").exists()
 
         # identical rows to the serial per-job path
         from repro.experiments.variants import run_sweep
@@ -138,67 +121,23 @@ class TestParallelPopulation:
             _stats(row) for row in per_job
         ]
 
+    def test_spawned_workers_read_the_sidecar(self, tmp_path):
+        # A spawned worker inherits no coordinator record: it loads the
+        # sidecar the coordinator built, and the rows stay identical.
+        runtime = _runtime(tmp_path, jobs=2, start_method="spawn")
+        try:
+            result = evaluate_population("mst", scale=SCALE, runtime=runtime)
+        finally:
+            runtime.close()
+        assert result.record_sources == {"sidecar": 3}
+        assert all(row["record_loads"] == 1 for row in result.rows)
 
-class TestSegmentLifecycle:
-    def test_publish_attach_release(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        record = _tiny_record()
-        key = record_key(cache, "mst", SCALE, None)
-        segment = Path("/dev/shm") / f"rl1f_{key}"
-        manifest_path = tmp_path / sweep.SHM_DIR / f"{key}.json"
+        from repro.experiments.variants import run_sweep
 
-        assert publish_record(cache, key, record)
-        assert segment.exists()
-        manifest = json.loads(manifest_path.read_text())
-        assert os.getpid() in manifest["owners"]
-        assert manifest["segment"] == f"rl1f_{key}"
-        assert manifest["meta"]["records"] == record.records
-
-        # publishing again from the same process is an idempotent no-op
-        published = process_counter("sweep.shm.published").value
-        assert publish_record(cache, key, record)
-        assert process_counter("sweep.shm.published").value == published
-
-        attached = attach_record(cache, key)
-        assert attached is not None
-        np.testing.assert_array_equal(attached.indices, record.indices)
-        np.testing.assert_array_equal(attached.lines, record.lines)
-        np.testing.assert_array_equal(attached.kinds, record.kinds)
-        assert attached.accesses == record.accesses
-        assert attached.max_instruction == record.max_instruction
-        # zero-copy: the arrays are views over the segment, not copies
-        assert not attached.lines.flags.owndata
-
-        release_record(cache, key)
-        assert not segment.exists()
-        assert not manifest_path.exists()
-
-    def test_attach_without_manifest_returns_none(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        assert attach_record(cache, "no-such-key") is None
-
-    def test_dead_owner_does_not_pin_a_manifest(self, tmp_path):
-        # A manifest whose every owner pid is dead reads as "no live
-        # segment": attach falls back, publish takes the key over.
-        cache = ResultCache(root=tmp_path)
-        record = _tiny_record()
-        key = record_key(cache, "mst", SCALE, None)
-        manifest_path = tmp_path / sweep.SHM_DIR / f"{key}.json"
-        manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        manifest_path.write_text(
-            json.dumps(
-                {
-                    "segment": f"rl1f_{key}",
-                    "owners": [2**30],  # no such pid
-                    "meta": {"records": record.records},
-                }
-            )
-        )
-        assert attach_record(cache, key) is None
-        assert publish_record(cache, key, record)
-        owners = json.loads(manifest_path.read_text())["owners"]
-        assert owners == [os.getpid()]
-        release_record(cache, key)
+        per_job = run_sweep("mst", scale=SCALE)
+        assert [_stats(row) for row in result.rows] == [
+            _stats(row) for row in per_job
+        ]
 
 
 class TestRecordKey:
@@ -209,29 +148,22 @@ class TestRecordKey:
         assert key != record_key(cache, "mst", 0.1, None)
         assert key != record_key(cache, "mst", 0.05, 7)
         assert key != record_key(cache, "em3d", 0.05, None)
-        # a code edit mints a new generation: old segments unreachable
+        # a code edit mints a new generation: old records unreachable
         other = ResultCache(root=tmp_path, code_version="0123456789abcdef")
         assert key != record_key(other, "mst", 0.05, None)
 
 
 class TestSidecarFallback:
     def test_share_disabled_reads_the_sidecar(self, tmp_path):
+        # A job outside any population has no coordinator record to
+        # share: it reads the sidecar like a per-job variant.
         cache = ResultCache(root=tmp_path)
         ensure_l1_filter("mst", scale=SCALE, cache=cache)  # build sidecar
         drop_open_records()
-        row = population_job("mst", "baseline", scale=SCALE, share=False)
+        row = population_job("mst", "baseline", scale=SCALE)
         assert row["record_source"] == "sidecar"
         assert row["record_loads"] == 1
         assert row["l1_filter_cached"] is False
-
-    def test_fallback_counter_ticks_when_segment_is_missing(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        ensure_l1_filter("mst", scale=SCALE, cache=cache)
-        drop_open_records()
-        fallbacks = process_counter("sweep.shm.fallbacks").value
-        row = population_job("mst", "baseline", scale=SCALE, share=True)
-        assert row["record_source"] == "sidecar"
-        assert process_counter("sweep.shm.fallbacks").value == fallbacks + 1
 
 
 class TestBoundedCaches:

@@ -1,6 +1,6 @@
-"""Vectorized tag path vs its scalar reference twins.
+"""Vectorized tag path and specialized kernels vs the scalar model.
 
-The population sweep only counts because the numpy tag machinery —
+The fast replay only counts because the numpy tag machinery —
 :func:`~repro.kernels.arrays.set_index_array`,
 :func:`~repro.kernels.arrays.tag_array`,
 :func:`~repro.kernels.arrays.skew_slot_matrix`,
@@ -9,10 +9,11 @@ The population sweep only counts because the numpy tag machinery —
 specialized replay kernels built on top of them — is bit-identical to
 the scalar per-access loops it replaces.  The scalar code stays in the
 tree as the specification; this suite drives both sides over random
-geometries (skewed and set-associative, 1/2/4-way, shared and
-separately-shaped affinity stores) and compares deep-state digests,
-plus the ``_CHUNK`` seam lengths 0/1/65535/65536/65537 for the chunked
-set-index path.
+geometries (skewed and set-associative, 1/2/4-way L2s, 32/64-KB L2s,
+2- and 4-way controllers, unbounded, shared and separately-shaped
+affinity stores, full and quarter sampling, L2 filtering on and off)
+and compares deep-state digests, plus the ``_CHUNK`` seam lengths
+0/1/65535/65536/65537 for the chunked set-index path.
 """
 
 from dataclasses import replace
@@ -26,7 +27,6 @@ from repro.caches.set_assoc import SetAssociativeCache, _CHUNK
 from repro.caches.skewed import skew_hash
 from repro.core.affinity_store import AffinityCache
 from repro.core.controller import ControllerConfig, SamplingPolicy
-from repro.kernels import batch
 from repro.kernels.arrays import set_index_array, skew_slot_matrix, tag_array
 from repro.kernels.l1filter import build_l1_filter
 from repro.kernels.specialize import (
@@ -34,6 +34,7 @@ from repro.kernels.specialize import (
     replay_hierarchy_specialized,
 )
 from repro.multicore.chip import ChipConfig, MultiCoreChip
+from repro.traces.trace import Access, AccessKind
 from tests.kernels.helpers import (
     cache_state,
     chip_state,
@@ -132,7 +133,7 @@ def test_chunked_access_many_seams(n, write):
     assert cache_state(chunked) == cache_state(seed)
 
 
-# -- specialized replay kernels vs their inline scalar twins ------------
+# -- specialized replay kernels vs the per-access model -----------------
 
 #: small L1s so short random traces still produce a dense miss stream
 _L1_SMALL = dict(il1_bytes=2048, dl1_bytes=2048, l1_ways=2)
@@ -145,6 +146,13 @@ def _random_trace(seed, n=1500, span=1800, line_size=64):
     kinds = rng.integers(0, 3, size=n).astype(np.int8)
     instructions = np.cumsum(rng.integers(0, 4, size=n, dtype=np.int64))
     return addresses, kinds, instructions
+
+
+def _per_access(model, arrays):
+    """Drive ``model`` one ``Access`` at a time (the specification)."""
+    for address, kind, instruction in zip(*(a.tolist() for a in arrays)):
+        model.access(Access(address, AccessKind(kind), instruction))
+    return model
 
 
 chip_geometry = st.fixed_dictionaries(
@@ -163,7 +171,7 @@ chip_geometry = st.fixed_dictionaries(
 
 @given(geometry=chip_geometry)
 @settings(max_examples=12, deadline=None)
-def test_specialized_chip_matches_inline_twin(geometry):
+def test_specialized_chip_matches_per_access_model(geometry):
     caches = CoreCacheConfig(
         l2_bytes=geometry["l2_bytes"],
         l2_ways=geometry["l2_ways"],
@@ -189,21 +197,15 @@ def test_specialized_chip_matches_inline_twin(geometry):
     config = ChipConfig(
         num_cores=geometry["subsets"], caches=caches, controller=controller
     )
-    record = build_l1_filter(*_random_trace(geometry["seed"]), config=caches)
+    arrays = _random_trace(geometry["seed"])
+    record = build_l1_filter(*arrays, config=caches)
 
     specialized = MultiCoreChip(config)
     replay_chip_specialized(specialized, record)
-    twin = MultiCoreChip(config)
-    batch._replay_chip_fast(
-        twin,
-        record.lines.tolist(),
-        record.kinds.tolist(),
-        record.accesses,
-        record.max_instruction,
-    )
+    per_access = _per_access(MultiCoreChip(config), arrays)
     # filtered replay never touches the chip's own L1 objects
     assert without_l1(chip_state(specialized)) == without_l1(
-        chip_state(twin)
+        chip_state(per_access)
     )
 
 
@@ -213,20 +215,16 @@ def test_specialized_chip_matches_inline_twin(geometry):
     l2_bytes=st.sampled_from([32 * 1024, 64 * 1024]),
 )
 @settings(max_examples=12, deadline=None)
-def test_specialized_hierarchy_matches_inline_twin(seed, l2_ways, l2_bytes):
+def test_specialized_hierarchy_matches_per_access_model(
+    seed, l2_ways, l2_bytes
+):
     config = CoreCacheConfig(l2_bytes=l2_bytes, l2_ways=l2_ways, **_L1_SMALL)
-    record = build_l1_filter(*_random_trace(seed), config=config)
+    arrays = _random_trace(seed)
+    record = build_l1_filter(*arrays, config=config)
 
     specialized = SingleCoreHierarchy(config)
     replay_hierarchy_specialized(specialized, record)
-    twin = SingleCoreHierarchy(config)
-    batch._replay_hierarchy_fast(
-        twin,
-        record.lines.tolist(),
-        record.kinds.tolist(),
-        record.accesses,
-        record.max_instruction,
-    )
+    per_access = _per_access(SingleCoreHierarchy(config), arrays)
     assert without_l1(hierarchy_state(specialized)) == without_l1(
-        hierarchy_state(twin)
+        hierarchy_state(per_access)
     )
