@@ -5,10 +5,10 @@ the structures everything else is built on.  They exist to catch
 performance regressions in the simulator itself — the paper
 reproductions above are throughput-bound on exactly these loops.
 
-Each per-access loop is paired with its batched counterpart from
-:mod:`repro.kernels` (``access_many`` / ``process_many`` /
-``run_arrays`` / ``run_filtered``) so a session's JSON shows the
-batched paths staying ahead.  The end-to-end chip pair (a Table 2
+The mechanism's per-access loop is paired with ``process_many`` (the
+batched step Figure 3 uses), and the chip's with ``run_arrays`` and
+``run_filtered`` from :mod:`repro.kernels`, so a session's JSON shows
+the batched paths staying ahead.  The end-to-end chip trio (a Table 2
 mst-class workload through ``chip.run`` vs the batched fast path) is
 what ``benchmarks/throughput_e2e.py`` distils into
 ``BENCH_throughput.json`` for CI.
@@ -61,15 +61,6 @@ def test_fully_associative_cache_throughput(benchmark, refs):
     benchmark(run)
 
 
-def test_fully_associative_cache_batched_throughput(benchmark, refs):
-    def run():
-        cache = FullyAssociativeCache(1024)
-        cache.access_many(refs)
-        return cache.stats.misses
-
-    benchmark(run)
-
-
 def test_set_associative_cache_throughput(benchmark, refs):
     def run():
         cache = SetAssociativeCache(256, 4)
@@ -80,29 +71,11 @@ def test_set_associative_cache_throughput(benchmark, refs):
     benchmark(run)
 
 
-def test_set_associative_cache_batched_throughput(benchmark, refs):
-    def run():
-        cache = SetAssociativeCache(256, 4)
-        cache.access_many(refs)
-        return cache.stats.misses
-
-    benchmark(run)
-
-
 def test_skewed_cache_throughput(benchmark, refs):
     def run():
         cache = SkewedAssociativeCache(256, 4)
         for line in refs:
             cache.access(line)
-        return cache.stats.misses
-
-    benchmark(run)
-
-
-def test_skewed_cache_batched_throughput(benchmark, refs):
-    def run():
-        cache = SkewedAssociativeCache(256, 4)
-        cache.access_many(refs)
         return cache.stats.misses
 
     benchmark(run)

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-import numpy as np
-
 from repro.caches.base import CacheStats, EvictedLine, check_power_of_two
-
-_CHUNK = 1 << 16
 
 
 class SetAssociativeCache:
@@ -77,56 +73,6 @@ class SetAssociativeCache:
         if allocate:
             self._install(cache_set, line, dirty=write)
         return False
-
-    def access_many(self, lines, write: bool = False, allocate: bool = True) -> int:
-        """Batched :meth:`access` over ``lines``; returns the hit count.
-
-        Bit-identical to the per-line loop (stats, recency order, dirty
-        bits, ``last_eviction`` after the final access), with lookups
-        hoisted out of the inner loop and set indices computed for
-        whole chunks at once (:func:`repro.kernels.arrays.set_index_array`
-        semantics — one numpy mask pass instead of a scalar ``&`` per
-        line).
-        """
-        sets = self._sets
-        ways = self.ways
-        hits = accesses = evictions = writebacks = 0
-        last = None
-        if not isinstance(lines, (list, np.ndarray)):
-            lines = list(lines)
-        arr = np.asarray(lines, dtype=np.int64)
-        mask = np.int64(self._mask)
-        for start in range(0, len(arr), _CHUNK):
-            chunk = arr[start : start + _CHUNK]
-            chunk_lines = chunk.tolist()
-            chunk_idx = (chunk & mask).tolist()
-            for line, si in zip(chunk_lines, chunk_idx):
-                accesses += 1
-                last = None
-                cache_set = sets[si]
-                if line in cache_set:
-                    hits += 1
-                    cache_set.move_to_end(line)
-                    if write:
-                        cache_set[line] = True
-                    continue
-                if allocate:
-                    if len(cache_set) >= ways:
-                        victim, victim_dirty = cache_set.popitem(False)
-                        evictions += 1
-                        if victim_dirty:
-                            writebacks += 1
-                        last = EvictedLine(victim, victim_dirty)
-                    cache_set[line] = write
-        if accesses:
-            stats = self.stats
-            stats.accesses += accesses
-            stats.hits += hits
-            stats.misses += accesses - hits
-            stats.evictions += evictions
-            stats.writebacks += writebacks
-            self.last_eviction = last
-        return hits
 
     def _install(self, cache_set: "OrderedDict[int, bool]", line: int, dirty: bool) -> None:
         if len(cache_set) >= self.ways:

@@ -160,16 +160,3 @@ class AffinityCache:
                 victim_slot = slot
                 victim_time = self._time[slot]
         return victim_slot
-
-    def slot_rows(self, lines):
-        """Probe rows for a whole line array at once.
-
-        ``result[i, w]`` is the slot :meth:`_find`/:meth:`_victim` probe
-        for ``lines[i]`` in way ``w`` — the vectorised twin of the
-        scalar probe loops (the batched replay kernels precompute these
-        rows per record; the scalar loops stay the specification, see
-        ``tests/kernels/test_tag_matrix_differential.py``).
-        """
-        from repro.kernels.arrays import skew_slot_matrix
-
-        return skew_slot_matrix(lines, self._num_sets, self.ways)

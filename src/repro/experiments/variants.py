@@ -7,11 +7,11 @@ simulate the IL1/DL1 pair **once** per workload: each variant replays
 the same compact :class:`~repro.kernels.l1filter.L1FilterRecord`
 (see ``docs/performance.md``).
 
-:func:`run_sweep` schedules the sweep in two waves — first the one
-L1-filter job, then the per-variant replay jobs — so the record is
-guaranteed to be built exactly once even with caching disabled for the
-payloads; each variant payload carries ``l1_filter_cached`` so tests
-(and curious users) can verify the reuse actually happened.
+:func:`run_population` is the sweep: it materialises the record once in
+the coordinating process and replays one job per variant over it
+(:mod:`repro.kernels.sweep`).  :func:`make_variant` builds each
+variant's model; :func:`render_population` prints the rows with the
+record-sharing footer.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from dataclasses import replace
 from typing import Sequence
 
 from repro.experiments.report import render_rows, section
-from repro.kernels.l1filter import ensure_l1_filter, l1_filter_job_for
-from repro.runtime import Job, payloads
 
 #: the default 3-variant sweep: baseline / migration / one ablation
 VARIANT_NAMES = ("baseline", "migration", "no-l2-filter")
@@ -45,73 +43,6 @@ def make_variant(variant: str):
     )
 
 
-def variant_job(
-    name: str,
-    variant: str,
-    scale: float = 1.0,
-    seed: "int | None" = None,
-) -> "dict[str, object]":
-    """Runtime job: replay one workload's L1 record through one variant."""
-    record, cached = ensure_l1_filter(name, scale=scale, seed=seed)
-    model = make_variant(variant)
-    model.run_filtered(record)
-    stats = model.stats
-    return {
-        "workload": name,
-        "variant": variant,
-        "l1_misses": stats.l1_misses,
-        "l2_accesses": stats.l2_accesses,
-        "l2_misses": stats.l2_misses,
-        "migrations": getattr(stats, "migrations", 0),
-        "instructions": stats.instructions,
-        "l1_filter_cached": cached,
-        "references": record.accesses,
-    }
-
-
-def sweep_jobs(
-    name: str,
-    scale: float = 1.0,
-    seed: "int | None" = None,
-    variants: "Sequence[str]" = VARIANT_NAMES,
-) -> "list[Job]":
-    """The per-variant replay jobs (the L1-filter job is separate)."""
-    return [
-        Job.create(
-            "repro.experiments.variants:variant_job",
-            label=f"sweep/{name}/{variant}",
-            name=name,
-            variant=variant,
-            scale=scale,
-            seed=seed,
-        )
-        for variant in variants
-    ]
-
-
-def run_sweep(
-    name: str,
-    scale: float = 1.0,
-    seed: "int | None" = None,
-    runtime=None,
-    variants: "Sequence[str]" = VARIANT_NAMES,
-) -> "list[dict[str, object]]":
-    """Run one workload through every variant; returns variant payloads.
-
-    With a runtime, the L1-filter job runs (or cache-hits) first so the
-    miss-stream sidecar exists before any variant starts — the replay
-    jobs then share it even when they run in parallel workers.
-    """
-    if runtime is None:
-        return [
-            variant_job(name, variant, scale=scale, seed=seed)
-            for variant in variants
-        ]
-    payloads(runtime.map([l1_filter_job_for(name, scale=scale, seed=seed)]))
-    outcomes = runtime.map(sweep_jobs(name, scale=scale, seed=seed, variants=variants))
-    return payloads(outcomes)
-
-
 def run_population(
     name: str,
     scale: float = 1.0,
@@ -119,12 +50,11 @@ def run_population(
     runtime=None,
     variants: "Sequence[str]" = VARIANT_NAMES,
 ):
-    """Population-batch twin of :func:`run_sweep`.
+    """Replay one workload's L1-filter record through every variant.
 
     Delegates to :func:`repro.kernels.sweep.evaluate_population`: the
-    L1-filter record is materialised once in the coordinating process
-    and inherited by forked workers instead of each variant job
-    re-reading the sidecar.  Returns the
+    record is materialised once in the coordinating process and
+    inherited by forked workers.  Returns the
     :class:`~repro.kernels.sweep.PopulationResult`; ``result.rows`` is
     render-compatible with :func:`render_sweep`.
     """

@@ -65,29 +65,6 @@ def as_trace_arrays(
     return addresses, kinds, instructions
 
 
-def set_index_array(lines, num_sets: int) -> np.ndarray:
-    """Set indices for each line in a set-associative cache.
-
-    ``result[i] == lines[i] & (num_sets - 1)`` — the vectorised twin of
-    the ``line & mask`` routing in
-    :class:`repro.caches.set_assoc.SetAssociativeCache` and the L1 pair
-    of :func:`repro.kernels.l1filter.l1_miss_stream`.  ``num_sets`` must
-    be a power of two (as every cache here enforces); masking on int64
-    matches Python's ``&`` exactly for the non-negative line addresses
-    the simulators use.
-    """
-    lines = np.asarray(lines, dtype=np.int64)
-    return lines & np.int64(num_sets - 1)
-
-
-def tag_array(lines, num_sets: int) -> np.ndarray:
-    """Tags (``line >> index_bits``) for each line; the vectorised twin
-    of the scalar tag split in the skewed hash.  Arithmetic shift on
-    int64 matches Python's ``>>`` for negatives."""
-    lines = np.asarray(lines, dtype=np.int64)
-    return lines >> np.int64(num_sets.bit_length() - 1)
-
-
 def skew_slot_matrix(lines, num_sets: int, ways: int) -> np.ndarray:
     """Flat slot candidates for each line in a skewed cache.
 

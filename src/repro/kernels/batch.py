@@ -3,12 +3,18 @@
 Entry points (normally reached via ``MultiCoreChip.run_arrays`` /
 ``run_filtered`` and their ``SingleCoreHierarchy`` twins):
 
-* :func:`run_chip_arrays` / :func:`run_hierarchy_arrays` — drive a
-  model from ``(addresses, kinds, instructions)`` numpy arrays;
 * :func:`run_chip_filtered` / :func:`run_hierarchy_filtered` — replay
   a precomputed :class:`~repro.kernels.l1filter.L1FilterRecord`,
   skipping the L1 stage entirely (the replaying model's own L1 caches
-  are left untouched).
+  are left untouched);
+* :func:`run_chip_arrays` / :func:`run_hierarchy_arrays` — drive a
+  model from ``(addresses, kinds, instructions)`` numpy arrays: the
+  model's own L1 pair filters the trace
+  (:func:`~repro.kernels.l1filter.filter_through_l1s`, which leaves the
+  L1s exactly as per-access simulation would) and the resulting record
+  is replayed as above.  Section 2.3's strict L1 mirroring makes the
+  L1 stage independent of everything behind it, so the split is exact
+  for every model.
 
 Every path is **bit-identical** to the per-access simulator: same
 ``ChipStats`` / ``HierarchyStats``, same cache contents and per-cache
@@ -16,24 +22,17 @@ Every path is **bit-identical** to the per-access simulator: same
 The differential tests in ``tests/kernels`` enforce this on synthetic
 and Olden traces.
 
-Two regimes:
+A record replays in one of two regimes:
 
 * **specialized** — when the model is built from the exact standard
-  component types with no probe and no prefetchers, the post-L1
-  pipeline replays through the kernel generated for its shape
-  (:mod:`repro.kernels.specialize`).  The arrays entry points first
-  run the model's own L1 pair over the trace
-  (:func:`~repro.kernels.l1filter.l1_miss_stream`, which leaves the
-  L1s exactly as per-access simulation would) and replay the
-  resulting miss stream the same way.
+  component types with no probe and no prefetchers, through the kernel
+  generated for its shape (:mod:`repro.kernels.specialize`);
 * **generic** — any probe, prefetcher, or non-standard component type
-  falls back to a fused loop over the real component methods.  This is
-  still faster than per-``Access`` simulation (no namedtuple churn,
-  hoisted lookups) and keeps probe event streams exact: the replay
-  fires ``probe.on_access`` at every sample threshold and at each
-  record's access number, which reproduces the per-access sampling
-  because references that hit in the L1s never change the sampled
-  counters (see ``docs/performance.md``).
+  replays through the real component methods.  Probe event streams
+  stay exact: the replay fires ``probe.on_access`` at every sample
+  threshold and at each record's access number, which reproduces the
+  per-access sampling because references that hit in the L1s never
+  change the sampled counters (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -44,11 +43,9 @@ from repro.core.controller import MigrationController
 from repro.core.mechanism import SplitMechanism
 from repro.core.transition_filter import TransitionFilter
 from repro.kernels.arrays import as_trace_arrays
-from repro.kernels.l1filter import L1FilterRecord, _l1_view, filter_through_l1s
+from repro.kernels.l1filter import L1FilterRecord, filter_through_l1s
 from repro.multicore.coherence import CoherentL2s
 from repro.multicore.migration import MigrationEngine
-
-_CHUNK = 1 << 16
 
 
 # -- public entry points ------------------------------------------------
@@ -56,26 +53,11 @@ _CHUNK = 1 << 16
 
 def run_chip_arrays(chip, addresses, kinds, instructions):
     """Run a whole trace, given as parallel arrays, through ``chip``."""
-    addresses, kinds, instructions = as_trace_arrays(
-        addresses, kinds, instructions
+    record = filter_through_l1s(
+        chip.il1, chip.dl1, chip.config.caches,
+        *as_trace_arrays(addresses, kinds, instructions),
     )
-    if (
-        _chip_fast_eligible(chip)
-        and _l1_view(chip.il1) is not None
-        and _l1_view(chip.dl1) is not None
-    ):
-        from repro.kernels.specialize import replay_chip_specialized
-
-        record = filter_through_l1s(
-            chip.il1, chip.dl1, chip.config.caches,
-            addresses, kinds, instructions,
-        )
-        replay_chip_specialized(chip, record)
-    else:
-        _run_chip_generic(
-            chip, addresses, kinds, instructions, chip.config.caches.line_size
-        )
-    return chip.stats
+    return run_chip_filtered(chip, record)
 
 
 def run_chip_filtered(chip, record: L1FilterRecord):
@@ -98,26 +80,11 @@ def run_chip_filtered(chip, record: L1FilterRecord):
 def run_hierarchy_arrays(hierarchy, addresses, kinds, instructions):
     """Run a whole trace, given as parallel arrays, through the
     single-core baseline hierarchy."""
-    addresses, kinds, instructions = as_trace_arrays(
-        addresses, kinds, instructions
+    record = filter_through_l1s(
+        hierarchy.il1, hierarchy.dl1, hierarchy.config,
+        *as_trace_arrays(addresses, kinds, instructions),
     )
-    if (
-        _hierarchy_fast_eligible(hierarchy)
-        and _l1_view(hierarchy.il1) is not None
-        and _l1_view(hierarchy.dl1) is not None
-    ):
-        from repro.kernels.specialize import replay_hierarchy_specialized
-
-        record = filter_through_l1s(
-            hierarchy.il1, hierarchy.dl1, hierarchy.config,
-            addresses, kinds, instructions,
-        )
-        replay_hierarchy_specialized(hierarchy, record)
-    else:
-        _run_hierarchy_generic(
-            hierarchy, addresses, kinds, instructions, hierarchy.config.line_size
-        )
-    return hierarchy.stats
+    return run_hierarchy_filtered(hierarchy, record)
 
 
 def run_hierarchy_filtered(hierarchy, record: L1FilterRecord):
@@ -205,49 +172,7 @@ def _hierarchy_fast_eligible(hierarchy) -> bool:
     )
 
 
-# -- generic paths (always exact, any component mix) --------------------
-
-
-def _run_chip_generic(chip, addresses, kinds, instructions, line_size):
-    """Fused per-access loop over the real chip methods."""
-    stats = chip.stats
-    probe = chip.probe
-    il1_access = chip.il1.access
-    dl1_access = chip.dl1.access
-    miss_request = chip._miss_request
-    l2_access = chip._l2_access
-    controller_step = chip._controller_step
-    record_store = chip.bus_traffic.record_store
-    n = len(addresses)
-    for start in range(0, n, _CHUNK):
-        chunk_lines = (addresses[start : start + _CHUNK] // line_size).tolist()
-        chunk_kinds = kinds[start : start + _CHUNK].tolist()
-        chunk_instructions = instructions[start : start + _CHUNK].tolist()
-        for line, kind, instruction in zip(
-            chunk_lines, chunk_kinds, chunk_instructions
-        ):
-            stats.accesses += 1
-            if instruction >= stats.instructions:
-                stats.instructions = instruction + 1
-            if probe is not None:
-                probe.on_access(stats.accesses)
-            if kind == 1:  # LOAD
-                if dl1_access(line):
-                    continue
-                stats.dl1_misses += 1
-                miss_request(line, False)
-            elif kind == 0:  # FETCH
-                if il1_access(line):
-                    continue
-                stats.il1_misses += 1
-                miss_request(line, False)
-            else:  # STORE
-                l1_hit = dl1_access(line, True, False)
-                record_store()
-                l2_miss = l2_access(line, True)
-                if not l1_hit:
-                    stats.dl1_misses += 1
-                    controller_step(line, l2_miss)
+# -- generic record replay (always exact, any component mix) ------------
 
 
 def _apply_chip_record(
@@ -304,41 +229,6 @@ def _replay_chip_generic(chip, record: L1FilterRecord):
     stats.accesses += n
     if record.max_instruction >= stats.instructions:
         stats.instructions = record.max_instruction + 1
-
-
-def _run_hierarchy_generic(hierarchy, addresses, kinds, instructions, line_size):
-    """Fused per-access loop over the real hierarchy methods."""
-    stats = hierarchy.stats
-    probe = hierarchy.probe
-    il1_access = hierarchy.il1.access
-    dl1_access = hierarchy.dl1.access
-    l2_read = hierarchy._l2_read
-    l2_write = hierarchy._l2_write
-    n = len(addresses)
-    for start in range(0, n, _CHUNK):
-        chunk_lines = (addresses[start : start + _CHUNK] // line_size).tolist()
-        chunk_kinds = kinds[start : start + _CHUNK].tolist()
-        chunk_instructions = instructions[start : start + _CHUNK].tolist()
-        for line, kind, instruction in zip(
-            chunk_lines, chunk_kinds, chunk_instructions
-        ):
-            stats.accesses += 1
-            if instruction >= stats.instructions:
-                stats.instructions = instruction + 1
-            if probe is not None:
-                probe.on_access(stats.accesses)
-            if kind == 1:  # LOAD
-                if not dl1_access(line):
-                    stats.l1_misses += 1
-                    l2_read(line)
-            elif kind == 0:  # FETCH
-                if not il1_access(line):
-                    stats.l1_misses += 1
-                    l2_read(line)
-            else:  # STORE
-                if not dl1_access(line, True, False):
-                    stats.l1_misses += 1
-                l2_write(line)
 
 
 def _apply_hierarchy_record(hierarchy, stats, line, rkind) -> None:

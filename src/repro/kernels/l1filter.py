@@ -72,8 +72,8 @@ def _l1_view(cache):
     """``(sets, mask, ways)`` triple unifying the two L1 implementations.
 
     A fully-associative cache is a set-associative cache with one set;
-    returns ``None`` for unknown cache types (callers then fall back to
-    the per-access path).  Exact subclasses only: a subclass may
+    returns ``None`` for unknown cache types, which
+    :func:`l1_miss_stream` refuses.  Exact types only: a subclass may
     override ``access``.
     """
     if type(cache) is SetAssociativeCache:

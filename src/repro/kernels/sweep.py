@@ -1,11 +1,8 @@
 """Population-batch evaluation: one record in memory, many variants.
 
 A variant sweep replays one :class:`~repro.kernels.l1filter.L1FilterRecord`
-through every chip configuration.  The per-job path
-(:func:`repro.experiments.variants.variant_job`) has each worker read
-the ``.l1f.npz`` sidecar for itself — for an N-variant population that is
-N npz loads of the *same* bytes.  This module amortises the record across
-the whole population:
+through every chip configuration.  This module materialises the record
+once per population rather than once per variant:
 
 * :func:`evaluate_population` loads (or builds) the record **once** in the
   coordinating process and fans one :func:`population_job` per variant
@@ -15,8 +12,7 @@ the whole population:
   ``record_source == "inherited"``);
 * any other worker — a spawned one, or a job run outside a population —
   falls back to the ordinary sidecar load (``record_source ==
-  "sidecar"``): the population degrades to the per-job path, it never
-  fails.
+  "sidecar"``): it costs one extra load, never a failure.
 """
 
 from __future__ import annotations
@@ -78,10 +74,9 @@ def population_job(
 ) -> "dict[str, object]":
     """Runtime job: replay one population variant over the shared record.
 
-    The payload is a superset of
-    :func:`repro.experiments.variants.variant_job`'s, adding where the
-    record came from (``record_source``) and how many record loads this
-    job performed (``record_loads`` — 0 whenever sharing worked).
+    The payload carries the variant's L2 counters, where the record
+    came from (``record_source``) and how many record loads this job
+    performed (``record_loads`` — 0 whenever sharing worked).
     """
     from repro.experiments.variants import make_variant
 

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from repro.obs.events import SimEvent
-from repro.obs.export import load_events_jsonl, merge_trace_documents
 from repro.runtime.events import JobEvent
 
 #: prefix shared by every bridged scheduler event kind
@@ -172,24 +171,3 @@ def runtime_trace_events(
             }
         )
     return out
-
-
-def merge_obs_dir(directory: "str | Path") -> "dict[str, object]":
-    """One trace document for a whole ``--obs`` directory: every
-    per-job ``*.trace.json`` plus the bridged scheduler stream from
-    ``runtime.jsonl``, as separate processes."""
-    directory = Path(directory)
-    documents: "list[dict[str, object]]" = []
-    runlog = directory / "runtime.jsonl"
-    if runlog.exists():
-        documents.append(
-            {"traceEvents": runtime_trace_events(load_events_jsonl(runlog))}
-        )
-    for path in sorted(directory.glob("*.trace.json")):
-        if path.name == "trace.json":
-            continue  # a previous merge output, not an input
-        try:
-            documents.append(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError):
-            continue  # a torn file from a killed run must not block merging
-    return merge_trace_documents(documents)

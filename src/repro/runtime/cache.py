@@ -265,30 +265,57 @@ class ResultCache:
 
     # -- maintenance ----------------------------------------------------
 
-    def _artifacts(self) -> "Iterator[Path]":
+    def _generations(self) -> "Iterator[Path]":
+        """Every code-generation directory (the quarantine is not one)."""
         if not self.root.is_dir():
             return
-        for path in sorted(self.root.glob("*/*.json")):
-            if not path.name.startswith(".tmp-"):
-                yield path
+        for generation in sorted(self.root.iterdir()):
+            if generation.is_dir() and generation.name != QUARANTINE_DIR:
+                yield generation
+
+    @staticmethod
+    def _is_payload(generation: Path, path: Path) -> bool:
+        """Whether ``path`` is a published job payload: a ``.json`` at
+        the top of its generation, not a writer's staging file.  The
+        L1-filter sidecars and trace memos beside the payloads are
+        derived files, not artifacts."""
+        return (
+            path.parent == generation
+            and path.suffix == ".json"
+            and not path.name.startswith(".tmp-")
+        )
 
     def status(self) -> CacheStatus:
+        """Artifact counts and on-disk bytes per side (current code
+        version vs older ones); bytes cover every file of a generation,
+        sidecars, trace memos and staging files included."""
         current_entries = current_bytes = stale_entries = stale_bytes = 0
         by_function: "dict[str, int]" = {}
-        for path in self._artifacts():
-            size = path.stat().st_size
-            if path.parent.name == self.code_version:
-                current_entries += 1
+        for generation in self._generations():
+            current = generation.name == self.code_version
+            for path in sorted(generation.rglob("*")):
+                try:
+                    if not path.is_file():
+                        continue
+                    size = path.stat().st_size
+                except OSError:
+                    continue  # concurrently pruned or replaced
+                payload = self._is_payload(generation, path)
+                if not current:
+                    stale_bytes += size
+                    if payload:
+                        stale_entries += 1
+                    continue
                 current_bytes += size
+                if not payload:
+                    continue
+                current_entries += 1
                 try:
                     with path.open("r", encoding="utf-8") as handle:
                         fn = json.load(handle).get("fn", "?")
                 except (OSError, json.JSONDecodeError):
                     fn = "?"
                 by_function[fn] = by_function.get(fn, 0) + 1
-            else:
-                stale_entries += 1
-                stale_bytes += size
         return CacheStatus(
             root=self.root,
             code_version=self.code_version,
@@ -314,15 +341,16 @@ class ResultCache:
         return removed
 
     def prune(self, older_than_days: float) -> int:
-        """Retention for long-running services: delete artifacts whose
-        mtime is older than ``older_than_days`` days (any generation),
-        plus staging leftovers (``.tmp-*`` from crashed writers) older
-        than an hour; empty generation directories are removed.
+        """Retention for long-running services: delete every file whose
+        mtime is older than ``older_than_days`` days (any generation) —
+        payloads, L1-filter sidecars and trace memos alike — plus
+        staging leftovers (``.tmp-*`` from crashed writers) older than
+        an hour; emptied directories are removed.
 
-        Age is judged by file mtime — the moment the artifact was
+        Age is judged by file mtime — the moment the file was
         published — so a live writer racing the pruner never loses a
-        fresh result.  Returns the number of artifacts removed
-        (staging leftovers are not counted).
+        fresh result.  Returns the number of payload artifacts removed
+        (sidecars, memos and staging leftovers are not counted).
         """
         if older_than_days < 0:
             raise ValueError(
@@ -346,8 +374,12 @@ class ResultCache:
                     except OSError:
                         continue
                 continue
-            for path in generation.glob("*.json"):
+            directories = [generation]
+            for path in sorted(generation.rglob("*")):
                 try:
+                    if path.is_dir():
+                        directories.append(path)
+                        continue
                     mtime = path.stat().st_mtime
                 except OSError:
                     continue  # concurrently pruned or published
@@ -355,18 +387,16 @@ class ResultCache:
                     if mtime < now - 3600.0:
                         _unlink_quietly(path)
                     continue
-                if mtime < cutoff:
-                    if _unlink_quietly(path):
+                if mtime < cutoff and _unlink_quietly(path):
+                    if self._is_payload(generation, path):
                         removed += 1
-            try:
-                next(generation.iterdir())
-            except StopIteration:
+            # Deepest first, so a generation emptied of its ``traces/``
+            # memo directory goes too.
+            for directory in reversed(directories):
                 try:
-                    generation.rmdir()
+                    directory.rmdir()
                 except OSError:
-                    pass  # a writer re-populated it; leave it
-            except OSError:
-                pass
+                    pass  # not empty, or a writer re-populated it
         return removed
 
 

@@ -101,9 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="DAYS",
-        help="retention mode: only remove artifacts (any code version) "
-        "older than DAYS days, plus stale .tmp- staging files — the "
-        "flag a long-running service's cron uses to bound .repro-cache",
+        help="retention mode: only remove files (any code version: "
+        "artifacts, L1-filter sidecars, trace memos) older than DAYS "
+        "days, plus stale .tmp- staging files — the flag a long-running "
+        "service's cron uses to bound .repro-cache",
     )
     clear.set_defaults(handler=_cmd_clear_cache)
     return parser

@@ -116,3 +116,38 @@ class TestCli:
             ]
         ) == 0
         assert list((obs / "profiles").glob("*.prof"))
+
+
+class TestPopulationCli:
+    """``run_all --population``: the only command-line entry into the
+    variant sweep."""
+
+    def test_forked_population_shares_one_record(self, capsys, tmp_path):
+        assert main(
+            [
+                "--population",
+                "--workloads", "mst",
+                "--scale", "0.05",
+                "--jobs", "2",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--quiet",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        first_column = [
+            line.split("|")[0].strip() for line in out.splitlines() if "|" in line
+        ]
+        assert first_column == ["variant", "baseline", "migration", "no-l2-filter"]
+        # the coordinator loaded the record once; both forked workers
+        # inherited it for all three variant jobs
+        assert "record loads: 1 (sources: 3× inherited" in out
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--only", "table2"], ["--server", "http://127.0.0.1:9"]],
+        ids=["only", "server"],
+    )
+    def test_population_refuses_only_and_server(self, extra):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--population", *extra])
+        assert excinfo.value.code == 2

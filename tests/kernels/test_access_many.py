@@ -1,57 +1,13 @@
-"""``access_many`` / ``process_many`` vs their per-item seed loops."""
+"""``SplitMechanism.process_many`` vs its per-item seed loop (the
+batched mechanism step Figure 3's transition counts use)."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.caches.fully_assoc import FullyAssociativeCache
-from repro.caches.set_assoc import SetAssociativeCache
-from repro.caches.skewed import SkewedAssociativeCache
 from repro.core.affinity_store import AffinityCache, UnboundedAffinityStore
 from repro.core.mechanism import SplitMechanism
-from tests.kernels.helpers import cache_state, mechanism_state, store_state
+from tests.kernels.helpers import mechanism_state, store_state
 
 lines_strategy = st.lists(st.integers(0, 500), max_size=200)
-flags = st.booleans()
-
-
-def _pair(factory, lines, write, allocate):
-    seed = factory()
-    hits = sum(
-        seed.access(line, write=write, allocate=allocate) for line in lines
-    )
-    batched = factory()
-    batched_hits = batched.access_many(lines, write=write, allocate=allocate)
-    assert batched_hits == hits
-    assert cache_state(batched) == cache_state(seed)
-
-
-class TestAccessMany:
-    @given(lines=lines_strategy, write=flags, allocate=flags)
-    @settings(max_examples=50, deadline=None)
-    def test_set_associative(self, lines, write, allocate):
-        _pair(lambda: SetAssociativeCache(16, 2), lines, write, allocate)
-
-    @given(lines=lines_strategy, write=flags, allocate=flags)
-    @settings(max_examples=50, deadline=None)
-    def test_skewed(self, lines, write, allocate):
-        _pair(lambda: SkewedAssociativeCache(16, 4), lines, write, allocate)
-
-    @given(lines=lines_strategy, write=flags, allocate=flags)
-    @settings(max_examples=50, deadline=None)
-    def test_fully_associative(self, lines, write, allocate):
-        _pair(lambda: FullyAssociativeCache(32), lines, write, allocate)
-
-    def test_empty_batch_leaves_state_untouched(self):
-        for cache in (
-            SetAssociativeCache(16, 2),
-            SkewedAssociativeCache(16, 4),
-            FullyAssociativeCache(32),
-        ):
-            cache.access(7)
-            before = cache_state(cache)
-            assert cache.access_many([]) == 0
-            # An empty batch must not reset last_eviction/stats the way
-            # a real access would.
-            assert cache_state(cache) == before
 
 
 class TestProcessMany:

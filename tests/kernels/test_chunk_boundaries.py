@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from repro.caches.hierarchy import SingleCoreHierarchy
-from repro.kernels.batch import _CHUNK
-from repro.kernels.l1filter import build_l1_filter
+from repro.kernels.l1filter import _CHUNK, build_l1_filter
 from repro.multicore.chip import ChipConfig, MultiCoreChip
 from tests.kernels.helpers import chip_state, hierarchy_state, without_l1
 

@@ -4,9 +4,9 @@ Covers the :mod:`repro.kernels.sweep` contract end to end — the record
 resolution order (inherited over fork → sidecar), the
 ``shared_record_loads == 1`` happy path in both serial and forked
 multi-worker mode, spawned workers falling back to the sidecar, and row
-identity against the per-job
-:func:`~repro.experiments.variants.run_sweep` path.  Also pins the
-bounded in-process caches feeding the sweep: the ``ensure_l1_filter``
+identity against each variant replaying a freshly built record on its
+own (``make_variant(v).run_filtered(record)``).  Also pins the bounded
+in-process caches feeding the sweep: the ``ensure_l1_filter``
 open-record LRU and the per-record precompute memo.
 """
 
@@ -29,7 +29,7 @@ from repro.runtime import EventBus, ExperimentRuntime, ResultCache, RuntimeConfi
 
 SCALE = 0.05
 
-#: payload keys that must agree between the per-job and population paths
+#: payload keys a population row shares with its variant's own replay
 STAT_KEYS = (
     "workload",
     "variant",
@@ -63,6 +63,33 @@ def _stats(row):
     return {key: row[key] for key in STAT_KEYS}
 
 
+def _reference_rows():
+    """Each variant's own replay of a freshly built mst record: the
+    rows a population must reproduce bit for bit."""
+    from repro.experiments.variants import VARIANT_NAMES, make_variant
+    from repro.experiments.workloads import workload
+
+    record = build_l1_filter(*workload("mst", scale=SCALE).arrays())
+    rows = []
+    for variant in VARIANT_NAMES:
+        model = make_variant(variant)
+        model.run_filtered(record)
+        stats = model.stats
+        rows.append(
+            {
+                "workload": "mst",
+                "variant": variant,
+                "l1_misses": stats.l1_misses,
+                "l2_accesses": stats.l2_accesses,
+                "l2_misses": stats.l2_misses,
+                "migrations": getattr(stats, "migrations", 0),
+                "instructions": stats.instructions,
+                "references": record.accesses,
+            }
+        )
+    return rows
+
+
 def _tiny_record(l2_span=600, n=400):
     rng = np.random.default_rng(7)
     lines = rng.integers(0, l2_span, size=n, dtype=np.int64)
@@ -74,7 +101,7 @@ def _tiny_record(l2_span=600, n=400):
 
 class TestSerialPopulation:
     def test_rows_match_the_per_job_sweep(self, tmp_path):
-        from repro.experiments.variants import VARIANT_NAMES, run_sweep
+        from repro.experiments.variants import VARIANT_NAMES
 
         cache = ResultCache(root=tmp_path)
         result = evaluate_population("mst", scale=SCALE, cache=cache)
@@ -87,11 +114,8 @@ class TestSerialPopulation:
         assert all(row["record_loads"] == 0 for row in result.rows)
         assert result.wall_seconds > 0
 
-        # bit-identical ChipStats vs the per-job path on the same trace
-        per_job = run_sweep("mst", scale=SCALE)
-        assert [_stats(row) for row in result.rows] == [
-            _stats(row) for row in per_job
-        ]
+        # bit-identical ChipStats vs each variant's own replay
+        assert [_stats(row) for row in result.rows] == _reference_rows()
 
     def test_row_for_lookup(self, tmp_path):
         cache = ResultCache(root=tmp_path)
@@ -113,13 +137,8 @@ class TestParallelPopulation:
         assert result.record_sources == {"inherited": 3}
         assert all(row["record_loads"] == 0 for row in result.rows)
 
-        # identical rows to the serial per-job path
-        from repro.experiments.variants import run_sweep
-
-        per_job = run_sweep("mst", scale=SCALE)
-        assert [_stats(row) for row in result.rows] == [
-            _stats(row) for row in per_job
-        ]
+        # identical rows to each variant's own serial replay
+        assert [_stats(row) for row in result.rows] == _reference_rows()
 
     def test_spawned_workers_read_the_sidecar(self, tmp_path):
         # A spawned worker inherits no coordinator record: it loads the
@@ -132,12 +151,7 @@ class TestParallelPopulation:
         assert result.record_sources == {"sidecar": 3}
         assert all(row["record_loads"] == 1 for row in result.rows)
 
-        from repro.experiments.variants import run_sweep
-
-        per_job = run_sweep("mst", scale=SCALE)
-        assert [_stats(row) for row in result.rows] == [
-            _stats(row) for row in per_job
-        ]
+        assert [_stats(row) for row in result.rows] == _reference_rows()
 
 
 class TestRecordKey:
@@ -156,7 +170,7 @@ class TestRecordKey:
 class TestSidecarFallback:
     def test_share_disabled_reads_the_sidecar(self, tmp_path):
         # A job outside any population has no coordinator record to
-        # share: it reads the sidecar like a per-job variant.
+        # share: it reads the sidecar for itself.
         cache = ResultCache(root=tmp_path)
         ensure_l1_filter("mst", scale=SCALE, cache=cache)  # build sidecar
         drop_open_records()

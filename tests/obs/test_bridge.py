@@ -1,16 +1,16 @@
-"""The scheduler -> obs bridge: event conversion, sink, trace merging."""
+"""The scheduler -> obs bridge: event conversion, sink, trace events.
 
-import json
+Merging a whole ``--obs`` directory is ``repro.obs.aggregate``'s job
+(``test_aggregate.py``).
+"""
 
 from repro.obs.bridge import (
     ObsRunlogSink,
     bridge_job_events,
-    merge_obs_dir,
     runtime_trace_events,
     sim_event_from_job_event,
 )
-from repro.obs.export import load_events_jsonl, save_report
-from repro.obs.probe import ObsReport
+from repro.obs.export import load_events_jsonl
 from repro.runtime.events import JobEvent
 
 
@@ -98,34 +98,3 @@ class TestRuntimeTraceEvents:
         events = runtime_trace_events(bridged)
         instants = [e for e in events if e["ph"] == "i"]
         assert [e["name"] for e in instants] == ["queued", "cache-hit"]
-
-
-class TestMergeObsDir:
-    def test_merges_runlog_and_job_traces(self, tmp_path):
-        sink = ObsRunlogSink(tmp_path / "runtime.jsonl")
-        sink.emit(_job_event("started", ts=100.0))
-        sink.emit(_job_event("finished", ts=100.1))
-        sink.close()
-        save_report(
-            ObsReport(meta={"workload": "mst", "references": 10}),
-            tmp_path,
-            "table2-mst",
-        )
-        document = merge_obs_dir(tmp_path)
-        cats = {e.get("cat") for e in document["traceEvents"]} - {None}
-        assert "runtime" in cats
-        pids = {e["pid"] for e in document["traceEvents"]}
-        assert len(pids) == 2  # scheduler + one job process
-
-    def test_previous_merge_output_is_not_an_input(self, tmp_path):
-        save_report(ObsReport(meta={"references": 1}), tmp_path, "job")
-        first = merge_obs_dir(tmp_path)
-        (tmp_path / "trace.json").write_text(json.dumps(first))
-        again = merge_obs_dir(tmp_path)
-        assert len(again["traceEvents"]) == len(first["traceEvents"])
-
-    def test_torn_trace_file_is_skipped(self, tmp_path):
-        save_report(ObsReport(meta={"references": 1}), tmp_path, "good")
-        (tmp_path / "torn.trace.json").write_text('{"traceEvents": [')
-        document = merge_obs_dir(tmp_path)
-        assert document["traceEvents"]

@@ -145,3 +145,46 @@ class TestPrune:
 
     def test_prune_missing_root_is_noop(self, tmp_path):
         assert ResultCache(root=tmp_path / "nope").prune(older_than_days=0) == 0
+
+    def test_prune_bounds_sidecars_memos_and_staging(self, tmp_path, monkeypatch):
+        # A run leaves more than payloads under its generation: the
+        # L1-filter sidecar, the Olden trace memo in traces/, and (after
+        # a crash) staging files.  All of them age out by the payloads'
+        # rule, and status() counts their bytes.
+        from repro.kernels.l1filter import ensure_l1_filter
+
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        cache = ResultCache(root=tmp_path)
+        generation = cache.generation_dir
+        ensure_l1_filter("mst", scale=0.02, cache=cache)
+        staging = generation / ".tmp-crashed-sidecar.npz"
+        staging.write_bytes(b"partial")
+        aged = [path for path in generation.rglob("*") if path.is_file()]
+        assert list(generation.glob("*.l1f.npz"))
+        assert list(generation.glob("traces/*.npz"))
+        ensure_l1_filter("mst", scale=0.03, cache=cache)
+        fresh = [
+            path
+            for path in generation.rglob("*")
+            if path.is_file() and path not in aged
+        ]
+        status = cache.status()
+        assert status.current_entries == 2
+        assert status.current_bytes == sum(
+            path.stat().st_size for path in aged + fresh
+        )
+
+        for path in aged:
+            _age(path, days=40)
+        assert cache.prune(older_than_days=30) == 1
+        assert not any(path.exists() for path in aged)
+        assert all(path.exists() for path in fresh)
+        status = cache.status()
+        assert status.current_entries == 1
+        assert status.current_bytes == sum(path.stat().st_size for path in fresh)
+
+        for path in fresh:
+            _age(path, days=40)
+        assert cache.prune(older_than_days=30) == 1
+        assert not generation.exists()  # traces/ emptied, then the rest
+        assert cache.status().current_bytes == 0
