@@ -5,7 +5,9 @@ the structures everything else is built on.  They exist to catch
 performance regressions in the simulator itself — the paper
 reproductions above are throughput-bound on exactly these loops.
 
-The mechanism's per-access loop is paired with ``process_many`` (the
+The LRU stack is paired with ``stack_depths`` and the controller's
+``observe`` loop with ``observe_many`` (the array engines Figures 4-5
+use), the mechanism's per-access loop with ``process_many`` (the
 batched step Figure 3 uses), and the chip's with ``run_arrays`` and
 ``run_filtered`` from :mod:`repro.kernels`, so a session's JSON shows
 the batched paths staying ahead.  The end-to-end chip trio (a Table 2
@@ -14,10 +16,11 @@ what ``benchmarks/throughput_e2e.py`` distils into
 ``BENCH_throughput.json`` for CI.
 """
 
+import numpy as np
 import pytest
 
 from repro.caches.fully_assoc import FullyAssociativeCache
-from repro.caches.lru_stack import LruStack
+from repro.caches.lru_stack import LruStack, stack_depths
 from repro.caches.set_assoc import SetAssociativeCache
 from repro.caches.skewed import SkewedAssociativeCache
 from repro.core.affinity_store import UnboundedAffinityStore
@@ -91,6 +94,15 @@ def test_lru_stack_throughput(benchmark, refs):
     benchmark(run)
 
 
+def test_stack_depths_throughput(benchmark, refs):
+    lines = np.array(refs, dtype=np.int64)
+
+    def run():
+        return len(stack_depths(lines))
+
+    benchmark(run)
+
+
 def test_mechanism_throughput(benchmark, refs):
     def run():
         mechanism = SplitMechanism(128, UnboundedAffinityStore())
@@ -115,6 +127,17 @@ def test_controller_throughput(benchmark, refs):
         controller = MigrationController(ControllerConfig.four_core())
         for line in refs:
             controller.observe(line)
+        return controller.stats.references
+
+    benchmark(run)
+
+
+def test_observe_many_throughput(benchmark, refs):
+    lines = np.array(refs, dtype=np.int64)
+
+    def run():
+        controller = MigrationController(ControllerConfig.four_core())
+        controller.observe_many(lines)
         return controller.stats.references
 
     benchmark(run)

@@ -13,14 +13,23 @@ If ``p4(x)`` falls below ``p1(x)``, four caches of size ``x`` under the
 affinity algorithm hold more of the working set than one cache of size
 ``x`` — the working set is "splittable".  The controller's transition
 frequency bounds how often such a 4-cache system would migrate.
+
+:class:`StackExperiment` runs the pass on arrays, fed in consecutive
+slices of the stream: :meth:`MigrationController.observe_many` gives
+every reference's stack, and one :class:`ArrayLruStack` per stack gives
+the depths of the references it sees, in the order it sees them.
+Memory grows with a slice plus the distinct lines, not with the stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
-from repro.caches.lru_stack import LruStack, StackProfile
+import numpy as np
+
+from repro.caches.lru_stack import ArrayLruStack, StackProfile
 from repro.core.controller import ControllerConfig, ControllerStats, MigrationController
 
 #: Figure 4/5 x-axis, in lines (64-byte lines): 16 KB ... 16 MB
@@ -53,6 +62,79 @@ class StackExperimentResult:
         )
 
 
+#: fewest references :meth:`StackExperiment.feed` gathers per step
+_BATCH = 1 << 15
+
+
+class StackExperiment:
+    """The section 4.1 experiment over an L1-miss stream fed in
+    consecutive slices; :meth:`result` once the stream ends.
+
+    Fed lines are gathered until they are at least :data:`_BATCH` and
+    at least as many as the single stack holds, then pass through the
+    controller and the stacks together.  Each stack is seeded with the
+    lines it holds (see :class:`ArrayLruStack`), and none holds more
+    than the single stack, so the seeds add at most ``1 +
+    num_subsets`` batches of work.
+    """
+
+    def __init__(self, config: "ControllerConfig | None" = None) -> None:
+        self.config = config or ControllerConfig.stack_experiment()
+        self.controller = MigrationController(self.config)
+        self.references = 0
+        # The single stack, then one per subset, each with its depth
+        # histogram as an np.bincount array.
+        stacks = 1 + self.config.num_subsets
+        self._stacks = [ArrayLruStack() for _ in range(stacks)]
+        self._counts = [np.zeros(1, dtype=np.int64) for _ in range(stacks)]
+        self._pending: "list[np.ndarray]" = []
+        self._pending_count = 0
+
+    def feed(self, lines) -> None:
+        """The next slice of line addresses."""
+        lines = np.asarray(lines, dtype=np.int64)
+        self._pending.append(lines)
+        self._pending_count += len(lines)
+        if self._pending_count >= max(_BATCH, len(self._stacks[0].lines)):
+            self._step()
+
+    def result(self, name: str = "workload") -> StackExperimentResult:
+        self._step()
+        single, *split = self._counts
+        return StackExperimentResult(
+            name=name,
+            p1=StackProfile.from_counts(single),
+            p4=StackProfile.from_counts(reduce(_add_counts, split)),
+            per_stack=[StackProfile.from_counts(counts) for counts in split],
+            controller_stats=self.controller.stats,
+            references=self.references,
+        )
+
+    def _step(self) -> None:
+        if not self._pending:
+            return
+        lines = np.concatenate(self._pending)
+        self._pending = []
+        self._pending_count = 0
+        self.references += len(lines)
+        subsets = self.controller.observe_many(lines)
+        for index, stack in enumerate(self._stacks):
+            stream = lines if index == 0 else lines[subsets == index - 1]
+            depths = stack.access_many(stream)
+            self._counts[index] = _add_counts(
+                self._counts[index], np.bincount(depths)
+            )
+
+
+def _add_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum of two depth histograms of any lengths."""
+    if len(a) < len(b):
+        a, b = b, a
+    total = a.copy()
+    total[: len(b)] += b
+    return total
+
+
 def run_stack_experiment(
     references: "Iterable[int]",
     name: str = "workload",
@@ -64,23 +146,8 @@ def run_stack_experiment(
     filters, |R_X| = 128, |R_Y| = 64, unlimited affinity cache, no
     sampling, no L2 filtering.
     """
-    config = config or ControllerConfig.stack_experiment()
-    controller = MigrationController(config)
-    single = LruStack()
-    split = [LruStack() for _ in range(config.num_subsets)]
-    p1 = StackProfile()
-    per_stack = [StackProfile() for _ in range(config.num_subsets)]
-    count = 0
-    for line in references:
-        count += 1
-        p1.record(single.access(line))
-        subset = controller.observe(line)
-        per_stack[subset].record(split[subset].access(line))
-    return StackExperimentResult(
-        name=name,
-        p1=p1,
-        p4=StackProfile.merge_all(per_stack),
-        per_stack=per_stack,
-        controller_stats=controller.stats,
-        references=count,
-    )
+    if not isinstance(references, np.ndarray):
+        references = np.fromiter(references, dtype=np.int64)
+    experiment = StackExperiment(config)
+    experiment.feed(references)
+    return experiment.result(name)

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from repro.core.controller import ControllerConfig, MigrationController
 from repro.core.sampling import SamplingPolicy
 from repro.runtime import Job, payloads
@@ -38,13 +40,15 @@ def _run_controller(
     the stream, i.e. after convergence.
     """
     controller = MigrationController(config)
-    references = list(references)
+    references = np.fromiter(references, dtype=np.int64)
     tail_start = int(len(references) * (1.0 - tail_fraction))
     transitions_at_tail = 0
-    for i, line in enumerate(references):
-        if i == tail_start:
-            transitions_at_tail = controller.stats.transitions
-        controller.observe(line)
+    done = 0
+    if 0 <= tail_start < len(references):
+        controller.observe_many(references[:tail_start])
+        transitions_at_tail = controller.stats.transitions
+        done = tail_start
+    controller.observe_many(references[done:])
     stats = controller.stats
     tail_references = max(1, len(references) - tail_start)
     tail_frequency = (stats.transitions - transitions_at_tail) / tail_references
@@ -90,7 +94,9 @@ def rwindow_point(
         num_subsets=2, x_window_size=window_size, filter_bits=filter_bits
     )
     controller = MigrationController(config)
-    references = list(behavior.addresses(num_references))
+    references = np.fromiter(
+        behavior.addresses(num_references), dtype=np.int64
+    )
     tail_start = int(len(references) * 0.75)
     # Half a working-set lap apart: a genuinely split assignment is
     # unchanged at any offset, while the rotating-wave state at
@@ -98,15 +104,20 @@ def rwindow_point(
     snapshot_at = max(0, len(references) - behavior.num_lines // 2 - 1)
     transitions_at_tail = 0
     earlier_signs: "dict[int, bool]" = {}
-    for i, line in enumerate(references):
-        if i == tail_start:
+    done = 0
+    for cut in sorted({tail_start, snapshot_at}):
+        if not 0 <= cut < len(references):
+            continue
+        controller.observe_many(references[done:cut])
+        done = cut
+        if cut == tail_start:
             transitions_at_tail = controller.stats.transitions
-        if i == snapshot_at:
+        if cut == snapshot_at:
             earlier_signs = {
                 e: (controller.affinity_of(e) or 0) >= 0
                 for e in range(behavior.num_lines)
             }
-        controller.observe(line)
+    controller.observe_many(references[done:])
     stats = controller.stats
     tail = (stats.transitions - transitions_at_tail) / max(
         1, len(references) - tail_start
@@ -217,8 +228,9 @@ def sampling_point(
         lru_window=base.lru_window,
     )
     controller = MigrationController(config)
-    for line in behavior.addresses(num_references):
-        controller.observe(line)
+    controller.observe_many(
+        np.fromiter(behavior.addresses(num_references), dtype=np.int64)
+    )
     stats = controller.stats
     return SamplingSweepPoint(
         sampled_residues=sampled_residues,

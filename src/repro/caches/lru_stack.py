@@ -13,6 +13,11 @@ referenced since ``e``'s previous access, which is a range-count over a
 0/1 Fenwick tree in which exactly the most recent access time of every
 live line is set.
 
+:class:`ArrayLruStack` (and :func:`stack_depths`, for one whole
+stream) is its array engine: the depths of many references at once,
+from the offline form of the same count (see :func:`seeded_depths`),
+tied to :class:`LruStack` by differential tests.
+
 :class:`StackProfile` accumulates a depth histogram and answers
 ``fraction_deeper`` queries; profiles are mergeable so the four split
 stacks of Figures 4-5 can be reported as one global profile ``p4``.
@@ -100,6 +105,112 @@ class LruStack:
         return self._fenwick.range_sum(previous + 1, self._time - 1) + 1
 
 
+#: fewest references per chunk of :meth:`ArrayLruStack.access_many`
+_DEPTH_CHUNK = 1 << 15
+
+
+class ArrayLruStack:
+    """:class:`LruStack` over arrays of references.
+
+    :meth:`access_many` gives the depths :meth:`LruStack.access` would,
+    and consecutive calls continue one stream.  The stack is held as
+    its lines, least recently used first (:attr:`lines`), and a call
+    runs in chunks, each preceded by those lines (see
+    :func:`seeded_depths`), so memory grows with the chunk plus the
+    distinct lines, not with the stream.  A chunk is
+    :data:`_DEPTH_CHUNK` references or as many as the stack holds,
+    whichever is more, so the seed at most doubles the work.
+    """
+
+    def __init__(self) -> None:
+        self.lines = np.empty(0, dtype=np.int64)
+
+    def access_many(self, lines) -> np.ndarray:
+        """Record ``lines`` in order; return their depths as ``int32``,
+        with 0 for a first touch (infinite depth)."""
+        lines = np.asarray(lines, dtype=np.int64)
+        depths = np.empty(len(lines), dtype=np.int32)
+        start = 0
+        while start < len(lines):
+            end = start + max(_DEPTH_CHUNK, len(self.lines))
+            depths[start:end], self.lines = seeded_depths(
+                self.lines, lines[start:end]
+            )
+            start = end
+        return depths
+
+
+def stack_depths(lines) -> np.ndarray:
+    """Every depth of the stream ``lines`` (0 = first touch), as one
+    :class:`LruStack` would give them."""
+    return ArrayLruStack().access_many(lines)
+
+
+def seeded_depths(seed: np.ndarray, lines: np.ndarray):
+    """Stack depths of ``lines`` (0 = first touch) when the stack
+    already holds ``seed``, least recently used first; returns them with
+    the stack's lines afterwards, in the same order.
+
+    Over the stream ``s = seed + lines`` the depth at position ``i``,
+    whose line was last referenced at ``prev(i)``, is one plus the
+    number of distinct lines referenced strictly in between::
+
+        depth(i) = (i - prev(i)) - #{j > prev(i) : next(j) < i}
+
+    because of the ``i - prev(i) - 1`` references in between, exactly
+    those whose line comes back before ``i`` are repeats.  Seeding with
+    each distinct line once, in LRU order, is exact: a seeded line is
+    preceded by exactly the lines used more recently than it.
+    """
+    stream = np.concatenate((seed, lines))
+    size = len(stream)
+    index = np.int32 if size < 2**31 else np.int64
+    order = np.argsort(stream, kind="stable").astype(index)
+    ordered = stream[order]
+    repeat = ordered[1:] == ordered[:-1]
+    later = order[1:][repeat]  # a reference with an earlier one ...
+    earlier = order[:-1][repeat]  # ... and that earlier reference
+    del order, ordered, repeat
+    following = np.full(size, size, dtype=index)  # next(j); size = never
+    following[earlier] = later
+    depths = np.zeros(size, dtype=index)
+    depths[later] = (later - earlier) - _count_below(
+        following, earlier + 1, later
+    )
+    return depths[len(seed):], stream[following == size]
+
+
+def _count_below(values: np.ndarray, starts: np.ndarray, bounds: np.ndarray):
+    """``#{j >= starts[k] : values[j] < bounds[k]}`` for every ``k``.
+
+    A wavelet matrix over ``values``, queried for all ``k`` at once: at
+    each bit level, from the top, the values are stably split into zeros
+    and ones and every query's range follows its bound's bit, counting
+    the zero side whenever the bound's bit is one.  O(n) numpy work per
+    bit level.
+    """
+    size = len(values)
+    count = np.zeros(len(starts), dtype=values.dtype)
+    low = starts
+    high = np.full(len(starts), size, dtype=values.dtype)
+    ones = np.zeros(size + 1, dtype=values.dtype)
+    for bit in range(int(size).bit_length() - 1, -1, -1):
+        set_bits = (values >> bit) & 1
+        np.cumsum(set_bits, out=ones[1:])
+        zeros = size - ones[size]
+        low_ones = ones[low]
+        high_ones = ones[high]
+        low_zeros = low - low_ones
+        high_zeros = high - high_ones
+        upper = ((bounds >> bit) & 1).astype(bool)
+        count += np.where(upper, high_zeros - low_zeros, 0)
+        low = np.where(upper, zeros + low_ones, low_zeros)
+        high = np.where(upper, zeros + high_ones, high_zeros)
+        set_bits = set_bits.astype(bool)
+        values = np.concatenate((values[~set_bits], values[set_bits]))
+    return count
+
+
 class StackProfile:
     """Histogram of stack depths with cold (infinite-depth) references."""
 
@@ -124,6 +235,29 @@ class StackProfile:
     def record_stream(self, depths: Iterable[Optional[int]]) -> None:
         for depth in depths:
             self.record(depth)
+
+    @classmethod
+    def from_depths(cls, depths: np.ndarray) -> "StackProfile":
+        """The profile of a :func:`stack_depths` array (0 = first
+        touch), equal to recording each depth in turn."""
+        depths = np.asarray(depths)
+        if len(depths) and depths.min() < 0:
+            raise ValueError(f"stack depths are 1-based, got {depths.min()}")
+        return cls.from_counts(np.bincount(depths))
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> "StackProfile":
+        """The profile whose ``counts[d]`` references have depth ``d``
+        (``d = 0``: first touches), as ``np.bincount`` of depths."""
+        profile = cls()
+        counts = np.asarray(counts)
+        depths = np.flatnonzero(counts[1:]) + 1
+        profile._histogram = Counter(
+            dict(zip(depths.tolist(), counts[depths].tolist()))
+        )
+        profile.cold = int(counts[0]) if len(counts) else 0
+        profile.total = int(counts.sum())
+        return profile
 
     def _ensure_index(self) -> None:
         if self._sorted_depths is None:

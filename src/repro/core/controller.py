@@ -214,6 +214,21 @@ class MigrationController:
         self._previous_subset = subset_after
         return subset_before
 
+    def observe_many(self, lines, l2_miss=None):
+        """:meth:`observe` for each of ``lines`` in turn (``l2_miss``:
+        one flag per line, default all true); returns the subsets as a
+        ``uint8`` array.
+
+        A controller the chip kernel accepts runs a kernel generated
+        from the chip kernel's controller blocks
+        (:func:`repro.kernels.specialize.observe_many`); any other runs
+        the :meth:`observe` loop, its specification.  Consecutive calls
+        compose like consecutive :meth:`observe` calls.
+        """
+        from repro.kernels.specialize import observe_many
+
+        return observe_many(self, lines, l2_miss)
+
     def affinity_of(self, line: int) -> "int | None":
         """Best-effort current affinity of ``line`` (for inspection)."""
         cfg = self.config

@@ -17,13 +17,13 @@ from repro.analysis.splittability import SplittabilityReport, splittability_repo
 from repro.analysis.stack_profiles import (
     PAPER_CACHE_SIZE_LABELS,
     PAPER_CACHE_SIZES_LINES,
+    StackExperiment,
     StackExperimentResult,
-    run_stack_experiment,
 )
 from repro.experiments.report import ascii_curve, render_rows, section
 from repro.experiments.workloads import WORKLOAD_NAMES, workload
 from repro.runtime import Job, payloads
-from repro.traces.filters import L1Filter, L1FilterConfig
+from repro.traces.filters import ArrayL1Filter, L1FilterConfig
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,17 @@ def run_figures45_for(
     seed: "int | None" = None,
     sizes_lines: "Sequence[int]" = PAPER_CACHE_SIZES_LINES,
 ) -> FigureProfileRow:
-    """Run the stack experiment for one workload."""
-    spec = workload(name, scale=scale, seed=seed)
-    l1 = L1Filter(L1FilterConfig())
-    filtered = (ref.line for ref in l1.filter(spec.accesses()))
-    result: StackExperimentResult = run_stack_experiment(filtered, name=name)
+    """Run the stack experiment for one workload, a trace chunk at a
+    time."""
+    config = L1FilterConfig()
+    l1 = ArrayL1Filter(config)
+    experiment = StackExperiment()
+    for addresses, kinds, instructions in workload(
+        name, scale=scale, seed=seed
+    ).array_chunks():
+        misses = l1.filter(addresses, kinds, instructions)
+        experiment.feed(addresses[misses] // config.line_size)
+    result: StackExperimentResult = experiment.result(name)
     p1_curve, p4_curve = result.curves(sizes_lines)
     return FigureProfileRow(
         name=name,

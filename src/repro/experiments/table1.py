@@ -17,7 +17,7 @@ from typing import Sequence
 from repro.experiments.report import render_rows, section
 from repro.experiments.workloads import WORKLOAD_NAMES, workload
 from repro.runtime import Job, payloads
-from repro.traces.filters import L1Filter, L1FilterConfig
+from repro.traces.filters import ArrayL1Filter, L1FilterConfig
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,9 @@ def run_table1_for(
     name: str, scale: float = 1.0, seed: "int | None" = None
 ) -> Table1Row:
     """Measure one workload through the section 4.1 L1 filters."""
-    spec = workload(name, scale=scale, seed=seed)
-    l1 = L1Filter(L1FilterConfig())
-    for _ in l1.filter(spec.accesses()):
-        pass
+    l1 = ArrayL1Filter(L1FilterConfig())
+    for chunk in workload(name, scale=scale, seed=seed).array_chunks():
+        l1.filter(*chunk)
     return Table1Row(
         name=name,
         accesses=l1.accesses,

@@ -14,6 +14,9 @@ generated Olden trace as a ``file_format`` npz under the runtime cache
 dir, keyed by (workload, scale, seed, code version), so repeated sweep
 jobs skip pure-Python trace regeneration entirely.  A memo that fails
 to load (bit rot, a torn file) is regenerated and replaced.
+:meth:`WorkloadSpec.array_chunks` reads a memo but never writes one:
+writing it costs a temporary copy that a chunked consumer otherwise
+never holds.
 
 SPEC traces are not memoised: :meth:`SpecModel.arrays` generates them
 vectorised, a chunk at a time, faster than a memo could be written.
@@ -34,6 +37,10 @@ from repro.traces.trace import Access
 
 #: Paper order: SPEC first, then Olden (Tables 1-2, Figures 4-5).
 WORKLOAD_NAMES = tuple(spec_model_names()) + OLDEN_BENCHMARKS
+
+#: references per :meth:`WorkloadSpec.array_chunks` slice of an Olden
+#: trace (the SPEC models' own draw size)
+_OLDEN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,24 @@ class WorkloadSpec:
             return _olden_arrays(self.name, self.scale, self.seed)
         return self._spec_model().arrays()
 
+    def array_chunks(self):
+        """The trace of :meth:`arrays` in consecutive chunks.
+
+        SPEC models generate one chunk at a time
+        (:meth:`SpecModel.array_chunks`), so a consumer that goes chunk
+        by chunk never holds the whole trace; Olden traces are recorded
+        whole anyway and are sliced, from the memo if there is one.
+        """
+        if not self.is_olden:
+            yield from self._spec_model().array_chunks()
+            return
+        path = olden_trace_path(self.name, self.scale, self.seed)
+        arrays = _load_olden_memo(path)
+        if arrays is None:
+            arrays = _olden_trace(self.name, self.scale, self.seed).arrays()
+        for start in range(0, len(arrays[0]), _OLDEN_CHUNK):
+            yield tuple(array[start : start + _OLDEN_CHUNK] for array in arrays)
+
     def _spec_model(self):
         """The SPEC model at this workload's scaled trace length."""
         model = spec_model(self.name, seed=self.seed)
@@ -109,26 +134,12 @@ def olden_trace_path(name: str, scale: float, seed: "int | None" = None):
 
 
 def _olden_arrays(name: str, scale: float, seed: "int | None"):
-    from repro.runtime.health import health_counter
-    from repro.traces.file_format import (
-        CORRUPT_NPZ_ERRORS,
-        load_trace,
-        save_trace_arrays,
-    )
+    from repro.traces.file_format import save_trace_arrays
 
     path = olden_trace_path(name, scale, seed)
-    if path.is_file():
-        try:
-            return load_trace(path).arrays()
-        except CORRUPT_NPZ_ERRORS as exc:
-            # Corrupt or stale memo (bit rot, a torn file, an old format
-            # version): regenerate the trace and replace the memo below.
-            health_counter("recovery.trace_memo.regenerated").inc()
-            print(
-                f"[workloads] corrupt trace memo {path.name}: {exc}; "
-                "regenerating",
-                file=sys.stderr,
-            )
+    arrays = _load_olden_memo(path)
+    if arrays is not None:
+        return arrays
     arrays = _olden_trace(name, scale, seed).arrays()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -148,6 +159,29 @@ def _olden_arrays(name: str, scale: float, seed: "int | None"):
     except OSError:
         pass  # read-only cache dir: memo is an optimisation, not a need
     return arrays
+
+
+def _load_olden_memo(path):
+    """The trace memoised at ``path``, or ``None`` if there is none or
+    it does not load."""
+    from repro.runtime.health import health_counter
+    from repro.traces.file_format import CORRUPT_NPZ_ERRORS, load_trace
+
+    if not path.is_file():
+        return None
+    try:
+        return load_trace(path).arrays()
+    except CORRUPT_NPZ_ERRORS as exc:
+        # Corrupt or stale memo (bit rot, a torn file, an old format
+        # version): the caller regenerates the trace, and
+        # _olden_arrays replaces the memo.
+        health_counter("recovery.trace_memo.regenerated").inc()
+        print(
+            f"[workloads] corrupt trace memo {path.name}: {exc}; "
+            "regenerating",
+            file=sys.stderr,
+        )
+        return None
 
 
 def workload(

@@ -130,6 +130,16 @@ def _chip_fast_eligible(chip) -> bool:
     if not chip.config.migration_enabled:
         return True
     controller = chip.controller
+    return (
+        _controller_fast_eligible(controller)
+        and engine.active_core == controller._previous_subset
+    )
+
+
+def _controller_fast_eligible(controller) -> bool:
+    """Whether the generated controller blocks are exact for this
+    controller: exact component types, no probes, FIFO R-windows, one
+    shared store, and the previous subset equal to the current one."""
     if (
         type(controller) is not MigrationController
         or controller.probe is not None
@@ -156,12 +166,9 @@ def _chip_fast_eligible(chip) -> bool:
             return False
     # The generated loop recomputes the subset only when a filter
     # updates and takes the active core as the previous subset, which
-    # is only sound under this invariant (it holds for any chip driven
-    # solely through the public run paths).
-    subset = controller.current_subset()
-    if controller._previous_subset != subset or engine.active_core != subset:
-        return False
-    return True
+    # is only sound under this invariant (it holds for any chip or
+    # controller driven solely through the public run paths).
+    return controller._previous_subset == controller.current_subset()
 
 
 def _hierarchy_fast_eligible(hierarchy) -> bool:

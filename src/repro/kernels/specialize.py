@@ -50,6 +50,7 @@ record can be streamed through one chip in bounded pieces.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import repeat
 
 import numpy as np
 
@@ -58,7 +59,11 @@ from repro.caches.skewed import skew_hash
 from repro.core.affinity_store import AffinityCache
 from repro.core.mechanism import RWindowEntry
 from repro.kernels.arrays import skew_slot_matrix
-from repro.kernels.batch import _chip_fast_eligible, _hierarchy_fast_eligible
+from repro.kernels.batch import (
+    _chip_fast_eligible,
+    _controller_fast_eligible,
+    _hierarchy_fast_eligible,
+)
 from repro.obs.metrics import process_counter
 
 _UNSET = object()  # "cache never accessed here" sentinel for last_eviction
@@ -257,13 +262,23 @@ _MIGRATION_FLUSH = """if subset != active:
                 if cc != active and idx_by_core[cc])"""
 
 
-def _filter_update(fp: str, subset_source: str, l2_filtering: bool) -> str:
+#: the controller kernel's stand-in for the migration flush: count the
+#: transition and log where it happened
+_TRANSITION_COUNT = """if subset != active:
+    transitions += 1
+    active = subset
+    moves_append((i, subset))"""
+
+
+def _filter_update(
+    fp: str, subset_source: str, l2_filtering: bool, on_change: str
+) -> str:
     body = f"""{fp}_upd += 1
 value = {fp}_v + a_e
 {fp}_v = {fp}_lo if value < {fp}_lo else {fp}_hi if value > {fp}_hi else value
 {subset_source}
 updates += 1
-{_MIGRATION_FLUSH}"""
+{on_change}"""
     if l2_filtering:
         return "if l2_miss:\n" + _indent(body, 4)
     return body
@@ -414,6 +429,120 @@ _f_{fp}.sign_changes += {fp}_sc
 _f_{fp}._last_sign = {fp}_ls"""
 
 
+def _controller_source(
+    four_way: bool,
+    store_kind: str,
+    st_col_names: "list[str] | None",
+    st_ways: int,
+    l2_filtering: bool,
+    track: bool,
+    on_change: str,
+) -> "tuple[str, str, str]":
+    """``(locals, step, flush)`` of the migration controller in a
+    generated loop: loading its state into locals (``controller`` must
+    be bound), one sampled reference's step (``line``, ``c``, ``i`` and,
+    under L2 filtering, ``l2_miss`` bound; ``on_change`` runs after a
+    filter update with the new ``subset``), and writing the state back
+    (``ctrl_counts`` and ``active`` bound)."""
+    if four_way:
+        block_x = _mechanism_block(
+            "x", track, store_kind, st_col_names,
+            _filter_update("fx", _SUBSET_X_4WAY, l2_filtering, on_change),
+        )
+        block_p = _mechanism_block(
+            "p", track, store_kind, st_col_names,
+            _filter_update("fp", _subset_y("fp"), l2_filtering, on_change),
+        )
+        block_m = _mechanism_block(
+            "m", track, store_kind, st_col_names,
+            _filter_update("fn", _subset_y("fn"), l2_filtering, on_change),
+        )
+        ctrl_body = f"""if c == 1:
+{_indent(block_x, 4)}
+elif fx_v >= 0:
+    p_refs += 1
+{_indent(block_p, 4)}
+else:
+    m_refs += 1
+{_indent(block_m, 4)}"""
+    else:
+        ctrl_body = _mechanism_block(
+            "x", track, store_kind, st_col_names,
+            _filter_update("fx", _SUBSET_X_2WAY, l2_filtering, on_change),
+        )
+
+    prefixes = [("x", 0), ("p", 1), ("m", 2)] if four_way else [("x", 0)]
+    filters = (
+        [("fx", "controller.filter_x"),
+         ("fp", "controller.filter_y[+1]"),
+         ("fn", "controller.filter_y[-1]")]
+        if four_way
+        else [("fx", "controller.filter_x")]
+    )
+    if store_kind == "cache":
+        store_locals = """st_lines = store._lines
+st_values = store._values
+st_time = store._time
+st_num_sets = store._num_sets
+st_index_bits = store._index_bits
+st_way_range = range(store.ways)
+st_clock = store._clock
+st_idx = {}
+for slot, ln in enumerate(st_lines):
+    if ln is not None:
+        st_idx[ln] = slot
+st_idx_get = st_idx.get
+st_reads = st_writes = st_misses = st_evictions = 0"""
+        store_flush = """store.reads += st_reads
+store.writes += st_writes
+store.misses += st_misses
+store.evictions += st_evictions
+store._clock = st_clock"""
+    else:
+        store_locals = """ub_values = store._values
+ub_get = ub_values.get
+st_reads = st_writes = st_misses = 0"""
+        store_flush = """store.reads += st_reads
+store.writes += st_writes
+store.misses += st_misses"""
+    st_unpack = []
+    if st_ways:
+        names = ", ".join(f"t{w}" for w in range(st_ways))
+        if st_ways == 1:
+            names += ","
+        st_unpack = [f"{names} = st_cols"]
+    triple_entries = store_kind == "cache"
+    ctrl_locals = "\n".join(
+        ["store = controller.store",
+         "mechs = controller.mechanisms()",
+         store_locals]
+        + st_unpack
+        + [_mech_locals(p, idx, triple_entries) for p, idx in prefixes]
+        + [_filter_locals(fp, expr) for fp, expr in filters]
+        + (["p_refs = m_refs = 0"] if four_way else [])
+        + ["updates = transitions = 0"]
+    )
+    mech_refs = (
+        [("x", 0, "x_refs"), ("p", 1, "p_refs"), ("m", 2, "m_refs")]
+        if four_way
+        else [("x", 0, "x_refs")]
+    )
+    ctrl_flush = "\n".join(
+        ["ctrl_references, sampled_count, x_refs = ctrl_counts",
+         "cstats = controller.stats",
+         "cstats.references += ctrl_references",
+         "cstats.sampled_references += sampled_count",
+         "cstats.filter_updates += updates",
+         "cstats.transitions += transitions",
+         "controller._previous_subset = active"]
+        + [_mech_flush(p, idx, refs, triple_entries)
+           for p, idx, refs in mech_refs]
+        + [_filter_flush(fp) for fp, _ in filters]
+        + [store_flush]
+    )
+    return ctrl_locals, ctrl_body, ctrl_flush
+
+
 def _build_source(sig: tuple) -> str:
     (ways, migration, four_way, store_kind, slots_shared,
      l2_filtering, track, st_ways) = sig
@@ -421,12 +550,6 @@ def _build_source(sig: tuple) -> str:
     cols_unpack = ", ".join(f"s{w}" for w in range(ways))
     if ways == 1:
         cols_unpack += ","
-    st_unpack = ""
-    if st_ways:
-        st_unpack = ", ".join(f"t{w}" for w in range(st_ways))
-        if st_ways == 1:
-            st_unpack += ","
-        st_unpack = f"{st_unpack} = st_cols"
 
     # --- per-record L2 section of the loop body -----------------------
     # ``occ`` carries prebuilt (idx.get, dirty_list) pairs per occupied
@@ -518,104 +641,14 @@ else:
         st_col_names = [f"s{w}" for w in range(ways)]
     else:
         st_col_names = [f"t{w}" for w in range(st_ways)]
-    if not migration:
-        ctrl_body = ""
-    elif four_way:
-        block_x = _mechanism_block(
-            "x", track, store_kind, st_col_names,
-            _filter_update("fx", _SUBSET_X_4WAY, l2_filtering),
-        )
-        block_p = _mechanism_block(
-            "p", track, store_kind, st_col_names,
-            _filter_update("fp", _subset_y("fp"), l2_filtering),
-        )
-        block_m = _mechanism_block(
-            "m", track, store_kind, st_col_names,
-            _filter_update("fn", _subset_y("fn"), l2_filtering),
-        )
-        ctrl_body = f"""if c == 1:
-{_indent(block_x, 4)}
-elif fx_v >= 0:
-    p_refs += 1
-{_indent(block_p, 4)}
-else:
-    m_refs += 1
-{_indent(block_m, 4)}"""
-    else:
-        ctrl_body = _mechanism_block(
-            "x", track, store_kind, st_col_names,
-            _filter_update("fx", _SUBSET_X_2WAY, l2_filtering),
-        )
-
-    # --- controller locals + flush ------------------------------------
     if migration:
-        prefixes = [("x", 0), ("p", 1), ("m", 2)] if four_way else [("x", 0)]
-        filters = (
-            [("fx", "controller.filter_x"),
-             ("fp", "controller.filter_y[+1]"),
-             ("fn", "controller.filter_y[-1]")]
-            if four_way
-            else [("fx", "controller.filter_x")]
+        ctrl_locals, ctrl_body, ctrl_flush = _controller_source(
+            four_way, store_kind, st_col_names, st_ways, l2_filtering,
+            track, _MIGRATION_FLUSH,
         )
-        if store_kind == "cache":
-            store_locals = """st_lines = store._lines
-st_values = store._values
-st_time = store._time
-st_num_sets = store._num_sets
-st_index_bits = store._index_bits
-st_way_range = range(store.ways)
-st_clock = store._clock
-st_idx = {}
-for slot, ln in enumerate(st_lines):
-    if ln is not None:
-        st_idx[ln] = slot
-st_idx_get = st_idx.get
-st_reads = st_writes = st_misses = st_evictions = 0"""
-            store_flush = """store.reads += st_reads
-store.writes += st_writes
-store.misses += st_misses
-store.evictions += st_evictions
-store._clock = st_clock"""
-        else:
-            store_locals = """ub_values = store._values
-ub_get = ub_values.get
-st_reads = st_writes = st_misses = 0"""
-            store_flush = """store.reads += st_reads
-store.writes += st_writes
-store.misses += st_misses"""
-        triple_entries = store_kind == "cache"
-        ctrl_locals = "\n".join(
-            ["controller = chip.controller",
-             "store = controller.store",
-             "mechs = controller.mechanisms()",
-             store_locals]
-            + ([st_unpack] if st_ways else [])
-            + [_mech_locals(p, idx, triple_entries) for p, idx in prefixes]
-            + [_filter_locals(fp, expr) for fp, expr in filters]
-            + (["p_refs = m_refs = 0"] if four_way else [])
-            + ["updates = transitions = 0"]
-        )
-        mech_refs = (
-            [("x", 0, "x_refs"), ("p", 1, "p_refs"), ("m", 2, "m_refs")]
-            if four_way
-            else [("x", 0, "x_refs")]
-        )
-        ctrl_flush = "\n".join(
-            ["ctrl_references, sampled_count, x_refs = ctrl_counts",
-             "cstats = controller.stats",
-             "cstats.references += ctrl_references",
-             "cstats.sampled_references += sampled_count",
-             "cstats.filter_updates += updates",
-             "cstats.transitions += transitions",
-             "controller._previous_subset = active"]
-            + [_mech_flush(p, idx, refs, triple_entries)
-               for p, idx, refs in mech_refs]
-            + [_filter_flush(fp) for fp, _ in filters]
-            + [store_flush]
-        )
+        ctrl_locals = "controller = chip.controller\n" + ctrl_locals
     else:
-        ctrl_locals = ""
-        ctrl_flush = ""
+        ctrl_locals = ctrl_body = ctrl_flush = ""
 
     loop = f"""i = start - 1
 for {loop_vars} in zip({zip_args}):
@@ -736,6 +769,157 @@ def _kernel_for(sig: tuple):
     return kernel
 
 
+# -- the controller alone -------------------------------------------------
+#
+# ``MigrationController.observe_many`` runs the chip kernel's controller
+# step with no L2 around it: the same generated blocks, over the sampled
+# references only (an unsampled reference changes nothing but the
+# reference count), with the migration flush swapped for a transition
+# count that logs where each transition happened.
+
+#: controller shape -> compiled observe kernel
+_OBSERVE_KERNELS: dict = {}
+
+#: sampled references per observe kernel call
+_OBSERVE_BLOCK = 1 << 14
+
+
+def controller_signature(controller) -> tuple:
+    """``(four_way, store_kind, l2_filtering, track_window_affinity,
+    store_ways)``: the shape keying the observe kernels."""
+    cfg = controller.config
+    store = controller.store
+    finite = type(store) is AffinityCache
+    return (
+        cfg.num_subsets == 4,
+        "cache" if finite else "unbounded",
+        cfg.l2_filtering,
+        controller.mechanism_x.track_true_window_affinity,
+        store.ways if finite else 0,
+    )
+
+
+def _build_observe_source(sig: tuple) -> str:
+    four_way, store_kind, l2_filtering, track, st_ways = sig
+    # A finite store's write-miss path probes its own slot columns by
+    # the index of the sampled reference that enqueued the entry.
+    st_col_names = (
+        [f"t{w}" for w in range(st_ways)] if store_kind == "cache" else None
+    )
+    ctrl_locals, ctrl_body, ctrl_flush = _controller_source(
+        four_way, store_kind, st_col_names, st_ways, l2_filtering, track,
+        _TRANSITION_COUNT,
+    )
+    loop_vars = ["line"]
+    seqs = ["seq_line"]
+    if four_way:
+        loop_vars.append("c")
+        seqs.append("seq_c")
+    if l2_filtering:
+        loop_vars.append("l2_miss")
+        seqs.append("seq_m")
+    if len(seqs) == 1:
+        loop_head = "for line in seq_line:"
+    else:
+        loop_head = f"for {', '.join(loop_vars)} in zip({', '.join(seqs)}):"
+    return f"""def _observe(controller, seq_line, seq_c, seq_m, st_cols, ctrl_counts):
+{_indent(ctrl_locals, 4)}
+    active = controller._previous_subset
+    moves = []
+    moves_append = moves.append
+    i = -1
+    {loop_head}
+        i += 1
+{_indent(ctrl_body, 8)}
+{_indent(ctrl_flush, 4)}
+    return moves
+"""
+
+
+def _observe_kernel_for(sig: tuple):
+    kernel = _OBSERVE_KERNELS.get(sig)
+    if kernel is None:
+        namespace = {"skew_hash": skew_hash, "make_entry": RWindowEntry}
+        source = _build_observe_source(sig)
+        exec(compile(source, f"<observe {sig}>", "exec"), namespace)
+        kernel = _OBSERVE_KERNELS[sig] = namespace["_observe"]
+    return kernel
+
+
+def observe_many(controller, lines, l2_miss=None) -> np.ndarray:
+    """:meth:`MigrationController.observe` over ``lines`` (with
+    ``l2_miss`` flags, default all true), returning every reference's
+    pre-update subset as ``uint8``.
+
+    Runs the generated kernel when the controller is one the chip
+    kernel accepts, and the ``observe`` loop otherwise (a probe, an LRU
+    window, non-standard component types); both leave the controller in
+    the same state.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    n = len(lines)
+    if l2_miss is not None:
+        l2_miss = np.asarray(l2_miss, dtype=bool)
+        if len(l2_miss) != n:
+            raise ValueError(
+                f"{len(l2_miss)} l2_miss flags for {n} references"
+            )
+    if not _controller_fast_eligible(controller):
+        flags = repeat(True) if l2_miss is None else l2_miss.tolist()
+        return np.fromiter(
+            map(controller.observe, lines.tolist(), flags),
+            dtype=np.uint8,
+            count=n,
+        )
+    sig = controller_signature(controller)
+    four_way, _store_kind, l2_filtering, _track, st_ways = sig
+    codes = _control_codes(
+        lines, np.ones(n, dtype=bool), controller.config.sampling, four_way
+    )
+    sampled = np.flatnonzero(codes)
+    kernel = _observe_kernel_for(sig)
+    before = controller._previous_subset
+    cuts = [0]
+    subsets = [before]
+    # Kernel calls compose, so the Python lists they take are built a
+    # block at a time; the first call also counts the unsampled lines.
+    for start in range(0, max(1, len(sampled)), _OBSERVE_BLOCK):
+        block = sampled[start : start + _OBSERVE_BLOCK]
+        block_lines = lines[block]
+        block_codes = codes[block]
+        seq_m = None
+        if l2_filtering:
+            seq_m = (
+                bytes([1]) * len(block)
+                if l2_miss is None
+                else l2_miss[block].tobytes()
+            )
+        st_cols = None
+        if st_ways:
+            store = controller.store
+            matrix = skew_slot_matrix(block_lines, store._num_sets, st_ways)
+            st_cols = tuple(matrix[:, w].tolist() for w in range(st_ways))
+        counts = (
+            len(block) + (n - len(sampled) if start == 0 else 0),
+            len(block),
+            int(np.count_nonzero(block_codes == 1)),
+        )
+        moves = kernel(
+            controller,
+            block_lines.tolist(),
+            block_codes.tobytes() if four_way else None,
+            seq_m,
+            st_cols,
+            counts,
+        )
+        # A transition takes effect from the reference after its own.
+        for i, subset in moves:
+            cuts.append(int(block[i]) + 1)
+            subsets.append(subset)
+    cuts.append(n)
+    return np.repeat(np.array(subsets, dtype=np.uint8), np.diff(cuts))
+
+
 # -- per-record precomputation (memoised on the record) -----------------
 #
 # Two tiers: geometry-independent work (line list, write bytes, kind
@@ -798,9 +982,6 @@ def _precompute(record, chip, sig):
     rec_line, w_b, full_counts = _record_base(record)
     memo = _precomp_memo(record)
     cols = _slot_cols(record, num_sets, ways, memo)
-    lines_np = record.lines
-    kinds_np = record.kinds
-    n = len(lines_np)
     if migration:
         sampling = chip.controller.config.sampling
         sampling_key = (sampling.modulus, sampling.sampled_residues)
@@ -809,26 +990,9 @@ def _precompute(record, chip, sig):
         if c_b is not None:
             memo.move_to_end(ckey)
         else:
-            modulus, residues = sampling_key
-            req = kinds_np != 2
-            if residues is None:
-                samp = req
-                res = None
-            else:
-                res = lines_np % modulus
-                samp = np.isin(
-                    res, np.fromiter(residues, dtype=np.int64)
-                ) & req
-            ctrl = np.zeros(n, np.uint8)
-            if four_way:
-                if res is None:
-                    res = lines_np % modulus
-                odd = (res & 1) == 1
-                ctrl[samp & odd] = 1
-                ctrl[samp & ~odd] = 2
-            else:
-                ctrl[samp] = 1
-            c_b = ctrl.tobytes()
+            c_b = _control_codes(
+                record.lines, record.kinds != 2, sampling, four_way
+            ).tobytes()
             memo[ckey] = c_b
             _trim_memo(memo)
     else:
@@ -839,6 +1003,29 @@ def _precompute(record, chip, sig):
     else:
         st_cols = None
     return (rec_line, cols, w_b, c_b, full_counts, st_cols)
+
+
+def _control_codes(lines_np, requests, sampling, four_way) -> np.ndarray:
+    """Each record's controller step: 0 none (not a request, or not
+    sampled), 1 mechanism ``X``, 2 a ``Y`` mechanism (4-way, even
+    hash; 2-way sends every sampled request to ``X``)."""
+    modulus, residues = sampling.modulus, sampling.sampled_residues
+    if residues is None:
+        samp = requests
+        res = None
+    else:
+        res = lines_np % modulus
+        samp = np.isin(res, np.fromiter(residues, dtype=np.int64)) & requests
+    ctrl = np.zeros(len(lines_np), np.uint8)
+    if four_way:
+        if res is None:
+            res = lines_np % modulus
+        odd = (res & 1) == 1
+        ctrl[samp & odd] = 1
+        ctrl[samp & ~odd] = 2
+    else:
+        ctrl[samp] = 1
+    return ctrl
 
 
 def _kind_counts(kinds_np, start, end):

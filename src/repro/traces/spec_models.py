@@ -161,14 +161,35 @@ class SpecModel:
 
     def arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """The trace of :meth:`accesses` as ``(addresses int64, kinds
-        int8, instructions int64)`` arrays, generated a chunk at a time.
+        int8, instructions int64)`` arrays: :meth:`array_chunks`,
+        concatenated.
 
         :meth:`accesses` is the specification; this is its vectorised
         twin, equal to ``trace_to_arrays(self.accesses())`` in values
-        and dtypes (``tests/traces/test_spec_arrays.py``).  It makes
-        the same random draws in the same order and sizes, then gives
-        each component its share of the chunk as one block of elements
-        (:func:`_element_blocks`) scattered by pick.
+        and dtypes (``tests/traces/test_spec_arrays.py``).
+        """
+        length = self.length
+        addresses = np.empty(length, dtype=np.int64)
+        kinds = np.empty(length, dtype=np.int8)
+        instructions = np.empty(length, dtype=np.int64)
+        start = 0
+        for chunk in self.array_chunks():
+            end = start + len(chunk[0])
+            addresses[start:end], kinds[start:end], instructions[start:end] = chunk
+            start = end
+        return addresses, kinds, instructions
+
+    def array_chunks(
+        self,
+    ) -> "Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]":
+        """The trace of :meth:`arrays` in consecutive chunks of up to
+        65,536 references, generated one at a time, so a consumer that
+        goes chunk by chunk holds one chunk of the trace, not all of it.
+
+        It makes the same random draws as :meth:`accesses`, in the same
+        order and sizes, then gives each component its share of the
+        chunk as one block of elements (:func:`_element_blocks`)
+        scattered by pick.
         """
         cfg = self.config
         rng = make_rng(self._mixture_seed)
@@ -176,9 +197,6 @@ class SpecModel:
         blocks = [_element_blocks(c.behavior, self.length) for c in components]
         component_kinds = np.array([int(c.kind) for c in components], np.int8)
         length = self.length
-        addresses = np.empty(length, dtype=np.int64)
-        kinds = np.empty(length, dtype=np.int8)
-        instructions = np.empty(length, dtype=np.int64)
         mean_gap = cfg.instructions_per_access
         # An integral mean gap leaves the fractional accumulator of
         # accesses() at 0.0, so its whole part is the mean itself.
@@ -191,7 +209,6 @@ class SpecModel:
             picks = rng.choice(len(components), size=take, p=self._probabilities)
             store_draws = rng.random(take)
             jitter = rng.integers(-1, 2, size=take)
-            end = start + take
 
             elements = np.empty(take, dtype=np.int64)
             counts = np.bincount(picks, minlength=len(components))
@@ -200,14 +217,12 @@ class SpecModel:
                     elements[picks == which] = (
                         blocks[which](count) + self._bases[which]
                     )
-            addresses[start:end] = elements * 64
 
             chunk_kinds = component_kinds[picks]
             stores = (chunk_kinds == AccessKind.LOAD) & (
                 store_draws < cfg.store_fraction
             )
             chunk_kinds[stores] = AccessKind.STORE
-            kinds[start:end] = chunk_kinds
 
             if fractional:
                 wholes = []
@@ -221,10 +236,11 @@ class SpecModel:
                 whole_gaps = int(mean_gap)
             gaps = np.maximum(1, whole_gaps + jitter)
             offsets = np.cumsum(gaps)
-            instructions[start] = instruction
-            instructions[start + 1 : end] = instruction + offsets[:-1]
+            chunk_instructions = np.empty(take, dtype=np.int64)
+            chunk_instructions[0] = instruction
+            chunk_instructions[1:] = instruction + offsets[:-1]
             instruction += int(offsets[-1])
-        return addresses, kinds, instructions
+            yield elements * 64, chunk_kinds, chunk_instructions
 
 
 def _element_blocks(behavior, length: int) -> "Callable[[int], np.ndarray]":

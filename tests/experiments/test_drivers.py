@@ -5,8 +5,15 @@ import pytest
 
 from repro.experiments.figure3 import render_figure3, run_figure3
 from repro.experiments.figures45 import render_figures45, run_figures45
-from repro.experiments.table1 import render_table1, run_table1
+from repro.experiments.table1 import (
+    Table1Row,
+    render_table1,
+    run_table1,
+    run_table1_for,
+)
 from repro.experiments.table2 import render_table2, run_table2
+from repro.experiments.workloads import workload
+from repro.traces.filters import L1Filter, L1FilterConfig
 
 
 TINY = ["186.crafty", "bisort"]  # cheap workloads for driver tests
@@ -27,6 +34,24 @@ class TestTable1:
         """Table 1: crafty's IL1 misses dominate its DL1 misses."""
         rows = run_table1(["186.crafty"], scale=0.1)
         assert rows[0].il1_misses > rows[0].dl1_misses
+
+    @pytest.mark.parametrize("seed", [None, 5], ids=["default", "held-out"])
+    @pytest.mark.parametrize(
+        "name, scale",
+        [("179.art", 0.01), ("164.gzip", 0.01), ("health", 0.05)],
+    )
+    def test_row_equals_per_access_l1_filter(self, name, scale, seed):
+        """The array L1s give the row L1Filter counts access by access."""
+        spec = L1Filter(L1FilterConfig())
+        for _ in spec.filter(workload(name, scale=scale, seed=seed).accesses()):
+            pass
+        assert run_table1_for(name, scale=scale, seed=seed) == Table1Row(
+            name=name,
+            accesses=spec.accesses,
+            instructions=spec.instructions,
+            il1_misses=spec.il1_misses,
+            dl1_misses=spec.dl1_misses,
+        )
 
 
 class TestFigure3:

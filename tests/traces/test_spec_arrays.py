@@ -96,3 +96,27 @@ def test_every_block_path_matches():
         want = trace_to_arrays(SpecModel(config, length=length).accesses())
         got = SpecModel(config, length=length).arrays()
         assert_same_trace(got, want)
+
+
+def concatenated(chunks):
+    return tuple(np.concatenate([chunk[i] for chunk in chunks]) for i in range(3))
+
+
+@pytest.mark.parametrize("length", (1, 65_536, 65_537))
+def test_array_chunks_concatenate_to_accesses(length):
+    """Chunks of at most 65 536 references that join into the trace."""
+    chunks = list(spec_model("179.art", length=length, seed=5).array_chunks())
+    assert all(len(chunk[0]) <= 65_536 for chunk in chunks)
+    want = trace_to_arrays(spec_model("179.art", length=length, seed=5).accesses())
+    assert_same_trace(concatenated(chunks), want)
+
+
+def test_empty_model_has_no_chunks():
+    assert list(spec_model("179.art", length=0).array_chunks()) == []
+
+
+@pytest.mark.parametrize("name", ("164.gzip", "mst"))
+def test_workload_array_chunks_concatenate_to_arrays(name):
+    """SPEC chunks come from the generator, Olden ones are slices."""
+    spec = workload(name, scale=0.05)
+    assert_same_trace(concatenated(list(spec.array_chunks())), spec.arrays())
