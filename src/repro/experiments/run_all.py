@@ -5,7 +5,6 @@ Options::
     python -m repro.experiments.run_all --scale 0.5 --only table2
     python -m repro.experiments.run_all --workloads 179.art 181.mcf
     python -m repro.experiments.run_all --jobs 4 --seed 7 --runlog run.jsonl
-    python -m repro.experiments.run_all --server http://127.0.0.1:8321
 
 Every experiment fans its workloads out as jobs through
 :mod:`repro.runtime`: ``--jobs N`` runs them over N worker processes,
@@ -190,32 +189,13 @@ def main(argv: "list[str] | None" = None) -> int:
         help="dump a cProfile .prof per executed job into the --obs "
         "directory (or next to the --runlog, or ./profiles)",
     )
-    parser.add_argument(
-        "--server",
-        default=None,
-        metavar="URL",
-        help="submit jobs to a running repro.service instance at URL "
-        "instead of forking local workers (shares its queue, dedup, "
-        "and result cache with every other client)",
-    )
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.server and (args.obs or args.profile or args.checkpoint):
-        parser.error(
-            "--server executes on the remote service; --obs/--profile/"
-            "--checkpoint instrument local execution and cannot be "
-            "combined with it"
-        )
     if args.population and args.only:
         parser.error(
             "--population is its own experiment pass and cannot be "
             "combined with --only"
-        )
-    if args.population and args.server:
-        parser.error(
-            "--population coordinates record sharing locally and cannot "
-            "be combined with --server"
         )
     selected = (
         ["population"] if args.population else (args.only or list(_EXPERIMENTS))
@@ -230,25 +210,16 @@ def main(argv: "list[str] | None" = None) -> int:
             profile_dir = str(Path(args.runlog).parent / "profiles")
         else:
             profile_dir = "profiles"
-    if args.server:
-        from repro.runtime.events import EventBus, JsonlSink, StderrSink
-        from repro.service.client import RemoteRuntime, ServiceClient
-
-        sinks: "list[object]" = [] if args.quiet else [StderrSink()]
-        if args.runlog:
-            sinks.append(JsonlSink(args.runlog))
-        runtime = RemoteRuntime(ServiceClient(args.server), bus=EventBus(sinks))
-    else:
-        runtime = runtime_from_args(
-            jobs=args.jobs,
-            timeout=args.timeout,
-            cache_dir=args.cache_dir,
-            no_cache=args.no_cache,
-            runlog=args.runlog,
-            quiet=args.quiet,
-            profile_dir=profile_dir,
-            checkpoint=args.checkpoint,
-        )
+    runtime = runtime_from_args(
+        jobs=args.jobs,
+        timeout=args.timeout,
+        cache_dir=args.cache_dir,
+        no_cache=args.no_cache,
+        runlog=args.runlog,
+        quiet=args.quiet,
+        profile_dir=profile_dir,
+        checkpoint=args.checkpoint,
+    )
     if args.obs:
         from pathlib import Path
 

@@ -1,19 +1,18 @@
 """repro.faults — deterministic fault injection for the whole stack.
 
-The reproduction runs as a long-lived, multi-tenant system (worker
-pool, shared on-disk cache, HTTP service); this package exists to
-*prove* that stack survives the failures production actually sees.  A
-:class:`~repro.faults.plan.FaultPlan` scripts faults — worker crashes
-and hangs, torn and bit-flipped cache artifacts, full disks, dropped
-connections — keyed by injection **site** and arrival count, so every
-run of the same plan injects exactly the same faults.  Plans travel in
-the ``REPRO_FAULTS`` environment variable, reaching spawn-isolated
-worker processes untouched.
+Experiment sweeps run over worker processes and a shared on-disk
+cache; this package exists to *prove* that stack survives the failures
+long sweeps actually see.  A :class:`~repro.faults.plan.FaultPlan`
+scripts faults — worker crashes and hangs, torn and bit-flipped cache
+artifacts, full disks — keyed by injection **site** and arrival count,
+so every run of the same plan injects exactly the same faults.  Plans
+travel in the ``REPRO_FAULTS`` environment variable, reaching
+spawn-isolated worker processes untouched.
 
-Injection sites live on cold control paths of :mod:`repro.runtime`,
-:mod:`repro.kernels` sidecar I/O, and :mod:`repro.service`; the
-taxonomy, the recovery guarantees each site exercises, and the chaos
-suite that enforces them are documented in ``docs/robustness.md``.
+Injection sites live on cold control paths of :mod:`repro.runtime`
+and :mod:`repro.kernels` sidecar I/O; the taxonomy, the recovery
+guarantees each site exercises, and the chaos suite that enforces them
+are documented in ``docs/robustness.md``.
 
 Nothing here runs unless a plan is armed: every hook is a single
 ``is None`` check when injection is off.
@@ -35,7 +34,6 @@ from repro.faults.plan import (
     FAULTS_ENV,
     FaultPlan,
     FaultSpec,
-    InjectedDrop,
     InjectedFault,
 )
 
@@ -46,7 +44,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "InjectedDrop",
     "InjectedFault",
     "active_injector",
     "armed",

@@ -13,8 +13,8 @@ Arming happens two ways:
   ``REPRO_FAULTS``, so worker processes spawned afterwards (fork or
   spawn) inherit it;
 * the environment — the first hook invocation in any process lazily
-  reads ``REPRO_FAULTS``, which is how a spawn-isolated service worker
-  picks up the plan its parent armed.
+  reads ``REPRO_FAULTS``, which is how a worker started with the
+  ``spawn`` method picks up the plan its parent armed.
 
 Determinism: each site has one arrival counter, each spec fires on a
 scripted arrival window, and each spec owns a ``random.Random`` seeded
@@ -34,7 +34,6 @@ from pathlib import Path
 from repro.faults.plan import (
     BITFLIP,
     CRASH,
-    DROP,
     FAULTS_ENV,
     HANG,
     OSERROR,
@@ -42,7 +41,6 @@ from repro.faults.plan import (
     TRUNCATE,
     FaultPlan,
     FaultSpec,
-    InjectedDrop,
     InjectedFault,
 )
 
@@ -106,8 +104,6 @@ class FaultInjector:
         if spec.action == OSERROR:
             code = int(spec.arg) if spec.arg is not None else errno_module.ENOSPC
             raise OSError(code, os.strerror(code), site)
-        if spec.action == DROP:
-            raise InjectedDrop(f"injected connection drop at {site}")
         raise AssertionError(f"data action {spec.action!r} reached fire()")
 
     # -- data faults -----------------------------------------------------
@@ -213,7 +209,7 @@ def active_injector() -> "FaultInjector | None":
 
 
 def fire(site: str) -> None:
-    """Control hook: crash/hang/raise/oserror/drop at ``site`` if armed."""
+    """Control hook: crash/hang/raise/oserror at ``site`` if armed."""
     injector = _resolve()
     if injector is not None:
         injector.fire(site)

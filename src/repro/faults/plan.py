@@ -2,7 +2,7 @@
 
 A :class:`FaultSpec` arms one fault at one **injection site** — a
 string naming a seam in the stack (``"runtime.worker.start"``,
-``"cache.put"``, ``"service.request"``; the full taxonomy is in
+``"cache.put"``, ``"sidecar.save"``; the full taxonomy is in
 ``docs/robustness.md``).  Each site keeps an arrival counter, and a
 spec fires on arrivals ``nth .. nth+count-1`` — "kill the worker on
 its third job" is ``FaultSpec(site="runtime.worker.start",
@@ -16,8 +16,8 @@ is truncated) through a per-spec :class:`random.Random` — trigger
 timing is never random.
 
 Plans serialise to compact JSON and travel in the ``REPRO_FAULTS``
-environment variable, so spawn-isolated worker processes (the service
-default) inherit the active plan without any extra plumbing.
+environment variable, so worker processes started with the ``spawn``
+method inherit the active plan without any extra plumbing.
 """
 
 from __future__ import annotations
@@ -32,20 +32,14 @@ FAULTS_ENV = "REPRO_FAULTS"
 CRASH, HANG, RAISE, OSERROR = "crash", "hang", "raise", "oserror"
 #: data actions: corrupt the bytes flowing through the site
 TRUNCATE, BITFLIP = "truncate", "bitflip"
-#: connection action: sever the peer mid-exchange
-DROP = "drop"
 
-CONTROL_ACTIONS = (CRASH, HANG, RAISE, OSERROR, DROP)
+CONTROL_ACTIONS = (CRASH, HANG, RAISE, OSERROR)
 DATA_ACTIONS = (TRUNCATE, BITFLIP)
 ACTIONS = CONTROL_ACTIONS + DATA_ACTIONS
 
 
 class InjectedFault(Exception):
     """The exception a ``raise`` action throws at its site."""
-
-
-class InjectedDrop(ConnectionResetError):
-    """A ``drop`` action severing a connection (typed for tests)."""
 
 
 @dataclass(frozen=True)

@@ -392,8 +392,8 @@ def _sidecar_path(cache: ResultCache, job: Job) -> Path:
 
 # -- in-process record reuse --------------------------------------------
 #
-# A sweep process (serial mode, a service worker replaying many
-# variants, the population coordinator) calls ``ensure_l1_filter`` once
+# A sweep process (serial mode, the population coordinator replaying
+# many variants) calls ``ensure_l1_filter`` once
 # per variant; re-reading the same ``.l1f.npz`` each time costs a full
 # npz read *and* forfeits the per-record precompute memoised on the
 # record object.  Successfully *loaded* records are therefore kept in a

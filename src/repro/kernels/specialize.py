@@ -30,7 +30,7 @@ byte streams) is memoised on the record object in a small LRU
 (:data:`_PRECOMP_CAP` geometry keys; evictions counted on the process
 obs registry as ``kernels.precompute.evictions``), so sweeps
 replaying one record through many variants pay it once while
-long-lived service processes stay bounded.
+long-lived processes stay bounded.
 
 The single-core baseline gets the same treatment:
 :func:`replay_hierarchy_specialized` generates a per-associativity
@@ -926,7 +926,7 @@ def observe_many(controller, lines, l2_miss=None) -> np.ndarray:
 # counts) is computed once per record (`_record_base`); everything
 # keyed by chip geometry/sampling (slot columns, control bytes, store
 # columns) lives in a small LRU so a tuner replaying one record through
-# hundreds of distinct geometries cannot grow a service process without
+# hundreds of distinct geometries cannot grow the process without
 # bound.  LRU evictions are counted on the process obs registry.
 
 

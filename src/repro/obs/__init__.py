@@ -25,13 +25,10 @@ end-of-run counters average away.  This package adds the time axis:
 * :mod:`repro.obs.aggregate` — stitches per-worker artifacts into one
   merged Perfetto trace plus a machine-readable sweep summary
   (per-stage latency histograms, span-linkage check);
-* :mod:`repro.obs.trajectory` — the perf-history regression gate over
-  committed ``BENCH_*.json`` baselines;
 * :mod:`repro.obs.watch` — a live terminal view of a running sweep.
 
-Command line: ``python -m repro.obs {summarize,export,watch,
-trajectory}``; producer side: ``python -m repro.experiments.run_all
---obs <dir>``.
+Command line: ``python -m repro.obs {summarize,export,watch}``;
+producer side: ``python -m repro.experiments.run_all --obs <dir>``.
 """
 
 from repro.obs.aggregate import (

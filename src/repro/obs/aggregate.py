@@ -2,10 +2,9 @@
 
 A parallel sweep scatters telemetry: every worker process writes its
 own report triple (``*.metrics.json`` / ``*.events.jsonl`` /
-``*.trace.json``), the scheduler bridge appends ``runtime.jsonl``, a
-service instance appends ``service-runtime.jsonl``, and kernel phase
-spans land in ``phases.jsonl``.  This module merges any mix of those —
-directories, globs, or individual files — into:
+``*.trace.json``), the scheduler bridge appends ``runtime.jsonl``, and
+kernel phase spans land in ``phases.jsonl``.  This module merges any
+mix of those — directories, globs, or individual files — into:
 
 * **one Perfetto trace** (:func:`build_sweep_trace`): a ``scheduler``
   process with a root ``sweep`` span per trace id, one thread row per
@@ -39,7 +38,7 @@ from repro.obs.export import (
     load_events_jsonl,
     merge_trace_documents,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.probe import ObsReport
 from repro.obs.trace_context import load_phases
 
@@ -71,7 +70,6 @@ class SweepArtifacts:
     reports: "list[ObsReport]" = field(default_factory=list)
     runtime_events: "list[SimEvent]" = field(default_factory=list)
     phases: "list[dict[str, object]]" = field(default_factory=list)
-    service_metrics: "list[dict[str, object]]" = field(default_factory=list)
     sources: "list[Path]" = field(default_factory=list)
 
 
@@ -230,14 +228,6 @@ def _collect_dir(directory: Path, artifacts: SweepArtifacts) -> None:
             artifacts.phases.extend(load_phases(runlog))
             continue
         artifacts.runtime_events.extend(load_runlog(runlog))
-    metrics = directory / "service-metrics.json"
-    if metrics.is_file():
-        try:
-            data = json.loads(metrics.read_text(encoding="utf-8"))
-            if isinstance(data, dict):
-                artifacts.service_metrics.append(data)
-        except (OSError, json.JSONDecodeError):
-            pass
 
 
 def _collect_file(path: Path, artifacts: SweepArtifacts) -> None:
@@ -380,19 +370,6 @@ def sweep_summary(artifacts: SweepArtifacts) -> "dict[str, object]":
         if isinstance(dur, (int, float)):
             stage(f"phase.{name}_us").record(int(dur))
 
-    # Dedup/cache counters from a co-located service instance, when
-    # its metrics snapshot is part of the artifact set.
-    service_counters: "dict[str, object]" = {}
-    if artifacts.service_metrics:
-        merged = MetricsRegistry.merge_dicts(artifacts.service_metrics)
-        service_counters = {
-            name: metric["value"]
-            for name, metric in sorted(merged.items())
-            if isinstance(metric, dict)
-            and metric.get("type") == "counter"
-            and not name.startswith("service.tenant.")
-        }
-
     known_spans = set(roots.values())
     known_spans.update(s.span_id for s in spans if s.span_id)
     known_spans.update(
@@ -420,7 +397,6 @@ def sweep_summary(artifacts: SweepArtifacts) -> "dict[str, object]":
         "stages": {
             name: hist.to_dict() for name, hist in sorted(stages.items())
         },
-        "service": service_counters,
         "spans": [span.to_dict() for span in spans],
         "phase_spans": len(artifacts.phases),
         "reports": len(artifacts.reports),

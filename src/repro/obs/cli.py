@@ -5,7 +5,6 @@ Subcommands::
     python -m repro.obs summarize obs-out/ 'more-obs/*.metrics.json'
     python -m repro.obs export obs-out/ other-obs/ -o sweep/trace.json
     python -m repro.obs watch obs-out/
-    python -m repro.obs trajectory --check
 
 ``summarize`` prints a terminal table over every report found in the
 given directories/globs/files (one row per instrumented job), the
@@ -13,8 +12,7 @@ event-kind census, the merged chip counters, and the sweep roll-up
 (per-stage latency histograms, span-linkage check).  ``export`` merges
 everything into one Perfetto-loadable trace plus the machine-readable
 ``sweep_summary.json`` (see :mod:`repro.obs.aggregate`).  ``watch``
-tails a sweep's run logs live, and ``trajectory`` is the perf-history
-regression gate (:mod:`repro.obs.trajectory`).
+tails a sweep's run logs live.
 """
 
 from __future__ import annotations
@@ -166,25 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.obs.watch import add_watch_parser
 
     add_watch_parser(sub)
-
-    sub.add_parser(
-        "trajectory",
-        help="perf-trajectory report / regression gate over BENCH_*.json "
-        "(see `python -m repro.obs trajectory --help`)",
-        add_help=False,
-    )
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # `trajectory` owns its whole argument vector (argparse subparsers
-    # cannot hand leading options through untouched).
-    if argv and argv[0] == "trajectory":
-        from repro.obs import trajectory
-
-        return trajectory.main(argv[1:])
     args = build_parser().parse_args(argv)
     return args.handler(args)
 

@@ -13,8 +13,7 @@ Four instrument kinds, all allocation-light and JSON-exportable:
   sketch instead of growing without bound.
 
 A :class:`MetricsRegistry` names and owns instruments; everything
-serialises through :meth:`MetricsRegistry.to_dict` and merges across
-runs with :meth:`MetricsRegistry.merge_dicts`.
+serialises through :meth:`MetricsRegistry.to_dict`.
 """
 
 from __future__ import annotations
@@ -248,86 +247,6 @@ class MetricsRegistry:
             name: instrument.to_dict()
             for name, instrument in sorted(self._instruments.items())
         }
-
-    @staticmethod
-    def merge_dicts(
-        dicts: "list[dict[str, object]]",
-    ) -> "dict[str, object]":
-        """Merge exported registries: counters/histogram-totals sum,
-        gauges keep the last value, series concatenate in order."""
-        merged: "dict[str, object]" = {}
-        for exported in dicts:
-            for name, data in exported.items():
-                if name not in merged:
-                    merged[name] = _copy_metric(data)
-                    continue
-                _merge_metric(merged[name], data)
-        return merged
-
-
-def _percentile_from_buckets(
-    buckets: "dict[str, int]", count: int, sub_buckets: int, p: float
-) -> float:
-    if count == 0:
-        return 0.0
-    rank = max(1, round(p / 100.0 * count))
-    seen = 0
-    floor = 0.0
-    for index in sorted(buckets, key=int):
-        seen += buckets[index]
-        if int(index) == 0:
-            floor = 0.0
-        else:
-            octave, sub = divmod(int(index), sub_buckets)
-            floor = float((1 << octave) + ((sub << octave) // sub_buckets))
-        if seen >= rank:
-            return floor
-    return floor
-
-
-def _copy_metric(data: "dict[str, object]") -> "dict[str, object]":
-    copy = dict(data)
-    if data.get("type") == "histogram":
-        copy["buckets"] = dict(data.get("buckets", {}))
-    elif data.get("type") == "series":
-        copy["samples"] = [list(s) for s in data.get("samples", [])]
-    return copy
-
-
-def _merge_metric(target: "dict[str, object]", data: "dict[str, object]") -> None:
-    kind = target.get("type")
-    if kind != data.get("type"):
-        raise ValueError(
-            f"cannot merge metric types {kind!r} and {data.get('type')!r}"
-        )
-    if kind == "counter":
-        target["value"] += data["value"]
-    elif kind == "gauge":
-        target["value"] = data["value"]
-    elif kind == "histogram":
-        target["count"] += data["count"]
-        target["total"] += data["total"]
-        for edge in ("min", "max"):
-            values = [v for v in (target.get(edge), data.get(edge)) if v is not None]
-            if values:
-                target[edge] = (min if edge == "min" else max)(values)
-        target["mean"] = (
-            target["total"] / target["count"] if target["count"] else 0.0
-        )
-        buckets = target["buckets"]
-        for index, count in data.get("buckets", {}).items():
-            buckets[index] = buckets.get(index, 0) + count
-        sub_buckets = int(target.get("sub_buckets", 16))
-        for key, p in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0)):
-            target[key] = _percentile_from_buckets(
-                buckets, target["count"], sub_buckets, p
-            )
-    elif kind == "series":
-        target["samples"] = list(target["samples"]) + [
-            list(s) for s in data.get("samples", [])
-        ]
-    else:
-        raise ValueError(f"unknown metric type {kind!r}")
 
 
 # -- the process-global obs registry ------------------------------------

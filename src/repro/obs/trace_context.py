@@ -2,10 +2,10 @@
 
 A sweep mints one root :class:`TraceContext` (``trace_id`` + root
 ``span_id``); each job's span id is *derived* from the trace id and the
-job's content hash with :func:`span_for_job`, so the service broker,
-the scheduler, and a spawned worker independently agree on the same
-span id without coordinating — the id is a pure function of what they
-all already know.
+job's content hash with :func:`span_for_job`, so the scheduler's
+run-log events and the context a job runs under (in process or in a
+spawned worker) carry the same span id without coordinating — the id
+is a pure function of what they all already know.
 
 Propagation uses two channels:
 

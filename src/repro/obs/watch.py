@@ -1,11 +1,11 @@
 """``python -m repro.obs watch DIR`` — a live terminal view of a sweep.
 
-Tails the run logs in an ``--obs`` directory (``runtime.jsonl`` from a
-local scheduler, ``service-runtime.jsonl`` from a service instance) and
-redraws a per-job status table every ``--interval`` seconds: lifecycle
-state, attempts/retries, queue wait, run time, and replay throughput.
-Purely read-only — it re-reads the append-only JSONL files, so it can
-watch a sweep owned by any other process (or a finished one).
+Tails the run log in an ``--obs`` directory (``runtime.jsonl``, the
+bridged scheduler events) and redraws a per-job status table every
+``--interval`` seconds: lifecycle state, attempts/retries, queue wait,
+run time, and replay throughput.  Purely read-only — it re-reads the
+append-only JSONL file, so it can watch a sweep owned by any other
+process (or a finished one).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.common.tables import TextTable
 from repro.obs.aggregate import JobSpan, build_job_spans, load_runlog
 
 #: run logs a sweep directory may accumulate, in render order
-RUNLOG_NAMES = ("runtime.jsonl", "service-runtime.jsonl")
+RUNLOG_NAMES = ("runtime.jsonl",)
 
 _CLEAR = "\x1b[2J\x1b[H"
 

@@ -341,7 +341,7 @@ class ResultCache:
         return removed
 
     def prune(self, older_than_days: float) -> int:
-        """Retention for long-running services: delete every file whose
+        """Retention for a long-lived cache: delete every file whose
         mtime is older than ``older_than_days`` days (any generation) —
         payloads, L1-filter sidecars and trace memos alike — plus
         staging leftovers (``.tmp-*`` from crashed writers) older than

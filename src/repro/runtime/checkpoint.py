@@ -5,7 +5,7 @@ store: it can be disabled (``--no-cache``), on a full disk it degrades
 to compute-through, and a code edit invalidates it wholesale.  A
 :class:`SweepCheckpoint` is the narrow, per-sweep complement — one
 JSONL file journaling every completed job of one sweep, flushed and
-fsynced per record, so a driver or broker killed mid-sweep (SIGKILL,
+fsynced per record, so a driver killed mid-sweep (SIGKILL,
 OOM, power) restarts and loses **only the jobs that were in flight**.
 
 File shape (one JSON object per line)::

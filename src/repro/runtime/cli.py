@@ -103,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DAYS",
         help="retention mode: only remove files (any code version: "
         "artifacts, L1-filter sidecars, trace memos) older than DAYS "
-        "days, plus stale .tmp- staging files — the flag a long-running "
-        "service's cron uses to bound .repro-cache",
+        "days, plus stale .tmp- staging files — a retention setting "
+        "that bounds a long-lived .repro-cache",
     )
     clear.set_defaults(handler=_cmd_clear_cache)
     return parser

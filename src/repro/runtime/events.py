@@ -68,7 +68,7 @@ class JobEvent:
 
 
 def event_record(event: JobEvent) -> "dict[str, object]":
-    """One event's JSONL wire shape (run logs, the service's streams)."""
+    """One event's JSONL wire shape (run logs)."""
     record = asdict(event)
     record["refs_per_sec"] = event.refs_per_sec
     return record
@@ -155,9 +155,9 @@ class EventBus:
     failure kill the run (a full disk should not abort a simulation).
 
     Emission is serialised under a lock so one bus can be shared by
-    concurrent ``ExperimentRuntime.map`` calls (the service front end
-    submits from several threads): sink lines never interleave and a
-    JSONL run log stays one valid record per line.
+    concurrent ``ExperimentRuntime.map`` calls from several threads:
+    sink lines never interleave and a JSONL run log stays one valid
+    record per line.
     """
 
     def __init__(self, sinks: "Iterable[object]" = ()) -> None:

@@ -2,11 +2,10 @@
 
 Every hardening seam in the stack — corrupt-artifact quarantine, cache
 write degradation, crash-retry backoff, watchdog kill escalation,
-client retry budgets, sidecar rebuilds, checkpoint resumes — counts
-what it survived here, so "the run finished" and "the run finished
-*after recovering from three torn artifacts*" are distinguishable.
-The service exposes the snapshot under ``GET /status`` → ``health``;
-tests assert on it; the chaos suite's runlog artifact includes it.
+sidecar rebuilds, checkpoint resumes — counts what it survived here,
+so "the run finished" and "the run finished *after recovering from
+three torn artifacts*" are distinguishable.  Tests assert on the
+snapshot; the chaos suite's runlog artifact includes it.
 
 One registry per process (worker processes keep their own; their
 counts describe their own recoveries).  Counter names are stable API:

@@ -95,7 +95,7 @@ class Job:
             )
         # Validate eagerly so a NaN/Infinity (or unserialisable) param
         # fails at submission with a clear message, not later inside
-        # ``.hash`` deep in the scheduler or a service worker.
+        # ``.hash`` deep in the scheduler or a worker process.
         canonical_json(dict(params))
         return cls(fn=fn, params=tuple(sorted(params.items())), label=label)
 

@@ -20,12 +20,9 @@ Execution model:
   jobs keep their cache artifacts, and unfinished jobs are reported as
   ``interrupted`` — re-running the same job set resumes from the cache.
 
-Long-running front ends (``repro.service``) submit through the same
-entry point: ``map``/``run_one`` accept a ``cancel`` callable polled
-between poll rounds, so a drain request stops launching work and
-interrupts what is running without losing finished artifacts, and one
-runtime instance accepts concurrent ``map`` calls from several threads
-(aggregate stats are lock-guarded; each call manages its own workers).
+One runtime instance accepts concurrent ``map`` calls from several
+threads (aggregate stats are lock-guarded; each call manages its own
+workers).
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro import faults
 from repro.obs import trace_context
@@ -238,20 +235,8 @@ class ExperimentRuntime:
 
     # -- public API -----------------------------------------------------
 
-    def map(
-        self,
-        jobs: "Sequence[Job]",
-        cancel: "Callable[[], bool] | None" = None,
-    ) -> "list[JobOutcome]":
-        """Run every job; outcomes align with the input order.
-
-        ``cancel`` is polled between jobs (serial mode) or poll rounds
-        (parallel mode); once it returns true, no further work is
-        launched, running workers are terminated, and every unfinished
-        job is reported ``interrupted`` — exactly the Ctrl-C drain, but
-        triggered programmatically (a service draining on SIGTERM sets
-        a ``threading.Event`` and passes its ``is_set``).
-        """
+    def map(self, jobs: "Sequence[Job]") -> "list[JobOutcome]":
+        """Run every job; outcomes align with the input order."""
         jobs = list(jobs)
         with self._stats_lock:
             self.stats.submitted += len(jobs)
@@ -263,9 +248,9 @@ class ExperimentRuntime:
             # jobs>1 always isolates in workers — even a single job —
             # so crash containment and timeouts hold uniformly.
             if self.config.jobs <= 1:
-                outcomes = self._run_serial(jobs, cancel)
+                outcomes = self._run_serial(jobs)
             else:
-                outcomes = self._run_parallel(jobs, cancel)
+                outcomes = self._run_parallel(jobs)
         finally:
             with self._stats_lock:
                 self.stats.wall_time += time.monotonic() - start
@@ -274,10 +259,8 @@ class ExperimentRuntime:
                 self.stats.absorb(outcome)
         return outcomes
 
-    def run_one(
-        self, job: Job, cancel: "Callable[[], bool] | None" = None
-    ) -> JobOutcome:
-        return self.map([job], cancel=cancel)[0]
+    def run_one(self, job: Job) -> JobOutcome:
+        return self.map([job])[0]
 
     def close(self) -> None:
         """Flush and close every event sink (idempotent; sinks re-open
@@ -290,7 +273,7 @@ class ExperimentRuntime:
 
     def _root(self) -> "trace_context.TraceContext":
         """The sweep's root span: adopted from whoever activated a
-        context first (the service broker, an enclosing sweep via the
+        context first (the calling thread, an enclosing sweep via the
         environment), minted here otherwise.  Captured once so serial
         job activations never re-parent later events."""
         if self._trace_root is None:
@@ -374,17 +357,10 @@ class ExperimentRuntime:
 
     # -- serial mode ----------------------------------------------------
 
-    def _run_serial(
-        self,
-        jobs: "Sequence[Job]",
-        cancel: "Callable[[], bool] | None" = None,
-    ) -> "list[JobOutcome]":
+    def _run_serial(self, jobs: "Sequence[Job]") -> "list[JobOutcome]":
         outcomes: "list[JobOutcome]" = []
         interrupted_at: "int | None" = None
         for i, job in enumerate(jobs):
-            if cancel is not None and cancel():
-                interrupted_at = i
-                break
             cached = self._cached_outcome(job)
             if cached is not None:
                 outcomes.append(cached)
@@ -416,11 +392,7 @@ class ExperimentRuntime:
 
     # -- parallel mode --------------------------------------------------
 
-    def _run_parallel(
-        self,
-        jobs: "Sequence[Job]",
-        cancel: "Callable[[], bool] | None" = None,
-    ) -> "list[JobOutcome]":
+    def _run_parallel(self, jobs: "Sequence[Job]") -> "list[JobOutcome]":
         context = multiprocessing.get_context(self.config.start_method)
         outcomes: "list[JobOutcome | None]" = [None] * len(jobs)
         # (index, attempt, not_before): retried jobs carry a backoff
@@ -435,9 +407,6 @@ class ExperimentRuntime:
         running: "list[_Running]" = []
         try:
             while pending or running:
-                if cancel is not None and cancel():
-                    self._drain_interrupted(jobs, outcomes, pending, running)
-                    break
                 self._launch_ready(context, jobs, pending, running)
                 self._collect(jobs, outcomes, pending, running)
         except KeyboardInterrupt:
@@ -481,7 +450,7 @@ class ExperimentRuntime:
         running: "list[_Running]",
     ) -> None:
         """Terminate live workers and mark everything unfinished
-        ``interrupted`` (shared by Ctrl-C and the ``cancel`` hook)."""
+        ``interrupted`` (the Ctrl-C drain)."""
         self._terminate_all(running)
         for slot in running:
             self._emit("interrupted", jobs[slot.index])

@@ -1,7 +1,7 @@
 """Chaos suite fixtures: armed fault plans, clean health counters.
 
 Every test here injects scripted faults (:mod:`repro.faults`) into a
-real stack — scheduler, cache, sidecars, service — and asserts the
+real stack — scheduler, cache, sidecars, checkpoint — and asserts the
 recovery contract from ``docs/robustness.md``: the run ends in either
 bit-identical results or a clean, typed error.  Never a hang, never a
 traceback, never a silently wrong answer.

@@ -1,6 +1,6 @@
 """Kill a sweep driver mid-flight; restart; lose only in-flight work.
 
-The acceptance scenario: a driver (or broker) dies hard — SIGKILL
+The acceptance scenario: a driver dies hard — SIGKILL
 semantics, no cleanup — partway through a sweep.  A restart against the
 same checkpoint journal recomputes *only* the jobs that had not
 finished, and the final outcome set is identical to an undisturbed run.

@@ -142,12 +142,7 @@ class TestPopulationCli:
         # inherited it for all three variant jobs
         assert "record loads: 1 (sources: 3× inherited" in out
 
-    @pytest.mark.parametrize(
-        "extra",
-        [["--only", "table2"], ["--server", "http://127.0.0.1:9"]],
-        ids=["only", "server"],
-    )
-    def test_population_refuses_only_and_server(self, extra):
+    def test_population_refuses_only(self):
         with pytest.raises(SystemExit) as excinfo:
-            main(["--population", *extra])
+            main(["--population", "--only", "table2"])
         assert excinfo.value.code == 2

@@ -13,7 +13,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    InjectedDrop,
     InjectedFault,
 )
 
@@ -75,17 +74,6 @@ class TestControlActions:
         with pytest.raises(OSError) as info:
             injector.fire("s")
         assert info.value.errno == errno.EROFS
-
-    def test_drop_is_a_connection_reset(self):
-        injector = FaultInjector(
-            FaultPlan.of(FaultSpec(site="s", action="drop"))
-        )
-        with pytest.raises(ConnectionResetError):
-            injector.fire("s")
-        with pytest.raises(InjectedDrop):
-            FaultInjector(
-                FaultPlan.of(FaultSpec(site="s", action="drop"))
-            ).fire("s")
 
 
 class TestDataActions:

@@ -95,7 +95,7 @@ class TestLoadRunlog:
                 references=1000,
             ),
         ]
-        path = tmp_path / "service-runtime.jsonl"
+        path = tmp_path / "run.jsonl"
         path.write_text(
             "".join(
                 json.dumps(event_record(e), sort_keys=True) + "\n" for e in raw
@@ -161,12 +161,12 @@ class TestBuildJobSpans:
     def test_cross_runlog_ordering_uses_wall_clock(self):
         # Two processes wrote independent logs: seq restarts at 1 in
         # each, so ordering must come from the shared wall clock.
-        service_log = [_ev("queued", 100.0, 7, "aaa")]
+        other_log = [_ev("queued", 100.0, 7, "aaa")]
         scheduler_log = [
             _ev("started", 101.0, 1, "aaa"),
             _ev("finished", 103.0, 2, "aaa"),
         ]
-        (span,) = build_job_spans(scheduler_log + service_log)
+        (span,) = build_job_spans(scheduler_log + other_log)
         assert span.to_dict()["queue_wait_us"] == 1_000_000
 
     def test_one_span_per_job_hash(self):
@@ -219,18 +219,6 @@ class TestSweepSummary:
         artifacts.phases.append(stray)
         summary = sweep_summary(artifacts)
         assert summary["unlinked_spans"] == [stray["span_id"]]
-
-    def test_service_counters_merged(self):
-        artifacts = self._artifacts()
-        artifacts.service_metrics.append(
-            {
-                "service.cache_hits": {"type": "counter", "value": 3},
-                "service.tenant.alice": {"type": "counter", "value": 3},
-                "service.latency_us": {"type": "histogram", "count": 1},
-            }
-        )
-        summary = sweep_summary(artifacts)
-        assert summary["service"] == {"service.cache_hits": 3}
 
 
 class TestSchedulerTrace:
@@ -290,17 +278,12 @@ class TestCollectAndWrite:
         (directory / "phases.jsonl").write_text(
             json.dumps(_phase("aaa"), sort_keys=True) + "\n", encoding="utf-8"
         )
-        (directory / "service-metrics.json").write_text(
-            json.dumps({"service.executed": {"type": "counter", "value": 1}}),
-            encoding="utf-8",
-        )
 
     def test_directory_collection(self, tmp_path):
         self._populate(tmp_path)
         artifacts = collect_artifacts([tmp_path])
         assert len(artifacts.runtime_events) == 3
         assert len(artifacts.phases) == 1
-        assert artifacts.service_metrics
 
     def test_glob_and_file_inputs(self, tmp_path):
         self._populate(tmp_path / "a")

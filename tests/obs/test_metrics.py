@@ -191,44 +191,3 @@ class TestRegistry:
         exported = r.to_dict()
         assert list(exported) == ["a", "b", "c", "d"]
         json.dumps(exported)
-
-    def test_merge_sums_counters_and_recomputes_percentiles(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.counter("migrations").inc(2)
-        r2.counter("migrations").inc(3)
-        for v in range(1, 50):
-            r1.histogram("gap").record(v)
-        for v in range(1000, 1100):
-            r2.histogram("gap").record(v)
-        merged = MetricsRegistry.merge_dicts([r1.to_dict(), r2.to_dict()])
-        assert merged["migrations"]["value"] == 5
-        gap = merged["gap"]
-        assert gap["count"] == 149
-        assert gap["min"] == 1
-        assert gap["max"] == 1099
-        # p95 must reflect the merged distribution, not either input's.
-        assert gap["p95"] > r1.to_dict()["gap"]["p95"]
-
-    def test_merge_concatenates_series_and_keeps_last_gauge(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.series("s").append(1, 1.0)
-        r2.series("s").append(2, 2.0)
-        r1.gauge("g").set(1.0)
-        r2.gauge("g").set(9.0)
-        merged = MetricsRegistry.merge_dicts([r1.to_dict(), r2.to_dict()])
-        assert merged["s"]["samples"] == [[1, 1.0], [2, 2.0]]
-        assert merged["g"]["value"] == 9.0
-
-    def test_merge_type_mismatch_raises(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.counter("x")
-        r2.gauge("x")
-        with pytest.raises(ValueError, match="merge"):
-            MetricsRegistry.merge_dicts([r1.to_dict(), r2.to_dict()])
-
-    def test_merge_does_not_mutate_inputs(self):
-        r = MetricsRegistry()
-        r.counter("x").inc()
-        exported = r.to_dict()
-        MetricsRegistry.merge_dicts([exported, exported])
-        assert exported["x"]["value"] == 1

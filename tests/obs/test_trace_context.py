@@ -23,7 +23,7 @@ class TestDerivation:
 
     def test_span_for_job_agrees_across_callers(self):
         # The whole cross-process correlation story rests on this:
-        # broker, scheduler, and worker each derive the same span id
+        # the scheduler and a worker each derive the same span id
         # from (trace_id, job_hash) without talking to each other.
         root = tc.mint_root(seed="s")
         assert tc.span_for_job(root.trace_id, "abc") == tc.span_for_job(

@@ -149,6 +149,30 @@ class TestParallel:
         assert "timeout" in outcomes[0].error
         assert outcomes[1].status == "ok"
 
+    def test_keyboard_interrupt_drains_workers(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        real_collect = ExperimentRuntime._collect
+        rounds = []
+
+        def collect(self, *args):
+            rounds.append(None)
+            if len(rounds) == 2:
+                raise KeyboardInterrupt
+            real_collect(self, *args)
+
+        monkeypatch.setattr(ExperimentRuntime, "_collect", collect)
+        sink = MemorySink()
+        rt = runtime(tmp_path, sink=sink, jobs=2, use_cache=False)
+        outcomes = rt.map(
+            [Job.create(SLOW, seconds=30.0), Job.create(SLOW, seconds=31.0)]
+        )
+        assert [o.status for o in outcomes] == ["interrupted"] * 2
+        # Both workers were terminated and reaped, not left sleeping.
+        assert multiprocessing.active_children() == []
+        assert [e.event for e in sink.events].count("interrupted") == 2
+        assert sink.closed  # interrupted events flushed with the bus
+
     def test_job_exception_in_worker_not_retried(self, tmp_path):
         sink = MemorySink()
         rt = runtime(tmp_path, sink=sink, jobs=2, retries=3)
@@ -156,62 +180,6 @@ class TestParallel:
         assert outcomes[0].status == "failed"
         assert outcomes[0].attempts == 1  # exceptions are deterministic
         assert "det" in outcomes[0].error
-
-
-class TestCancelHook:
-    """The external cancellation seam the service's drain uses: a
-    ``cancel()`` callable polled between jobs that turns the rest of
-    the batch into ``interrupted`` outcomes, exactly like Ctrl-C."""
-
-    def test_serial_cancel_between_jobs(self, tmp_path):
-        rt = runtime(tmp_path, jobs=1)
-        checks = iter([False, True])
-
-        def cancel():
-            return next(checks, True)
-
-        outcomes = rt.map(
-            [Job.create(ECHO, value=i) for i in range(3)], cancel=cancel
-        )
-        assert [o.status for o in outcomes] == [
-            "ok",
-            "interrupted",
-            "interrupted",
-        ]
-        # The finished job reached the cache: resubmission resumes.
-        assert rt.map([Job.create(ECHO, value=0)])[0].status == "cached"
-
-    def test_already_cancelled_runs_nothing(self, tmp_path):
-        rt = runtime(tmp_path, jobs=1, use_cache=False)
-        outcomes = rt.map(
-            [Job.create(ECHO, value=i) for i in range(3)],
-            cancel=lambda: True,
-        )
-        assert [o.status for o in outcomes] == ["interrupted"] * 3
-        assert rt.stats.executed == 0
-
-    def test_parallel_cancel_terminates_workers(self, tmp_path):
-        import threading
-
-        rt = runtime(tmp_path, jobs=2, use_cache=False)
-        flag = threading.Event()
-        flag.set()
-        outcomes = rt.map(
-            [Job.create(SLOW, seconds=30.0), Job.create(SLOW, seconds=31.0)],
-            cancel=flag.is_set,
-        )
-        assert [o.status for o in outcomes] == ["interrupted"] * 2
-
-    def test_event_is_set_works_as_cancel(self, tmp_path):
-        """The exact shape the service passes: threading.Event.is_set."""
-        import threading
-
-        rt = runtime(tmp_path, jobs=1)
-        flag = threading.Event()
-        outcomes = rt.map(
-            [Job.create(ECHO, value=41)], cancel=flag.is_set
-        )
-        assert outcomes[0].status == "ok"
 
 
 class TestStats:
