@@ -18,19 +18,25 @@ Entry points (normally reached via ``MultiCoreChip.run_arrays`` /
 
 Every path is **bit-identical** to the per-access simulator: same
 ``ChipStats`` / ``HierarchyStats``, same cache contents and per-cache
-``CacheStats``, same controller/affinity state, same update-bus bytes.
-The differential tests in ``tests/kernels`` enforce this on synthetic
-and Olden traces.
+``CacheStats``, same controller/affinity state, same update-bus bytes,
+and, under a probe, the same telemetry report.  The differential tests
+in ``tests/kernels`` enforce this on synthetic and Olden traces.
 
 A record replays in one of two regimes:
 
 * **specialized** — when the model is built from the exact standard
-  component types with no probe and no prefetchers, through the kernel
-  generated for its shape (:mod:`repro.kernels.specialize`);
-* **generic** — any probe, prefetcher, or non-standard component type
-  replays through the real component methods.  Probe event streams
-  stay exact: the replay fires ``probe.on_access`` at every sample
-  threshold and at each record's access number, which reproduces the
+  component types with no prefetchers, and either no probe or the
+  :class:`~repro.obs.probe.SimProbe` its constructor attached to every
+  component, through the kernel generated for its shape
+  (:mod:`repro.kernels.specialize`).  Under that probe the kernel's
+  telemetry variant logs raw events, and
+  :meth:`~repro.obs.probe.SimProbe.replay_log` feeds them through the
+  probe's hooks afterwards;
+* **generic** — any other probe, a prefetcher, or a non-standard
+  component type replays through the real component methods.  Probe
+  event streams stay exact: the replay fires ``probe.on_access`` at
+  every sample threshold and at each record's access number (counted
+  on from the model's own access count), which reproduces the
   per-access sampling because references that hit in the L1s never
   change the sampled counters (see ``docs/performance.md``).
 """
@@ -46,6 +52,7 @@ from repro.kernels.arrays import as_trace_arrays
 from repro.kernels.l1filter import L1FilterRecord, filter_through_l1s
 from repro.multicore.coherence import CoherentL2s
 from repro.multicore.migration import MigrationEngine
+from repro.obs.probe import SimProbe
 
 
 # -- public entry points ------------------------------------------------
@@ -68,12 +75,19 @@ def run_chip_filtered(chip, record: L1FilterRecord):
     matches running the original trace exactly.
     """
     record.require_match(chip.config.caches)
-    if _chip_fast_eligible(chip):
+    probe = chip.probe
+    if not _chip_fast_eligible(chip, probe):
+        _replay_chip_generic(chip, record)
+    elif probe is None:
         from repro.kernels.specialize import replay_chip_specialized
 
         replay_chip_specialized(chip, record)
     else:
-        _replay_chip_generic(chip, record)
+        from repro.kernels.specialize import KernelLog, replay_chip_specialized
+
+        log = KernelLog(record.records)
+        replay_chip_specialized(chip, record, log)
+        probe.replay_log(record, log)
     return chip.stats
 
 
@@ -90,33 +104,59 @@ def run_hierarchy_arrays(hierarchy, addresses, kinds, instructions):
 def run_hierarchy_filtered(hierarchy, record: L1FilterRecord):
     """Replay an L1-filter record through the baseline's L2."""
     record.require_match(hierarchy.config)
-    if _hierarchy_fast_eligible(hierarchy):
+    probe = hierarchy.probe
+    if not _hierarchy_fast_eligible(hierarchy, probe):
+        _replay_hierarchy_generic(hierarchy, record)
+    elif probe is None:
         from repro.kernels.specialize import replay_hierarchy_specialized
 
         replay_hierarchy_specialized(hierarchy, record)
     else:
-        _replay_hierarchy_generic(hierarchy, record)
+        from repro.kernels.specialize import (
+            KernelLog,
+            replay_hierarchy_specialized,
+        )
+
+        log = KernelLog(record.records)
+        replay_hierarchy_specialized(hierarchy, record, log)
+        probe.replay_log(record, log)
     return hierarchy.stats
 
 
 # -- specialized-kernel eligibility -------------------------------------
 
 
-def _chip_fast_eligible(chip) -> bool:
+def _kernel_probe(probe, chip=None, hierarchy=None) -> bool:
+    """Whether a kernel replay can log for ``probe``: none at all, or a
+    plain :class:`SimProbe` bound to this one model (its samples then
+    read nothing but the model the log describes)."""
+    return probe is None or (
+        type(probe) is SimProbe
+        and probe._chip is chip
+        and probe._hierarchy is hierarchy
+    )
+
+
+def _chip_fast_eligible(chip, probe=None) -> bool:
     """Whether the specialized chip kernels are exact for this chip.
 
     Exact component types only (a subclass may override any method the
-    generated loop transcribes), no probes anywhere, no prefetchers,
-    FIFO R-windows, and the active-core/controller-subset invariant
-    intact.
+    generated loop transcribes), ``probe`` on every component (the
+    default ``None``: no probes anywhere; a kernel replay can log for
+    a probe, see :func:`_kernel_probe`), no prefetchers, FIFO
+    R-windows, and the active-core/controller-subset invariant intact.
     """
-    if chip.probe is not None or chip.prefetchers is not None:
+    if (
+        chip.probe is not probe
+        or not _kernel_probe(probe, chip=chip)
+        or chip.prefetchers is not None
+    ):
         return False
     engine = chip.engine
-    if type(engine) is not MigrationEngine or engine.probe is not None:
+    if type(engine) is not MigrationEngine or engine.probe is not probe:
         return False
     l2s = chip.l2s
-    if type(l2s) is not CoherentL2s or l2s.probe is not None:
+    if type(l2s) is not CoherentL2s or l2s.probe is not probe:
         return False
     caches = l2s.caches
     first = caches[0]
@@ -131,18 +171,19 @@ def _chip_fast_eligible(chip) -> bool:
         return True
     controller = chip.controller
     return (
-        _controller_fast_eligible(controller)
+        _controller_fast_eligible(controller, probe)
         and engine.active_core == controller._previous_subset
     )
 
 
-def _controller_fast_eligible(controller) -> bool:
+def _controller_fast_eligible(controller, probe=None) -> bool:
     """Whether the generated controller blocks are exact for this
-    controller: exact component types, no probes, FIFO R-windows, one
-    shared store, and the previous subset equal to the current one."""
+    controller: exact component types, ``probe`` (default: none) on it
+    and every filter and mechanism, FIFO R-windows, one shared store,
+    and the previous subset equal to the current one."""
     if (
         type(controller) is not MigrationController
-        or controller.probe is not None
+        or controller.probe is not probe
     ):
         return False
     if type(controller.store) not in (AffinityCache, UnboundedAffinityStore):
@@ -150,7 +191,7 @@ def _controller_fast_eligible(controller) -> bool:
     for mechanism in controller.mechanisms():
         if (
             type(mechanism) is not SplitMechanism
-            or mechanism.probe is not None
+            or mechanism.probe is not probe
             or mechanism.lru_window
             or mechanism.store is not controller.store
         ):
@@ -161,7 +202,7 @@ def _controller_fast_eligible(controller) -> bool:
     ]:
         if (
             type(transition_filter) is not TransitionFilter
-            or transition_filter.probe is not None
+            or transition_filter.probe is not probe
         ):
             return False
     # The generated loop recomputes the subset only when a filter
@@ -171,9 +212,10 @@ def _controller_fast_eligible(controller) -> bool:
     return controller._previous_subset == controller.current_subset()
 
 
-def _hierarchy_fast_eligible(hierarchy) -> bool:
+def _hierarchy_fast_eligible(hierarchy, probe=None) -> bool:
     return (
-        hierarchy.probe is None
+        hierarchy.probe is probe
+        and _kernel_probe(probe, hierarchy=hierarchy)
         and hierarchy.prefetcher is None
         and type(hierarchy.l2) is SkewedAssociativeCache
     )
@@ -218,21 +260,24 @@ def _replay_chip_generic(chip, record: L1FilterRecord):
         # references, which change nothing the probe samples — firing
         # on_access at exactly the threshold reproduces the per-access
         # clock.  Each record then gets on_access at its own access
-        # number *before* its effects, as in MultiCoreChip.access.
+        # number *before* its effects, as in MultiCoreChip.access; the
+        # numbers count on from the accesses the chip has already run.
         on_access = probe.on_access
+        clock = stats.accesses
         for index, line, rkind in zip(
             record.indices.tolist(), lines, rkinds
         ):
-            access_number = index + 1
+            access_number = clock + index + 1
             while probe._next_sample < access_number:
                 on_access(probe._next_sample)
             on_access(access_number)
             _apply_chip_record(chip, stats, line, rkind, line_size)
         if n:
-            while probe._next_sample <= n:
+            end = clock + n
+            while probe._next_sample <= end:
                 on_access(probe._next_sample)
-            if probe.now < n:
-                on_access(n)
+            if probe.now < end:
+                on_access(end)
     stats.accesses += n
     if record.max_instruction >= stats.instructions:
         stats.instructions = record.max_instruction + 1
@@ -259,19 +304,21 @@ def _replay_hierarchy_generic(hierarchy, record: L1FilterRecord):
             _apply_hierarchy_record(hierarchy, stats, line, rkind)
     else:
         on_access = probe.on_access
+        clock = stats.accesses
         for index, line, rkind in zip(
             record.indices.tolist(), lines, rkinds
         ):
-            access_number = index + 1
+            access_number = clock + index + 1
             while probe._next_sample < access_number:
                 on_access(probe._next_sample)
             on_access(access_number)
             _apply_hierarchy_record(hierarchy, stats, line, rkind)
         if n:
-            while probe._next_sample <= n:
+            end = clock + n
+            while probe._next_sample <= end:
                 on_access(probe._next_sample)
-            if probe.now < n:
-                on_access(n)
+            if probe.now < end:
+                on_access(end)
     stats.accesses += n
     if record.max_instruction >= stats.instructions:
         stats.instructions = record.max_instruction + 1

@@ -1,21 +1,23 @@
 """Trace-specialized replay kernels (generated per chip shape).
 
-These are the one fast replay of an L1-filter record: every
-probe-free chip and baseline hierarchy built from the standard
-component types replays through them (:mod:`repro.kernels.batch`
-dispatches).  The inner loop is generated **per chip shape**: every
-configuration branch (L2 filtering on/off, 2-way vs 4-way routing,
-store kind, exact-window tracking) is hoisted out of the loop at
-code-generation time, the mechanism/filter/store state lives in flat
-locals, L2 residency is tracked in per-core ``line -> slot`` dicts (an
-O(1) hit check replacing the per-way tag scan), and per-record clocks
-are derived from the loop index instead of incremented (the LRU
-timestamp of record ``i`` in a reign is ``cbase + i``).
+These are the one fast replay of an L1-filter record: every chip and
+baseline hierarchy built from the standard component types replays
+through them, with no probe or with the
+:class:`~repro.obs.probe.SimProbe` its constructor attached
+(:mod:`repro.kernels.batch` dispatches).  The inner loop is generated
+**per chip shape**: every configuration branch (L2 filtering on/off,
+2-way vs 4-way routing, store kind, exact-window tracking) is hoisted
+out of the loop at code-generation time, the mechanism/filter/store
+state lives in flat locals, L2 residency is tracked in per-core
+``line -> slot`` dicts (an O(1) hit check replacing the per-way tag
+scan), and per-record clocks are derived from the loop index instead
+of incremented (the LRU timestamp of record ``i`` in a reign is
+``cbase + i``).
 
 The **shape signature** — the dispatch key — is::
 
     (l2_ways, migration_enabled, four_way, store_kind, slots_shared,
-     l2_filtering, track_window_affinity, store_ways)
+     l2_filtering, track_window_affinity, store_ways, telemetry)
 
 ``store_ways`` is non-zero only for a finite affinity cache whose
 geometry *differs* from the L2s: those kernels carry a second
@@ -24,13 +26,24 @@ R-window evictions never hash scalar-ly in the loop (when the
 geometries agree — ``slots_shared`` — the L2 row is reused, as
 before).
 
+``telemetry`` selects the variant a probed model replays through: at
+the points where the component hooks fire, it appends raw events to a
+:class:`KernelLog` (the record index of each L2 eviction and R-window
+rollover, each filter sign change and migration, one L2-miss flag per
+record), which :meth:`~repro.obs.probe.SimProbe.replay_log` then feeds
+through the probe's hooks.  Without it the generated source is the
+plain kernel's, byte for byte; probe-free models keep that one, which
+takes 7–9 % less CPU per pass (``docs/performance.md``).
+
 Generated kernels are cached per signature for the life of the
 process; per-record precomputation (slot-matrix columns, store/control
 byte streams) is memoised on the record object in a small LRU
 (:data:`_PRECOMP_CAP` geometry keys; evictions counted on the process
 obs registry as ``kernels.precompute.evictions``), so sweeps
 replaying one record through many variants pay it once while
-long-lived processes stay bounded.
+long-lived processes stay bounded.  The memo holds typed arrays: the
+lines as ``array('q')`` and each slot column as ``array('i')``, 8 + 4
+bytes per way per record.
 
 The single-core baseline gets the same treatment:
 :func:`replay_hierarchy_specialized` generates a per-associativity
@@ -49,6 +62,7 @@ record can be streamed through one chip in bounded pieces.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from itertools import repeat
 
@@ -77,11 +91,15 @@ _PRECOMP_CAP = 8
 _KERNELS: dict = {}
 
 
-def chip_signature(chip) -> tuple:
-    """The shape signature keying the kernel dispatch table."""
+def chip_signature(chip, telemetry: bool = False) -> tuple:
+    """The shape signature keying the kernel dispatch table;
+    ``telemetry`` selects the variant that fills a :class:`KernelLog`."""
     first = chip.l2s.caches[0]
     if not chip.config.migration_enabled:
-        return (first.ways, False, False, "none", False, False, False, 0)
+        return (
+            first.ways, False, False, "none", False, False, False, 0,
+            telemetry,
+        )
     controller = chip.controller
     cfg = controller.config
     store = controller.store
@@ -104,7 +122,31 @@ def chip_signature(chip) -> tuple:
         cfg.l2_filtering,
         controller.mechanism_x.track_true_window_affinity,
         store_ways,
+        telemetry,
     )
+
+
+class KernelLog:
+    """The raw events of one telemetry kernel replay, by record index.
+
+    Only what the probe's hooks need:
+    :meth:`~repro.obs.probe.SimProbe.replay_log` turns it back into the
+    hook calls the component methods would have made.
+    """
+
+    __slots__ = ("l2_miss", "evictions", "rollovers", "flips", "migrations")
+
+    def __init__(self, records: int) -> None:
+        #: one byte per record: 1 where the record missed the L2
+        self.l2_miss = bytearray(records)
+        #: the record index of each L2 eviction
+        self.evictions = array("q")
+        #: ``(record, SplitMechanism, mechanism references)``
+        self.rollovers: "list[tuple]" = []
+        #: ``(record, TransitionFilter, new sign, filter value)``
+        self.flips: "list[tuple]" = []
+        #: ``(record, from core, to core)``
+        self.migrations: "list[tuple[int, int, int]]" = []
 
 
 # -- code generation ----------------------------------------------------
@@ -262,6 +304,13 @@ _MIGRATION_FLUSH = """if subset != active:
                 if cc != active and idx_by_core[cc])"""
 
 
+def _migration_flush(telemetry: bool) -> str:
+    if not telemetry:
+        return _MIGRATION_FLUSH
+    head, body = _MIGRATION_FLUSH.split("\n", 1)
+    return f"{head}\n    move_append((i, active, subset))\n{body}"
+
+
 #: the controller kernel's stand-in for the migration flush: count the
 #: transition and log where it happened
 _TRANSITION_COUNT = """if subset != active:
@@ -284,14 +333,34 @@ updates += 1
     return body
 
 
+#: mechanism prefix -> its index in ``controller.mechanisms()`` (the
+#: loop binds mechanism ``index`` as ``_m{index}``)
+_MECHANISM_INDEX = {"x": 0, "p": 1, "m": 2}
+
+
+def _rollover_check(p: str) -> str:
+    """``SplitMechanism.process``'s rollover test: log the record and
+    the mechanism once a full window of references has passed since the
+    last rollover."""
+    return f"""{p}_rc += 1
+if {p}_rc - {p}_rm >= {p}_ws:
+    {p}_rm = {p}_rc
+    roll_append((i, _m{_MECHANISM_INDEX[p]}, {p}_rc))
+"""
+
+
 def _mechanism_block(
     prefix: str,
     sig_track: bool,
     store_kind: str,
     st_col_names: "list[str] | None",
     filter_source: str,
+    telemetry: bool = False,
 ) -> str:
+    """One mechanism's step; with ``telemetry`` it also logs R-window
+    rollovers."""
     p = prefix
+    rollover = _rollover_check(p) if telemetry else ""
     if st_col_names is not None:
         # finite store: carry the record index; the write-miss path
         # probes the precomputed slot columns by that index
@@ -332,48 +401,48 @@ else:
     value = {p}_w + a_e
 {p}_w = {p}_wlo if value < {p}_wlo else {p}_whi if value > {p}_whi else value
 {step_source}
-{filter_source}"""
+{rollover}{filter_source}"""
 
 
-_SUBSET_X_4WAY = """if fx_v >= 0:
-    if fx_ls != 1:
-        fx_sc += 1
-        fx_ls = 1
-    subset = 0 if fp_v >= 0 else 1
+def _sign_check(fp: str, sign: int, telemetry: bool) -> str:
+    """Count a change of ``fp``'s sign to ``sign`` (with telemetry, log
+    it with the post-update value, as ``TransitionFilter.update``
+    reports it)."""
+    source = f"""if {fp}_ls != {sign}:
+    {fp}_sc += 1
+    {fp}_ls = {sign}"""
+    if telemetry:
+        source += f"\n    flip_append((i, _f_{fp}, {sign}, {fp}_v))"
+    return source
+
+
+def _subset_x(four_way: bool, telemetry: bool) -> str:
+    if four_way:
+        plus, minus = "0 if fp_v >= 0 else 1", "2 if fn_v >= 0 else 3"
+    else:
+        plus, minus = "0", "1"
+    return f"""if fx_v >= 0:
+{_indent(_sign_check("fx", 1, telemetry), 4)}
+    subset = {plus}
 else:
-    if fx_ls != -1:
-        fx_sc += 1
-        fx_ls = -1
-    subset = 2 if fn_v >= 0 else 3"""
-
-_SUBSET_X_2WAY = """if fx_v >= 0:
-    if fx_ls != 1:
-        fx_sc += 1
-        fx_ls = 1
-    subset = 0
-else:
-    if fx_ls != -1:
-        fx_sc += 1
-        fx_ls = -1
-    subset = 1"""
+{_indent(_sign_check("fx", -1, telemetry), 4)}
+    subset = {minus}"""
 
 
-def _subset_y(fp: str) -> str:
+def _subset_y(fp: str, telemetry: bool) -> str:
     return f"""if {fp}_v >= 0:
-    if {fp}_ls != 1:
-        {fp}_sc += 1
-        {fp}_ls = 1
+{_indent(_sign_check(fp, 1, telemetry), 4)}
 else:
-    if {fp}_ls != -1:
-        {fp}_sc += 1
-        {fp}_ls = -1
+{_indent(_sign_check(fp, -1, telemetry), 4)}
 if fx_v >= 0:
     subset = 0 if fp_v >= 0 else 1
 else:
     subset = 2 if fn_v >= 0 else 3"""
 
 
-def _mech_locals(prefix: str, index: int, triple_entries: bool) -> str:
+def _mech_locals(
+    prefix: str, index: int, triple_entries: bool, telemetry: bool
+) -> str:
     p = prefix
     source = f"""_m{index} = mechs[{index}]
 {p}_ws = _m{index}.window_size
@@ -389,6 +458,10 @@ def _mech_locals(prefix: str, index: int, triple_entries: bool) -> str:
 {p}_append = {p}_fifo.append
 {p}_popleft = {p}_fifo.popleft
 {p}_len = len({p}_fifo)"""
+    if telemetry:
+        source += f"""
+{p}_rc = _m{index}.references
+{p}_rm = _m{index}._rollover_mark"""
     if triple_entries:
         source += f"""
 if {p}_len:
@@ -398,11 +471,15 @@ if {p}_len:
     return source
 
 
-def _mech_flush(prefix: str, index: int, refs: str, triple_entries: bool) -> str:
+def _mech_flush(
+    prefix: str, index: int, refs: str, triple_entries: bool, telemetry: bool
+) -> str:
     p = prefix
     source = f"""mechs[{index}].delta._value = {p}_d
 mechs[{index}].window_affinity._value = {p}_w
 mechs[{index}].references += {refs}"""
+    if telemetry:
+        source += f"\nmechs[{index}]._rollover_mark = {p}_rm"
     if triple_entries:
         source += f"""
 if {p}_fifo:
@@ -437,25 +514,36 @@ def _controller_source(
     l2_filtering: bool,
     track: bool,
     on_change: str,
+    telemetry: bool = False,
 ) -> "tuple[str, str, str]":
     """``(locals, step, flush)`` of the migration controller in a
     generated loop: loading its state into locals (``controller`` must
     be bound), one sampled reference's step (``line``, ``c``, ``i`` and,
     under L2 filtering, ``l2_miss`` bound; ``on_change`` runs after a
     filter update with the new ``subset``), and writing the state back
-    (``ctrl_counts`` and ``active`` bound)."""
+    (``ctrl_counts`` and ``active`` bound).  ``telemetry`` logs
+    rollovers and flips (``roll_append`` and ``flip_append`` bound)."""
     if four_way:
         block_x = _mechanism_block(
             "x", track, store_kind, st_col_names,
-            _filter_update("fx", _SUBSET_X_4WAY, l2_filtering, on_change),
+            _filter_update(
+                "fx", _subset_x(True, telemetry), l2_filtering, on_change
+            ),
+            telemetry,
         )
         block_p = _mechanism_block(
             "p", track, store_kind, st_col_names,
-            _filter_update("fp", _subset_y("fp"), l2_filtering, on_change),
+            _filter_update(
+                "fp", _subset_y("fp", telemetry), l2_filtering, on_change
+            ),
+            telemetry,
         )
         block_m = _mechanism_block(
             "m", track, store_kind, st_col_names,
-            _filter_update("fn", _subset_y("fn"), l2_filtering, on_change),
+            _filter_update(
+                "fn", _subset_y("fn", telemetry), l2_filtering, on_change
+            ),
+            telemetry,
         )
         ctrl_body = f"""if c == 1:
 {_indent(block_x, 4)}
@@ -468,10 +556,13 @@ else:
     else:
         ctrl_body = _mechanism_block(
             "x", track, store_kind, st_col_names,
-            _filter_update("fx", _SUBSET_X_2WAY, l2_filtering, on_change),
+            _filter_update(
+                "fx", _subset_x(False, telemetry), l2_filtering, on_change
+            ),
+            telemetry,
         )
 
-    prefixes = [("x", 0), ("p", 1), ("m", 2)] if four_way else [("x", 0)]
+    prefixes = list(_MECHANISM_INDEX.items()) if four_way else [("x", 0)]
     filters = (
         [("fx", "controller.filter_x"),
          ("fp", "controller.filter_y[+1]"),
@@ -517,7 +608,8 @@ store.misses += st_misses"""
          "mechs = controller.mechanisms()",
          store_locals]
         + st_unpack
-        + [_mech_locals(p, idx, triple_entries) for p, idx in prefixes]
+        + [_mech_locals(p, idx, triple_entries, telemetry)
+           for p, idx in prefixes]
         + [_filter_locals(fp, expr) for fp, expr in filters]
         + (["p_refs = m_refs = 0"] if four_way else [])
         + ["updates = transitions = 0"]
@@ -535,7 +627,7 @@ store.misses += st_misses"""
          "cstats.filter_updates += updates",
          "cstats.transitions += transitions",
          "controller._previous_subset = active"]
-        + [_mech_flush(p, idx, refs, triple_entries)
+        + [_mech_flush(p, idx, refs, triple_entries, telemetry)
            for p, idx, refs in mech_refs]
         + [_filter_flush(fp) for fp, _ in filters]
         + [store_flush]
@@ -545,7 +637,7 @@ store.misses += st_misses"""
 
 def _build_source(sig: tuple) -> str:
     (ways, migration, four_way, store_kind, slots_shared,
-     l2_filtering, track, st_ways) = sig
+     l2_filtering, track, st_ways, telemetry) = sig
 
     cols_unpack = ", ".join(f"s{w}" for w in range(ways))
     if ways == 1:
@@ -575,6 +667,9 @@ def _build_source(sig: tuple) -> str:
     loop_vars = "line, w, c" if migration else "line, w"
     zip_args = "seq_line, seq_w, seq_c" if migration else "seq_line, seq_w"
 
+    # Telemetry logs each miss and eviction by record index.
+    miss_note = "\n    miss_log[i] = 1" if telemetry else ""
+    evict_note = "\n        ev_append(i)" if telemetry else ""
     l2_body = f"""slot = a_idx_get(line)
 if slot is not None:
     a_time[slot] = cbase + i
@@ -583,11 +678,11 @@ if slot is not None:
 {_indent(demote, 8)}
 {_indent(hit_tail, 4)}
 else:
-    a_miss += 1
+    a_miss += 1{miss_note}
 {_indent(_victim_scan(ways), 4)}
     victim_line = a_lines[victim]
     if victim_line is not None:
-        a_evict += 1
+        a_evict += 1{evict_note}
         vd = a_dirty[victim]
         if vd:
             a_wb += 1
@@ -644,11 +739,23 @@ else:
     if migration:
         ctrl_locals, ctrl_body, ctrl_flush = _controller_source(
             four_way, store_kind, st_col_names, st_ways, l2_filtering,
-            track, _MIGRATION_FLUSH,
+            track, _migration_flush(telemetry), telemetry,
         )
         ctrl_locals = "controller = chip.controller\n" + ctrl_locals
     else:
         ctrl_locals = ctrl_body = ctrl_flush = ""
+    if telemetry:
+        log_locals = [
+            "miss_log = logs.l2_miss",
+            "ev_append = logs.evictions.append",
+        ]
+        if migration:
+            log_locals += [
+                "roll_append = logs.rollovers.append",
+                "flip_append = logs.flips.append",
+                "move_append = logs.migrations.append",
+            ]
+        ctrl_locals = "\n".join(log_locals + [ctrl_locals])
 
     loop = f"""i = start - 1
 for {loop_vars} in zip({zip_args}):
@@ -656,9 +763,10 @@ for {loop_vars} in zip({zip_args}):
 {_indent(l2_body, 4)}
 {_indent(ctrl_body, 4)}"""
 
+    last_params = "ctrl_counts, logs" if telemetry else "ctrl_counts"
     source = f"""def _replay(chip, seq_line, seq_w, seq_c, cols, st_cols,
             start, end, n_accesses, max_instruction, kind_counts,
-            ctrl_counts):
+            {last_params}):
     caches = chip.l2s.caches
     num_cores = len(caches)
     engine = chip.engine
@@ -922,22 +1030,31 @@ def observe_many(controller, lines, l2_miss=None) -> np.ndarray:
 
 # -- per-record precomputation (memoised on the record) -----------------
 #
-# Two tiers: geometry-independent work (line list, write bytes, kind
-# counts) is computed once per record (`_record_base`); everything
-# keyed by chip geometry/sampling (slot columns, control bytes, store
-# columns) lives in a small LRU so a tuner replaying one record through
-# hundreds of distinct geometries cannot grow the process without
-# bound.  LRU evictions are counted on the process obs registry.
+# Two tiers: geometry-independent work (lines, write bytes, kind counts)
+# is computed once per record (`_record_base`); everything keyed by
+# chip geometry/sampling (slot columns, control bytes, store columns)
+# lives in a small LRU so a tuner replaying one record through hundreds
+# of distinct geometries cannot grow the process without bound.  LRU
+# evictions are counted on the process obs registry.  Lines and slot
+# columns are typed arrays (8 and 4 bytes per record), built a chunk of
+# records at a time so no whole-record temporary is ever held.
+
+#: records per chunk when building the memo's typed arrays
+_MEMO_CHUNK = 1 << 16
 
 
 def _record_base(record):
-    """``(rec_line list, w_b bytes, full kind counts)`` — shared by
+    """``(lines array('q'), w_b bytes, full kind counts)`` — shared by
     every geometry (and by the hierarchy kernel)."""
     base = record.__dict__.get(_BASE_ATTR)
     if base is None:
         kinds_np = record.kinds
+        lines = array("q")
+        for start in range(0, len(record.lines), _MEMO_CHUNK):
+            chunk = record.lines[start : start + _MEMO_CHUNK]
+            lines.frombytes(chunk.astype(np.int64).tobytes())
         base = (
-            record.lines.tolist(),
+            lines,
             (kinds_np >= 2).astype(np.uint8).tobytes(),
             _kind_counts(kinds_np, 0, len(kinds_np)),
         )
@@ -968,8 +1085,13 @@ def _slot_cols(record, num_sets: int, ways: int, memo):
     if hit is not None:
         memo.move_to_end(key)
         return hit
-    smat = skew_slot_matrix(record.lines, num_sets, ways)
-    cols = tuple(smat[:, w].tolist() for w in range(ways))
+    cols = tuple(array("i") for _ in range(ways))
+    for start in range(0, len(record.lines), _MEMO_CHUNK):
+        smat = skew_slot_matrix(
+            record.lines[start : start + _MEMO_CHUNK], num_sets, ways
+        )
+        for w, col in enumerate(cols):
+            col.frombytes(smat[:, w].astype(np.int32).tobytes())
     memo[key] = cols
     _trim_memo(memo)
     return cols
@@ -1071,7 +1193,19 @@ def replay_chip_slice(
     n = len(record.lines)
     if not 0 <= start <= end <= n:
         raise ValueError(f"bad slice [{start}, {end}) of {n} records")
-    sig = chip_signature(chip)
+    if n_accesses is None:
+        n_accesses = record.accesses
+    _replay_records(chip, record, start, end, n_accesses, max_instruction)
+    return chip.stats
+
+
+def _replay_records(
+    chip, record, start, end, n_accesses, max_instruction, log=None
+):
+    """Records ``[start, end)`` through the chip's kernel; with ``log``,
+    through its telemetry variant, which fills the log."""
+    n = len(record.lines)
+    sig = chip_signature(chip, log is not None)
     kernel = _kernel_for(sig)
     rec_line, cols, w_b, c_b, full_counts, st_cols = _precompute(
         record, chip, sig
@@ -1085,8 +1219,6 @@ def replay_chip_slice(
         seq_w = w_b[start:end]
         seq_c = c_b[start:end] if c_b is not None else None
         kind_counts = _kind_counts(record.kinds, start, end)
-    if n_accesses is None:
-        n_accesses = record.accesses
     migration = sig[1]
     if migration:
         records_span = end - start
@@ -1096,28 +1228,38 @@ def replay_chip_slice(
         ctrl_counts = (ctrl_references, sampled, x_refs)
     else:
         ctrl_counts = (0, 0, 0)
-    kernel(
+    args = (
         chip, seq_line, seq_w, seq_c, cols, st_cols, start, end,
         n_accesses, max_instruction, kind_counts, ctrl_counts,
     )
-    return chip.stats
+    if log is None:
+        kernel(*args)
+    else:
+        kernel(*args, log)
 
 
-def replay_chip_specialized(chip, record):
+def replay_chip_specialized(chip, record, log: "KernelLog | None" = None):
     """Full-record replay through the chip's specialized kernel.
 
     Bit-identical final state to per-access simulation (minus the L1
     objects, which a record replaces); selected automatically by
-    ``run_chip_filtered`` when the chip is eligible.
+    ``run_chip_filtered`` when the chip is eligible.  With ``log`` (a
+    :class:`KernelLog` of the record's length), the telemetry variant
+    runs and fills it; the chip may then carry the probe its
+    constructor attached.
     """
-    return replay_chip_slice(
-        chip,
-        record,
-        0,
-        len(record.lines),
-        n_accesses=record.accesses,
-        max_instruction=record.max_instruction,
+    record.require_match(chip.config.caches)
+    probe = chip.probe if log is not None else None
+    if not _chip_fast_eligible(chip, probe):
+        raise ValueError(
+            "chip is not specializable (probe, prefetcher, or "
+            "non-standard component); use run_filtered instead"
+        )
+    _replay_records(
+        chip, record, 0, len(record.lines), record.accesses,
+        record.max_instruction, log,
     )
+    return chip.stats
 
 
 # -- the single-core baseline's specialized replay ----------------------
@@ -1129,16 +1271,25 @@ def replay_chip_specialized(chip, record):
 # ``run_hierarchy_filtered`` / ``run_hierarchy_arrays`` whenever the
 # hierarchy is fast-eligible.
 
-#: l2 ways -> compiled kernel
+#: (l2 ways, telemetry) -> compiled kernel
 _HIER_KERNELS: dict = {}
 
 
-def _build_hierarchy_source(ways: int) -> str:
+def _build_hierarchy_source(ways: int, telemetry: bool = False) -> str:
     cols_unpack = ", ".join(f"s{w}" for w in range(ways))
     if ways == 1:
         cols_unpack += ","
+    # Telemetry logs each miss and eviction by record index.
+    last_params = "max_instruction, logs" if telemetry else "max_instruction"
+    log_locals = miss_note = evict_note = ""
+    if telemetry:
+        log_locals = """
+    miss_log = logs.l2_miss
+    ev_append = logs.evictions.append"""
+        miss_note = "\n        miss_log[i] = 1"
+        evict_note = "\n            ev_append(i)"
     source = f"""def _replay_hier(hierarchy, seq_line, seq_w, cols, n_records,
-                 n_accesses, l1_miss_count, max_instruction):
+                 n_accesses, l1_miss_count, {last_params}):
     l2 = hierarchy.l2
     a_lines = l2._lines
     a_dirty = l2._dirty
@@ -1151,7 +1302,7 @@ def _build_hierarchy_source(ways: int) -> str:
     cbase = l2._clock + 1
     {cols_unpack} = cols
     hits = evictions = writebacks = 0
-    last_eviction = _UNSET
+    last_eviction = _UNSET{log_locals}
     i = -1
     for line, w in zip(seq_line, seq_w):
         i += 1
@@ -1162,11 +1313,11 @@ def _build_hierarchy_source(ways: int) -> str:
             if w:
                 a_dirty[slot] = True
             last_eviction = None
-            continue
+            continue{miss_note}
 {_indent(_victim_scan(ways), 8)}
         victim_line = a_lines[victim]
         if victim_line is not None:
-            evictions += 1
+            evictions += 1{evict_note}
             vd = a_dirty[victim]
             if vd:
                 writebacks += 1
@@ -1200,13 +1351,14 @@ def _build_hierarchy_source(ways: int) -> str:
     return source
 
 
-def _hier_kernel_for(ways: int):
-    kernel = _HIER_KERNELS.get(ways)
+def _hier_kernel_for(ways: int, telemetry: bool = False):
+    key = (ways, telemetry)
+    kernel = _HIER_KERNELS.get(key)
     if kernel is None:
-        source = _build_hierarchy_source(ways)
+        source = _build_hierarchy_source(ways, telemetry)
         namespace = {"EvictedLine": EvictedLine, "_UNSET": _UNSET}
-        exec(compile(source, f"<specialized hier {ways}w>", "exec"), namespace)
-        kernel = _HIER_KERNELS[ways] = namespace["_replay_hier"]
+        exec(compile(source, f"<specialized hier {key}>", "exec"), namespace)
+        kernel = _HIER_KERNELS[key] = namespace["_replay_hier"]
     return kernel
 
 
@@ -1218,27 +1370,36 @@ def _hier_cols(record, num_sets: int, ways: int):
     return _slot_cols(record, num_sets, ways, _precomp_memo(record))
 
 
-def replay_hierarchy_specialized(hierarchy, record):
+def replay_hierarchy_specialized(
+    hierarchy, record, log: "KernelLog | None" = None
+):
     """Full-record replay through the baseline's specialized kernel.
 
     Bit-identical final state to per-access simulation (L2 contents,
     timestamps, clock, ``last_eviction``, every stat), selected
     automatically by ``run_hierarchy_filtered`` and
-    ``run_hierarchy_arrays`` when the hierarchy is eligible.
+    ``run_hierarchy_arrays`` when the hierarchy is eligible.  ``log``
+    selects the telemetry variant, as for
+    :func:`replay_chip_specialized`.
     """
     record.require_match(hierarchy.config)
-    if not _hierarchy_fast_eligible(hierarchy):
+    probe = hierarchy.probe if log is not None else None
+    if not _hierarchy_fast_eligible(hierarchy, probe):
         raise ValueError(
             "hierarchy is not specializable (probe, prefetcher, or "
             "non-standard L2); use run_filtered instead"
         )
     l2 = hierarchy.l2
-    kernel = _hier_kernel_for(l2.ways)
+    kernel = _hier_kernel_for(l2.ways, log is not None)
     rec_line, w_b, full_counts = _record_base(record)
     cols = _hier_cols(record, l2.num_sets, l2.ways)
-    kernel(
+    args = (
         hierarchy, rec_line, w_b, cols, len(rec_line), record.accesses,
         full_counts[0] + full_counts[1] + full_counts[3],
         record.max_instruction,
     )
+    if log is None:
+        kernel(*args)
+    else:
+        kernel(*args, log)
     return hierarchy.stats

@@ -9,17 +9,72 @@ controller state (filters, mechanisms, R-windows, affinity store) are
 indistinguishable.
 """
 
-from dataclasses import asdict
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from repro.caches.fully_assoc import FullyAssociativeCache
+from repro.caches.hierarchy import CoreCacheConfig
 from repro.caches.set_assoc import SetAssociativeCache
 from repro.caches.skewed import SkewedAssociativeCache
 from repro.core.affinity_store import AffinityCache, UnboundedAffinityStore
+from repro.core.controller import ControllerConfig, SamplingPolicy
+from repro.multicore.chip import ChipConfig
+from repro.obs import SimProbe
 from repro.traces.trace import Access, AccessKind
 
 KINDS = (AccessKind.FETCH, AccessKind.LOAD, AccessKind.STORE)
+
+#: 2-KB L1s and a 16-KB (256-line) L2: short traces miss, evict and split
+SMALL_CACHES = CoreCacheConfig(
+    il1_bytes=2048, dl1_bytes=2048, l1_ways=2, l2_bytes=16 * 1024
+)
+
+_FOUR_CORE = ControllerConfig.four_core()
+
+#: the chip shapes the kernels specialise for, over caches small enough
+#: that a short trace evicts, flips filters and migrates
+PROBE_SHAPES = {
+    # a finite store shaped unlike the L2 (a second slot matrix)
+    "four_core": ChipConfig(caches=SMALL_CACHES),
+    # a store shaped like the L2 (the L2's own slot columns)
+    "l2_shaped_store": ChipConfig(
+        caches=SMALL_CACHES,
+        controller=replace(
+            _FOUR_CORE,
+            affinity_cache_entries=256,
+            sampling=SamplingPolicy.full(),
+        ),
+    ),
+    "two_way": ChipConfig(
+        num_cores=2,
+        caches=SMALL_CACHES,
+        controller=ControllerConfig(
+            num_subsets=2,
+            filter_bits=12,
+            affinity_cache_entries=1024,
+            l2_filtering=True,
+        ),
+    ),
+    "unbounded_store": ChipConfig(
+        caches=SMALL_CACHES, controller=ControllerConfig.stack_experiment()
+    ),
+    "no_l2_filtering": ChipConfig(
+        caches=SMALL_CACHES,
+        controller=replace(
+            _FOUR_CORE,
+            affinity_cache_entries=512,
+            affinity_cache_ways=2,
+            l2_filtering=False,
+        ),
+    ),
+    "window_sum": ChipConfig(
+        caches=SMALL_CACHES,
+        controller=replace(_FOUR_CORE, exact_window_affinity=False),
+    ),
+    "migration_off": ChipConfig(caches=SMALL_CACHES, migration_enabled=False),
+}
 
 
 def make_trace(steps, line_size=64):
@@ -36,6 +91,72 @@ def make_trace(steps, line_size=64):
     kinds = np.array([int(a.kind) for a in accesses], dtype=np.int8)
     instructions = np.array([a.instruction for a in accesses], dtype=np.int64)
     return accesses, (addresses, kinds, instructions)
+
+
+def eventful_trace(seed, n=3000, span=900, line_size=64):
+    """``(addresses, kinds, instructions)`` of a circular sweep over
+    ``span`` lines with one reference in five to random lines: through
+    :data:`SMALL_CACHES` it misses, evicts in storms, splits and
+    migrates, so every probe hook fires."""
+    rng = np.random.default_rng(seed)
+    lines = np.arange(n, dtype=np.int64) % span
+    noise = rng.random(n) < 0.2
+    lines[noise] = rng.integers(0, 4 * span, size=int(noise.sum()))
+    kinds = np.where(rng.random(n) < 0.15, 2, 1).astype(np.int8)
+    kinds[rng.random(n) < 0.1] = 0
+    instructions = np.cumsum(rng.integers(0, 4, size=n, dtype=np.int64))
+    return lines * line_size + 4, kinds, instructions
+
+
+def per_access(model, arrays):
+    """Drive ``model`` one ``Access`` at a time (the specification)."""
+    for address, kind, instruction in zip(*(a.tolist() for a in arrays)):
+        model.access(Access(address, AccessKind(kind), instruction))
+    return model
+
+
+def probe_report(probe):
+    """Everything a probe reports, as canonical JSON: ``meta``, the
+    metrics, every event (``kind``, ``t``, ``seq``, ``args``) and the
+    dropped-event count."""
+    report = probe.report()
+    return json.dumps(
+        {
+            "meta": report.meta,
+            "metrics": report.metrics,
+            "events": [event.to_dict() for event in report.events],
+            "dropped_events": report.dropped_events,
+        },
+        sort_keys=True,
+        default=str,
+    )
+
+
+def assert_probe_reports_match(
+    make_model, replay_generic, arrays, record, probe_kwargs
+):
+    """The whole probe report — meta, metrics, every event with its
+    time, sequence number and arguments, the drop count — is the same
+    per access, through ``run_arrays`` and ``run_filtered`` (the
+    kernel's telemetry variant) and through the generic record loop.  A
+    low saturation threshold makes samples emit events too."""
+    reports = {}
+    for mode in ("seed", "arrays", "filtered", "generic"):
+        probe = SimProbe(
+            name="diff", bus_saturation_bytes_per_ref=20.0, **probe_kwargs
+        )
+        model = make_model(probe)
+        if mode == "seed":
+            per_access(model, arrays)
+        elif mode == "arrays":
+            model.run_arrays(*arrays)
+        elif mode == "filtered":
+            model.run_filtered(record)
+        else:
+            replay_generic(model, record)
+        reports[mode] = probe_report(probe)
+    for mode in ("arrays", "filtered", "generic"):
+        assert reports[mode] == reports["seed"], mode
 
 
 def cache_state(cache):

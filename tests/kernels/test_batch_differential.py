@@ -10,20 +10,23 @@ objects: the record *replaces* the model's L1 pair by contract, so
 the replaying model's il1/dl1 stay untouched while its ``ChipStats``
 (including the L1 miss counters) must still match exactly.  The fixed
 cases pin the configurations the fast path must
-*bypass* correctly (prefetchers, probes) or handle structurally
-(2-way controller, migration disabled, fully-associative L1s).
+*bypass* correctly (prefetchers) or handle structurally (probes,
+2-way controller, migration disabled, fully-associative L1s).
 """
-
-import json
 
 from hypothesis import given, settings, strategies as st
 
 from repro.caches.hierarchy import CoreCacheConfig, SingleCoreHierarchy
 from repro.core.controller import ControllerConfig
+from repro.kernels.batch import _replay_chip_generic, _replay_hierarchy_generic
 from repro.kernels.l1filter import build_l1_filter
 from repro.multicore.chip import ChipConfig, MultiCoreChip
 from tests.kernels.helpers import (
+    PROBE_SHAPES,
+    SMALL_CACHES,
+    assert_probe_reports_match,
     chip_state,
+    eventful_trace,
     hierarchy_state,
     make_trace,
     without_l1,
@@ -37,6 +40,16 @@ steps_strategy = st.lists(
         st.integers(0, 600), st.integers(0, 2), st.integers(0, 4)
     ),
     max_size=300,
+)
+
+
+#: probe settings: the sample intervals, and an event cap low enough
+#: that some runs drop events
+probe_settings = st.fixed_dictionaries(
+    {
+        "sample_interval": st.sampled_from([5, 7, 1000]),
+        "max_events": st.sampled_from([60, 100_000]),
+    }
 )
 
 
@@ -127,32 +140,38 @@ class TestChipDifferential:
         assert digests[1] == digests[0]
         assert digests[2] == digests[0]
 
-    @given(steps=steps_strategy)
-    @settings(max_examples=10, deadline=None)
-    def test_with_probe(self, steps):
-        # Probe event streams must fire at the same access numbers and
-        # in the same order on every path.
-        from repro.obs import SimProbe
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(sorted(PROBE_SHAPES)),
+        probe_kwargs=probe_settings,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_with_probe(self, seed, shape, probe_kwargs):
+        # Eventful traces over every chip shape the kernels specialise
+        # for: they miss, evict in storms, flip filters and migrate.
+        config = PROBE_SHAPES[shape]
+        arrays = eventful_trace(seed)
+        assert_probe_reports_match(
+            lambda probe: MultiCoreChip(config, probe=probe),
+            _replay_chip_generic,
+            arrays,
+            build_l1_filter(*arrays, config=config.caches),
+            probe_kwargs,
+        )
 
-        accesses, arrays = make_trace(steps)
-        reports = []
-        for mode in ("seed", "arrays", "filtered"):
-            probe = SimProbe(name="diff", sample_interval=7)
-            chip = MultiCoreChip(ChipConfig(), probe=probe)
-            if mode == "seed":
-                for access in accesses:
-                    chip.access(access)
-            elif mode == "arrays":
-                chip.run_arrays(*arrays)
-            else:
-                chip.run_filtered(build_l1_filter(*arrays))
-            reports.append(
-                json.dumps(
-                    probe.report().to_dict(), sort_keys=True, default=str
-                )
-            )
-        assert reports[1] == reports[0]
-        assert reports[2] == reports[0]
+    @given(steps=steps_strategy, probe_kwargs=probe_settings)
+    @settings(max_examples=15, deadline=None)
+    def test_with_probe_default_geometry(self, steps, probe_kwargs):
+        # Short traces, the empty one and those shorter than one sample
+        # interval included, on the default chip.
+        _, arrays = make_trace(steps)
+        assert_probe_reports_match(
+            lambda probe: MultiCoreChip(ChipConfig(), probe=probe),
+            _replay_chip_generic,
+            arrays,
+            build_l1_filter(*arrays),
+            probe_kwargs,
+        )
 
 
 class TestHierarchyDifferential:
@@ -185,30 +204,29 @@ class TestHierarchyDifferential:
             hierarchy_state(seed)
         )
 
-    @given(steps=steps_strategy)
-    @settings(max_examples=10, deadline=None)
-    def test_with_probe(self, steps):
-        from repro.obs import SimProbe
+    @given(seed=st.integers(0, 2**32 - 1), probe_kwargs=probe_settings)
+    @settings(max_examples=15, deadline=None)
+    def test_with_probe(self, seed, probe_kwargs):
+        arrays = eventful_trace(seed)
+        assert_probe_reports_match(
+            lambda probe: SingleCoreHierarchy(SMALL_CACHES, probe=probe),
+            _replay_hierarchy_generic,
+            arrays,
+            build_l1_filter(*arrays, config=SMALL_CACHES),
+            probe_kwargs,
+        )
 
-        accesses, arrays = make_trace(steps)
-        reports = []
-        for mode in ("seed", "arrays", "filtered"):
-            probe = SimProbe(name="diff", sample_interval=5)
-            hierarchy = SingleCoreHierarchy(probe=probe)
-            if mode == "seed":
-                for access in accesses:
-                    hierarchy.access(access)
-            elif mode == "arrays":
-                hierarchy.run_arrays(*arrays)
-            else:
-                hierarchy.run_filtered(build_l1_filter(*arrays))
-            reports.append(
-                json.dumps(
-                    probe.report().to_dict(), sort_keys=True, default=str
-                )
-            )
-        assert reports[1] == reports[0]
-        assert reports[2] == reports[0]
+    @given(steps=steps_strategy, probe_kwargs=probe_settings)
+    @settings(max_examples=15, deadline=None)
+    def test_with_probe_default_geometry(self, steps, probe_kwargs):
+        _, arrays = make_trace(steps)
+        assert_probe_reports_match(
+            lambda probe: SingleCoreHierarchy(probe=probe),
+            _replay_hierarchy_generic,
+            arrays,
+            build_l1_filter(*arrays),
+            probe_kwargs,
+        )
 
 
 def test_olden_workload_differential():

@@ -6,7 +6,8 @@ traces whose length lands on the boundary.  This file pins lengths 0,
 1, ``_CHUNK - 1``, ``_CHUNK`` and ``_CHUNK + 1`` through both the fast
 regime (no probe — ``run_arrays`` and ``run_filtered`` both replay the
 miss stream through the specialized generated kernel) and the generic
-regime (probe attached, which makes the fast path ineligible), and
+regime (a probe attached that the kernels cannot log for, a
+``SimProbe`` subclass, which makes the fast path ineligible), and
 requires identical deep state between the two.  The
 tiny lengths are additionally compared against the seed per-access
 loop; the 64K lengths are not (a quarter-million per-access steps per
@@ -54,7 +55,10 @@ def _accesses(arrays):
 def _probe():
     from repro.obs import SimProbe
 
-    return SimProbe(name="boundary", sample_interval=10_000)
+    class GenericProbe(SimProbe):
+        """Not exactly ``SimProbe``: replays take the generic loop."""
+
+    return GenericProbe(name="boundary", sample_interval=10_000)
 
 
 @pytest.mark.parametrize("n", TINY + SEAM)

@@ -219,3 +219,32 @@ class TestBoundedCaches:
         assert evictions.value > before
         memo = record.__dict__[specialize._PRECOMP_ATTR]
         assert len(memo) <= 1
+
+    def test_precompute_memo_footprint(self):
+        # Lines and slot columns are held as typed arrays, 8 + 4 bytes
+        # per way per record (24 B for the 4-way L2), not Python int
+        # lists (about 180 B).  A chip and a baseline of one L2 geometry
+        # share the slot columns.
+        import repro.kernels.specialize as specialize
+        from repro.caches.hierarchy import SingleCoreHierarchy
+        from repro.multicore.chip import ChipConfig, MultiCoreChip
+
+        record = _tiny_record()
+        chip = MultiCoreChip(ChipConfig())
+        chip.run_filtered(record)
+        SingleCoreHierarchy().run_filtered(record)
+        ways = chip.l2s.caches[0].ways
+        lines = record.__dict__[specialize._BASE_ATTR][0]
+        memo = record.__dict__[specialize._PRECOMP_ATTR]
+        columns = [
+            column
+            for key, entry in memo.items()
+            if key[0] == "cols"
+            for column in entry
+        ]
+        assert len(columns) == ways
+        # memoryview refuses lists: the memo must hold flat buffers
+        held = memoryview(lines).nbytes + sum(
+            memoryview(column).nbytes for column in columns
+        )
+        assert 0 < held <= (8 + 4 * ways) * record.records

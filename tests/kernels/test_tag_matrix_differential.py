@@ -26,8 +26,12 @@ from repro.kernels.specialize import (
     replay_hierarchy_specialized,
 )
 from repro.multicore.chip import ChipConfig, MultiCoreChip
-from repro.traces.trace import Access, AccessKind
-from tests.kernels.helpers import chip_state, hierarchy_state, without_l1
+from tests.kernels.helpers import (
+    chip_state,
+    hierarchy_state,
+    per_access,
+    without_l1,
+)
 
 # int64 line addresses, including negatives: the slot matrix promises
 # Python-exact `&`/`>>` semantics on the full signed range.
@@ -71,13 +75,6 @@ def _random_trace(seed, n=1500, span=1800, line_size=64):
     kinds = rng.integers(0, 3, size=n).astype(np.int8)
     instructions = np.cumsum(rng.integers(0, 4, size=n, dtype=np.int64))
     return addresses, kinds, instructions
-
-
-def _per_access(model, arrays):
-    """Drive ``model`` one ``Access`` at a time (the specification)."""
-    for address, kind, instruction in zip(*(a.tolist() for a in arrays)):
-        model.access(Access(address, AccessKind(kind), instruction))
-    return model
 
 
 chip_geometry = st.fixed_dictionaries(
@@ -127,10 +124,10 @@ def test_specialized_chip_matches_per_access_model(geometry):
 
     specialized = MultiCoreChip(config)
     replay_chip_specialized(specialized, record)
-    per_access = _per_access(MultiCoreChip(config), arrays)
+    reference = per_access(MultiCoreChip(config), arrays)
     # filtered replay never touches the chip's own L1 objects
     assert without_l1(chip_state(specialized)) == without_l1(
-        chip_state(per_access)
+        chip_state(reference)
     )
 
 
@@ -149,7 +146,7 @@ def test_specialized_hierarchy_matches_per_access_model(
 
     specialized = SingleCoreHierarchy(config)
     replay_hierarchy_specialized(specialized, record)
-    per_access = _per_access(SingleCoreHierarchy(config), arrays)
+    reference = per_access(SingleCoreHierarchy(config), arrays)
     assert without_l1(hierarchy_state(specialized)) == without_l1(
-        hierarchy_state(per_access)
+        hierarchy_state(reference)
     )
