@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.controller import ControllerConfig, MigrationController
 from repro.olden.heap import RecordedTrace
-from repro.traces.filters import L1Filter
+from repro.traces.filters import ArrayL1Filter
 
 
 @dataclass(frozen=True)
@@ -72,24 +74,18 @@ def run_pointer_filtering(
             lru_window=base.lru_window,
         )
     )
-    l1 = L1Filter()
-    references = 0
-    pointer_references = 0
-
-    for access, is_pointer in trace.accesses_with_pointer_flags():
-        miss = l1.filter_one(access)
-        if miss is None:
-            continue
-        references += 1
-        if is_pointer:
-            pointer_references += 1
-        unfiltered.observe(miss.line)
-        pointer_gated.observe(miss.line, l2_miss=is_pointer)
+    l1 = ArrayL1Filter()
+    addresses, kinds, instructions = trace.arrays()
+    misses = l1.filter(addresses, kinds, instructions)
+    lines = addresses[misses] // l1.config.line_size
+    is_pointer = trace.pointer_flags()[misses]
+    unfiltered.observe_many(lines)
+    pointer_gated.observe_many(lines, l2_miss=is_pointer)
 
     return PointerFilteringResult(
         name=trace.name,
-        references=references,
-        pointer_references=pointer_references,
+        references=len(lines),
+        pointer_references=int(np.count_nonzero(is_pointer)),
         transitions_unfiltered=unfiltered.stats.transitions,
         transitions_pointer_only=pointer_gated.stats.transitions,
     )

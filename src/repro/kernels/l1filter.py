@@ -38,6 +38,7 @@ import sys
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +65,10 @@ STORE_L1_MISS = 3
 REQUEST_KINDS = (FETCH_MISS, LOAD_MISS, STORE_L1_MISS)
 
 _RECORD_VERSION = 1
+#: trace references per chunk of :func:`l1_miss_stream`
 _CHUNK = 1 << 16
-_UNSET = object()  # "cache never allocated" sentinel for last_eviction
+#: :func:`_filter_set_major`'s kind for a reference that hits its L1
+_HIT = 255
 
 
 def _l1_view(cache):
@@ -85,14 +88,17 @@ def _l1_view(cache):
 
 def l1_miss_stream(
     il1, dl1, addresses: np.ndarray, kinds: np.ndarray, line_size: int
-) -> "tuple[list[int], list[int], list[int]]":
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Run the mirrored L1 pair over a whole trace.
 
-    Returns ``(indices, lines, record_kinds)`` — one entry per
-    reference that reaches the L2 (0-based access index, cache-line
-    address, record kind).  Cache contents, ``CacheStats`` and
-    ``last_eviction`` of ``il1``/``dl1`` end up exactly as after the
-    equivalent sequence of per-access ``cache.access`` calls.
+    Returns ``(indices, lines, record_kinds)`` as ``int64``/``int64``/
+    ``uint8`` arrays — one entry per reference that reaches the L2
+    (0-based access index, cache-line address, record kind).  Cache
+    contents, ``CacheStats`` and ``last_eviction`` of ``il1``/``dl1``
+    end up exactly as after the equivalent sequence of per-access
+    ``cache.access`` calls.  The trace goes through in chunks of
+    :data:`_CHUNK` references, each cache's share of a chunk set by set
+    (:func:`_filter_set_major`).
     """
     il1_view = _l1_view(il1)
     dl1_view = _l1_view(dl1)
@@ -101,104 +107,152 @@ def l1_miss_stream(
             f"unsupported L1 cache types: {type(il1).__name__}/"
             f"{type(dl1).__name__}"
         )
-    isets, imask, iways = il1_view
-    dsets, dmask, dways = dl1_view
+    out_index = [np.empty(0, dtype=np.int64)]
+    out_line = [np.empty(0, dtype=np.int64)]
+    out_kind = [np.empty(0, dtype=np.uint8)]
+    for start in range(0, len(addresses), _CHUNK):
+        lines = addresses[start : start + _CHUNK] // line_size
+        chunk_kinds = kinds[start : start + _CHUNK]
+        fetch = chunk_kinds == 0
+        store = ~fetch & (chunk_kinds != 1)
+        record = np.empty(len(lines), dtype=np.uint8)
+        for cache, view, share, miss_kind in (
+            (il1, il1_view, fetch, FETCH_MISS),
+            (dl1, dl1_view, ~fetch, LOAD_MISS),
+        ):
+            if not share.any():
+                continue
+            cache_lines = lines[share]
+            record[share], misses, evictions, writebacks, last = (
+                _filter_set_major(view, cache_lines, store[share], miss_kind)
+            )
+            stats = cache.stats
+            stats.accesses += len(cache_lines)
+            stats.hits += len(cache_lines) - misses
+            stats.misses += misses
+            stats.evictions += evictions
+            stats.writebacks += writebacks
+            cache.last_eviction = last
+        keep = np.flatnonzero(record != _HIT)
+        out_index.append(keep + start)
+        out_line.append(lines[keep])
+        out_kind.append(record[keep])
+    return (
+        np.concatenate(out_index),
+        np.concatenate(out_line),
+        np.concatenate(out_kind),
+    )
+
+
+def _filter_set_major(view, lines, stores, miss_kind):
+    """One L1's references of one chunk, exactly as per-access calls.
+
+    ``lines`` are the cache's references in trace order and ``stores``
+    flags the stores among them; a fetch or load that misses is
+    recorded as ``miss_kind``.  Returns ``(kinds, misses, evictions,
+    writebacks, last_eviction)``: each reference's record kind in trace
+    order (:data:`_HIT` for a hit that reaches no L2), the counts, and
+    the cache's ``last_eviction`` after the final reference.
+
+    Sets never interact, so the references are taken set by set (a
+    stable sort on the set index), and within one set they fall into
+    *runs* of references to one line.  Only a run's head can change
+    the set's LRU order: every later reference in the run finds the
+    line most recently used already, so it hits — unless the head was
+    a store that missed, which does not allocate; then the run's stores
+    keep missing until its first load allocates the line.  The
+    ``OrderedDict`` logic of ``access`` therefore runs on the *events*
+    — run heads, and each run's first load after a store head — and
+    numpy derives everything else.  A store hit later in a run only
+    dirties the line, which no other run sees before the set's next
+    event, so the event marks the line dirty at once.  A chunk's first
+    reference to a set is always a head, so no run state crosses a
+    chunk boundary.
+    """
+    sets, mask, ways = view
+    n = len(lines)
+    # numpy sorts 16-bit keys stably by radix, about 5x faster than int64
+    order = np.argsort(
+        (lines & mask).astype(np.uint16 if mask < 1 << 16 else np.int64),
+        kind="stable",
+    )
+    lines = lines[order]
+    stores = stores[order]
+    # One line maps to one set: equal set-major neighbours form a run.
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=head[1:])
+    run = np.cumsum(head) - 1
+    runs = int(run[-1]) + 1
+    loads = np.flatnonzero(~stores)
+    load_run = run[loads]
+    first = np.empty(len(loads), dtype=bool)
+    first[:1] = True
+    np.not_equal(load_run[1:], load_run[:-1], out=first[1:])
+    first_load = np.full(runs, n)  # n: the run has no load
+    first_load[load_run[first]] = loads[first]
+    at = np.flatnonzero(stores)
+    store_run = run[at]
+    final = np.empty(len(at), dtype=bool)
+    final[-1:] = True
+    np.not_equal(store_run[1:], store_run[:-1], out=final[:-1])
+    last_store = np.full(runs, -1)  # -1: the run has no store
+    last_store[store_run[final]] = at[final]
+    event = head.copy()
+    event[loads[first]] = True
+    events = np.flatnonzero(event)
+    event_lines = lines[events]
+    # 2: a store; 1: a load whose line a later store of its run dirties;
+    # 0: any other load.
+    flags = np.where(stores[events], 2, last_store[run[events]] > events)
+    # ``last_eviction`` is that of the chunk's final reference, the last
+    # of its set: only an event there can have evicted.
+    tail = int(np.argmax(order))
+    tail = int(np.searchsorted(events, tail)) if event[tail] else -1
+    missed = bytearray(len(events))
+    evictions = writebacks = 0
+    last_eviction = None
     move = OrderedDict.move_to_end
     pop = OrderedDict.popitem
-    rec_index: "list[int]" = []
-    rec_line: "list[int]" = []
-    rec_kind: "list[int]" = []
-    append_index = rec_index.append
-    append_line = rec_line.append
-    append_kind = rec_kind.append
-    i_accesses = i_hits = i_evictions = i_writebacks = 0
-    d_accesses = d_hits = d_evictions = d_writebacks = 0
-    i_last = d_last = _UNSET
-    n = len(addresses)
-    index = 0
-    for start in range(0, n, _CHUNK):
-        chunk = addresses[start : start + _CHUNK] // line_size
-        chunk_lines = chunk.tolist()
-        chunk_kinds = kinds[start : start + _CHUNK].tolist()
-        # Set indices for the whole chunk in two numpy passes (one when
-        # the IL1/DL1 geometries agree, the common case) instead of a
-        # scalar ``line & mask`` per reference.
-        d_idx = (chunk & np.int64(dmask)).tolist()
-        i_idx = d_idx if imask == dmask else (chunk & np.int64(imask)).tolist()
-        for line, kind, di, ii in zip(chunk_lines, chunk_kinds, d_idx, i_idx):
-            if kind == 1:  # LOAD
-                d_accesses += 1
-                cache_set = dsets[di]
-                if line in cache_set:
-                    d_hits += 1
-                    move(cache_set, line)
-                    d_last = None
-                else:
-                    if len(cache_set) >= dways:
-                        victim, victim_dirty = pop(cache_set, False)
-                        d_evictions += 1
-                        if victim_dirty:
-                            d_writebacks += 1
-                        d_last = EvictedLine(victim, victim_dirty)
-                    else:
-                        d_last = None
-                    cache_set[line] = False
-                    append_index(index)
-                    append_line(line)
-                    append_kind(1)
-            elif kind == 0:  # FETCH
-                i_accesses += 1
-                cache_set = isets[ii]
-                if line in cache_set:
-                    i_hits += 1
-                    move(cache_set, line)
-                    i_last = None
-                else:
-                    if len(cache_set) >= iways:
-                        victim, victim_dirty = pop(cache_set, False)
-                        i_evictions += 1
-                        if victim_dirty:
-                            i_writebacks += 1
-                        i_last = EvictedLine(victim, victim_dirty)
-                    else:
-                        i_last = None
-                    cache_set[line] = False
-                    append_index(index)
-                    append_line(line)
-                    append_kind(0)
-            else:  # STORE: write-through, non-write-allocate DL1
-                d_accesses += 1
-                cache_set = dsets[di]
-                if line in cache_set:
-                    d_hits += 1
-                    move(cache_set, line)
-                    cache_set[line] = True
-                    append_index(index)
-                    append_line(line)
-                    append_kind(2)
-                else:
-                    append_index(index)
-                    append_line(line)
-                    append_kind(3)
-                d_last = None
-            index += 1
-    stats = il1.stats
-    stats.accesses += i_accesses
-    stats.hits += i_hits
-    stats.misses += i_accesses - i_hits
-    stats.evictions += i_evictions
-    stats.writebacks += i_writebacks
-    stats = dl1.stats
-    stats.accesses += d_accesses
-    stats.hits += d_hits
-    stats.misses += d_accesses - d_hits
-    stats.evictions += d_evictions
-    stats.writebacks += d_writebacks
-    if i_last is not _UNSET:
-        il1.last_eviction = i_last
-    if d_last is not _UNSET:
-        dl1.last_eviction = d_last
-    return rec_index, rec_line, rec_kind
+    for j, set_index, line, flag in zip(
+        count(),
+        (event_lines & mask).tolist(),
+        event_lines.tolist(),
+        flags.tolist(),
+    ):
+        cache_set = sets[set_index]
+        if line in cache_set:
+            move(cache_set, line)
+            if flag:
+                cache_set[line] = True
+        else:
+            missed[j] = 1
+            if flag != 2:  # a store miss does not allocate
+                if len(cache_set) >= ways:
+                    victim, victim_dirty = pop(cache_set, False)
+                    evictions += 1
+                    if victim_dirty:
+                        writebacks += 1
+                    if j == tail:
+                        last_eviction = EvictedLine(victim, victim_dirty)
+                cache_set[line] = flag == 1
+    miss = np.zeros(n, dtype=bool)
+    miss[events] = np.frombuffer(missed, dtype=bool)
+    # A store misses from a head store that missed until the run's first
+    # load allocates the line.
+    heads = np.flatnonzero(head)
+    absent = (miss[heads] & stores[heads])[run]
+    store_miss = stores & absent & (np.arange(n) < first_load[run])
+    load_miss = miss & ~stores
+    kinds = np.where(
+        stores,
+        np.where(store_miss, STORE_L1_MISS, STORE_L1_HIT),
+        np.where(load_miss, miss_kind, _HIT),
+    ).astype(np.uint8)
+    misses = int(np.count_nonzero(load_miss) + np.count_nonzero(store_miss))
+    in_order = np.empty(n, dtype=np.uint8)
+    in_order[order] = kinds
+    return in_order, misses, evictions, writebacks, last_eviction
 
 
 @dataclass
@@ -326,7 +380,7 @@ def filter_through_l1s(
     """Run a trace (numpy arrays) through ``il1``/``dl1`` and package
     the miss stream as a record of ``config``'s L1 geometry; the two
     caches end up exactly as after per-access simulation."""
-    rec_index, rec_line, rec_kind = l1_miss_stream(
+    indices, lines, record_kinds = l1_miss_stream(
         il1, dl1, addresses, kinds, config.line_size
     )
     return L1FilterRecord(
@@ -336,9 +390,9 @@ def filter_through_l1s(
         l1_ways=config.l1_ways,
         accesses=len(addresses),
         max_instruction=int(instructions.max()) if len(instructions) else -1,
-        indices=np.asarray(rec_index, dtype=np.int64),
-        lines=np.asarray(rec_line, dtype=np.int64),
-        kinds=np.asarray(rec_kind, dtype=np.uint8),
+        indices=indices,
+        lines=lines,
+        kinds=record_kinds,
     )
 
 

@@ -153,8 +153,10 @@ class SimProbe:
         self._eviction_times: "deque[int]" = deque()
         self._bus_saturated = False
         self._last_bus_bytes = 0
-        self._last_l2_misses = 0
-        self._last_l1_misses = 0
+        # Miss counts at the previous sample, per bound model: a probe
+        # bound to a chip and a baseline samples both on each tick.
+        self._last_chip_misses = (0, 0)  # (L2, L1)
+        self._last_baseline_misses = (0, 0)
         self._migration_penalty_cycles: "float | None" = None
 
     # -- wiring ---------------------------------------------------------
@@ -291,15 +293,15 @@ class SimProbe:
         bus_bytes: int,
     ) -> None:
         registry = self.registry
+        last_l2, last_l1 = self._last_chip_misses
         registry.series("chip.active_core").append(t, float(active_core))
         registry.series("chip.l2_miss_rate").append(
-            t, (l2_misses - self._last_l2_misses) / self.sample_interval
+            t, (l2_misses - last_l2) / self.sample_interval
         )
-        self._last_l2_misses = l2_misses
         registry.series("chip.l1_miss_rate").append(
-            t, (l1_misses - self._last_l1_misses) / self.sample_interval
+            t, (l1_misses - last_l1) / self.sample_interval
         )
-        self._last_l1_misses = l1_misses
+        self._last_chip_misses = (l2_misses, l1_misses)
         registry.series("chip.migrations").append(t, float(migrations))
         bytes_per_ref = (
             bus_bytes - self._last_bus_bytes
@@ -321,14 +323,14 @@ class SimProbe:
         self, t: int, l2_misses: int, l1_misses: int
     ) -> None:
         registry = self.registry
+        last_l2, last_l1 = self._last_baseline_misses
         registry.series("baseline.l2_miss_rate").append(
-            t, (l2_misses - self._last_l2_misses) / self.sample_interval
+            t, (l2_misses - last_l2) / self.sample_interval
         )
-        self._last_l2_misses = l2_misses
         registry.series("baseline.l1_miss_rate").append(
-            t, (l1_misses - self._last_l1_misses) / self.sample_interval
+            t, (l1_misses - last_l1) / self.sample_interval
         )
-        self._last_l1_misses = l1_misses
+        self._last_baseline_misses = (l2_misses, l1_misses)
 
     # -- kernel replays ---------------------------------------------------
 

@@ -2,23 +2,32 @@
 
 :class:`TracedHeap` is a bump allocator over a simulated address space.
 Benchmark code allocates :class:`HeapObject` records (named fields, 8
-bytes each) and reads/writes them through accessor methods; every field
-access appends ``(address, kind, instruction)`` to compact array
-buffers.  The result is wrapped as a :class:`RecordedTrace`, a
-:class:`~repro.traces.trace.TraceSource` that can be replayed any
+bytes each) and reads/writes them through accessor methods.  While it
+runs, the heap records one ``int64`` word per event in an ``array``:
+
+* a field access appends ``address << 2 | store << 1 | pointer``;
+* an instruction charge of ``n`` (:meth:`TracedHeap.work`, an
+  allocation) appends ``-(n + 1)``.
+
+:meth:`TracedHeap.finish` decodes the words into the ``(address,
+kind, instruction, pointer flag)`` buffers of a :class:`RecordedTrace`,
+a :class:`~repro.traces.trace.TraceSource` that can be replayed any
 number of times.
 
 Instruction accounting: each field load/store advances the dynamic
 instruction counter by a small per-operation cost, and benchmarks call
 :meth:`TracedHeap.work` for pure-compute stretches (e.g. the
 floating-point body of a force calculation), so instructions-per-access
-land in the range the paper's Table 1 reports.
+land in the range the paper's Table 1 reports.  An access is stamped
+with the counter before its own cost.
 """
 
 from __future__ import annotations
 
 from array import array
 from typing import Dict, Iterator, Sequence
+
+import numpy as np
 
 from repro.traces.trace import Access, AccessKind
 
@@ -27,10 +36,13 @@ FIELD_BYTES = 8
 
 _LOAD_COST = 2  #: instructions charged per traced load
 _STORE_COST = 2  #: instructions charged per traced store
+_ALLOCATE_COST = 4  #: instructions charged per allocation
 
-#: ``AccessKind`` values as plain ints, for the recording hot path
 _LOAD = int(AccessKind.LOAD)
 _STORE = int(AccessKind.STORE)
+
+#: recording words decoded per step of :meth:`TracedHeap.finish`
+_CHUNK = 1 << 16
 
 
 class RecordedTrace:
@@ -79,13 +91,18 @@ class RecordedTrace:
     def arrays(self):
         """``(addresses, kinds, instructions)`` numpy views of the
         recording buffers, for the batched kernels."""
-        import numpy as np
-
         return (
             np.asarray(self._addresses, dtype=np.int64),
             np.asarray(self._kinds, dtype=np.int8),
             np.asarray(self._instructions, dtype=np.int64),
         )
+
+    def pointer_flags(self) -> np.ndarray:
+        """One ``bool`` per access: whether it is a pointer access (see
+        :meth:`accesses_with_pointer_flags`)."""
+        if self._pointer_flags is None:
+            return np.zeros(len(self), dtype=bool)
+        return np.asarray(self._pointer_flags, dtype=bool)
 
     def accesses_with_pointer_flags(self) -> "Iterator[tuple[Access, bool]]":
         """Yield ``(access, is_pointer_access)`` pairs.
@@ -110,40 +127,34 @@ class HeapObject:
     addresses and access order, not data encoding.
     """
 
-    __slots__ = ("address", "_heap", "_offsets", "_values")
+    __slots__ = ("address", "_record", "_words", "_values")
 
     def __init__(
         self, heap: "TracedHeap", address: int, fields: "Sequence[str]"
     ) -> None:
         self.address = address
-        self._heap = heap
-        self._offsets = {name: i * FIELD_BYTES for i, name in enumerate(fields)}
+        self._record = heap._record
+        #: each field's load word (its address above the two flag bits)
+        self._words = {
+            name: (address + i * FIELD_BYTES) << 2
+            for i, name in enumerate(fields)
+        }
         self._values: "Dict[str, object]" = {name: None for name in fields}
 
     @property
     def size_bytes(self) -> int:
-        return len(self._offsets) * FIELD_BYTES
+        return len(self._words) * FIELD_BYTES
 
     def get(self, field: str):
         """Traced load of ``field`` (tagged as a pointer load when the
         value is a heap reference)."""
-        heap = self._heap
         value = self._values[field]
-        heap._append_address(self.address + self._offsets[field])
-        heap._append_kind(_LOAD)
-        heap._append_instruction(heap.instruction)
-        heap._append_pointer(isinstance(value, HeapObject))
-        heap.instruction += _LOAD_COST
+        self._record(self._words[field] | isinstance(value, HeapObject))
         return value
 
     def set(self, field: str, value) -> None:
         """Traced store to ``field``."""
-        heap = self._heap
-        heap._append_address(self.address + self._offsets[field])
-        heap._append_kind(_STORE)
-        heap._append_instruction(heap.instruction)
-        heap._append_pointer(isinstance(value, HeapObject))
-        heap.instruction += _STORE_COST
+        self._record(self._words[field] | 2 | isinstance(value, HeapObject))
         self._values[field] = value
 
     def peek(self, field: str):
@@ -151,23 +162,25 @@ class HeapObject:
         return self._values[field]
 
 
+def _costs(words: np.ndarray) -> np.ndarray:
+    """The instructions each recording word charges."""
+    return np.where(
+        words >= 0,
+        np.where(words & 2, _STORE_COST, _LOAD_COST),
+        -1 - words,
+    )
+
+
 class TracedHeap:
     """Bump allocator + access recorder."""
 
     def __init__(self, name: str, base_address: int = 0x10000) -> None:
         self.name = name
-        self.instruction = 0
         self._brk = base_address
-        self._addresses = array("q")
-        self._kinds = array("b")
-        self._instructions = array("q")
-        self._pointer_flags = array("b")
-        # Bound appends: HeapObject.get/set record each access straight
-        # into the four buffers, without a method call of their own.
-        self._append_address = self._addresses.append
-        self._append_kind = self._kinds.append
-        self._append_instruction = self._instructions.append
-        self._append_pointer = self._pointer_flags.append
+        self._words = array("q")
+        # Bound append: HeapObject.get/set record each access with one
+        # call into the buffer.
+        self._record = self._words.append
 
     def allocate(self, fields: "Sequence[str]", align: int = 8) -> HeapObject:
         """Allocate a record with the given fields (malloc-equivalent).
@@ -180,7 +193,7 @@ class TracedHeap:
         address = (self._brk + align - 1) & ~(align - 1)
         obj = HeapObject(self, address, fields)
         self._brk = address + obj.size_bytes
-        self.instruction += 4
+        self._record(-1 - _ALLOCATE_COST)
         return obj
 
     def allocate_array(self, length: int, name: str = "slot") -> HeapObject:
@@ -191,7 +204,12 @@ class TracedHeap:
         """Charge pure-compute instructions (no memory traffic)."""
         if instructions < 0:
             raise ValueError("instructions must be non-negative")
-        self.instruction += instructions
+        self._record(-1 - instructions)
+
+    @property
+    def instruction(self) -> int:
+        """The dynamic instruction counter: everything charged so far."""
+        return int(_costs(np.frombuffer(self._words, dtype=np.int64)).sum())
 
     @property
     def heap_bytes(self) -> int:
@@ -200,14 +218,42 @@ class TracedHeap:
 
     @property
     def recorded_accesses(self) -> int:
-        return len(self._addresses)
+        words = np.frombuffer(self._words, dtype=np.int64)
+        return int(np.count_nonzero(words >= 0))
 
     def finish(self) -> RecordedTrace:
-        """Freeze the recording into a replayable trace."""
+        """Move the recorded accesses into a replayable trace, decoding
+        the words :data:`_CHUNK` at a time.
+
+        The heap keeps its instruction counter; accesses recorded after
+        this call go to the next ``finish``.
+        """
+        addresses = array("q")
+        kinds = array("b")
+        instructions = array("q")
+        pointer_flags = array("b")
+        words = np.frombuffer(self._words, dtype=np.int64)
+        clock = 0
+        for start in range(0, len(words), _CHUNK):
+            chunk = words[start : start + _CHUNK]
+            costs = _costs(chunk)
+            ends = np.cumsum(costs) + clock
+            clock = int(ends[-1])
+            access = chunk >= 0
+            stamps = (ends - costs)[access]
+            chunk = chunk[access]
+            addresses.frombytes((chunk >> 2).tobytes())
+            kinds.frombytes(
+                np.where(chunk & 2, _STORE, _LOAD).astype(np.int8).tobytes()
+            )
+            instructions.frombytes(stamps.tobytes())
+            pointer_flags.frombytes((chunk & 1).astype(np.int8).tobytes())
+        del words  # the buffer cannot shrink while a view exports it
+        # Every HeapObject holds the buffer through its bound append,
+        # often in reference cycles that outlive the heap: free the
+        # words now, not when the cycle collector runs.
+        del self._words[:]
+        self._record(-1 - clock)
         return RecordedTrace(
-            self.name,
-            self._addresses,
-            self._kinds,
-            self._instructions,
-            self._pointer_flags,
+            self.name, addresses, kinds, instructions, pointer_flags
         )

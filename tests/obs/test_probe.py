@@ -97,6 +97,37 @@ class TestUninstrumentedPaths:
         assert probe.registry.counter("window.rollovers").value > 0
 
 
+class TestProbeOnTwoModels:
+    def test_rates_kept_per_model(self):
+        # One probe on a 4-core chip and an idle baseline hierarchy,
+        # sampling every 100 of 2,000 references.  Each model's rates
+        # must come from its own previous counts: the idle baseline
+        # reads 0, and the chip reads what a probe of its own reads
+        # (a shared count made them -0.99, -1.99, ... and the chip's
+        # cumulative 0.99, 1.99, ...).
+        shared = SimProbe(sample_interval=100)
+        chip = MultiCoreChip(ChipConfig(), probe=shared)
+        SingleCoreHierarchy(probe=shared)
+        alone = SimProbe(sample_interval=100)
+        reference = MultiCoreChip(ChipConfig(), probe=alone)
+        for access in _trace(2_000):
+            chip.access(access)
+            reference.access(access)
+        for name in ("baseline.l2_miss_rate", "baseline.l1_miss_rate"):
+            samples = shared.registry.series(name).samples
+            assert len(samples) == 20
+            assert {rate for _t, rate in samples} == {0.0}
+        for name in ("chip.l2_miss_rate", "chip.l1_miss_rate"):
+            samples = shared.registry.series(name).samples
+            assert samples == alone.registry.series(name).samples
+            assert len(samples) == 20
+            assert all(0 <= rate <= 1 for _t, rate in samples)
+        assert any(
+            rate > 0
+            for _t, rate in shared.registry.series("chip.l2_miss_rate").samples
+        )
+
+
 class TestStormDetection:
     def test_clustered_evictions_fire_one_storm(self):
         probe = SimProbe(storm_window=100, storm_threshold=4)

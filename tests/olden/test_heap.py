@@ -1,5 +1,7 @@
 """The traced heap."""
 
+import tracemalloc
+
 import pytest
 
 from repro.olden.heap import FIELD_BYTES, TracedHeap
@@ -105,3 +107,41 @@ class TestRecordedTrace:
         obj.set("x", 1)
         obj.get("x")
         assert len(heap.finish()) == 2
+
+    def test_finish_hands_over_the_accesses_and_keeps_the_clock(self):
+        heap = TracedHeap("t")
+        obj = heap.allocate(["x"])
+        obj.set("x", 1)
+        heap.work(10)
+        clock = heap.instruction
+        first = heap.finish()
+        assert heap.instruction == clock
+        assert heap.recorded_accesses == 0
+        obj.get("x")
+        second = heap.finish()
+        assert [a.instruction for a in first.accesses()] == [4]
+        assert [a.instruction for a in second.accesses()] == [clock]
+        assert [a.kind for a in second.accesses()] == [AccessKind.LOAD]
+
+
+class TestRecordingFootprint:
+    def test_one_word_per_access(self):
+        # One int64 word per access, plus the array's growth slack of
+        # at most 1/16; an address, a kind, an instruction and a pointer
+        # flag per access would cost 18 B.
+        heap = TracedHeap("t")
+        nodes = [heap.allocate(["next", "value"]) for _ in range(64)]
+        for node, successor in zip(nodes, nodes[1:]):
+            node.set("next", successor)
+        accesses = 1 << 16
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(accesses // 2):
+                node = nodes[i & 63]
+                node.get("next")
+                node.set("value", None)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (1 + 1 / 16) * (accesses + 200)
