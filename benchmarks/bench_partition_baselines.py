@@ -32,8 +32,7 @@ def cuts_for(behavior, references=150_000):
     controller = MigrationController(
         ControllerConfig(num_subsets=2, x_window_size=64, filter_bits=16)
     )
-    for line in stream:
-        controller.observe(line)
+    controller.observe_many(stream)
     frozen = {
         line: 0 if (controller.affinity_of(line) or 0) >= 0 else 1
         for line in graph.nodes

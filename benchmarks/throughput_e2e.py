@@ -8,10 +8,10 @@ Times one Table 2 pointer-chasing workload (Olden ``mst``) through
 
 * ``per_access`` — the seed path: ``chip.run(spec.accesses())``;
 * ``batched`` — ``chip.run_arrays(*spec.arrays())``, the array-native
-  fast path of :mod:`repro.kernels.batch`;
+  fast path: the L1 kernel, then the record replay below;
 * ``specialized`` — the shape-specialized generated kernel
-  (:mod:`repro.kernels.specialize`, what ``run_filtered`` dispatches
-  to) over a precomputed :class:`~repro.kernels.l1filter.L1FilterRecord`
+  (:mod:`repro.kernels.specialize`, what ``run_filtered`` calls) over
+  a precomputed :class:`~repro.kernels.l1filter.L1FilterRecord`
   (the record build is timed separately as ``l1_filter_build_sec``; in
   a sweep it is paid once and shared by every variant).  The reported
   number is the *warm* replay (per-record precompute memoised, as in

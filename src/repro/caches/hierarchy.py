@@ -186,14 +186,29 @@ class SingleCoreHierarchy:
 
     def run_arrays(self, addresses, kinds, instructions) -> HierarchyStats:
         """Run a whole trace given as parallel arrays (the batched fast
-        path — bit-identical to :meth:`run`, see ``repro.kernels``)."""
-        from repro.kernels.batch import run_hierarchy_arrays
+        path — bit-identical to :meth:`run`, see ``repro.kernels``):
+        the L1 pair filters the trace into a record, which
+        :meth:`run_filtered` replays.  Refuses, before the L1s see the
+        trace, every hierarchy :meth:`run_filtered` refuses."""
+        from repro.kernels.arrays import as_trace_arrays
+        from repro.kernels.l1filter import filter_through_l1s
+        from repro.kernels.specialize import require_hierarchy_kernel
 
-        return run_hierarchy_arrays(self, addresses, kinds, instructions)
+        require_hierarchy_kernel(self)
+        record = filter_through_l1s(
+            self.il1, self.dl1, self.config,
+            *as_trace_arrays(addresses, kinds, instructions),
+        )
+        return self.run_filtered(record)
 
     def run_filtered(self, record) -> HierarchyStats:
-        """Replay a precomputed L1-filter miss stream, skipping the L1
-        stage (see :mod:`repro.kernels.l1filter`)."""
-        from repro.kernels.batch import run_hierarchy_filtered
+        """Replay a precomputed L1-filter miss stream through the L2's
+        generated kernel, skipping the L1 stage (see
+        :mod:`repro.kernels.l1filter`).  A hierarchy with an L2
+        prefetcher, a non-skewed L2 or a probe other than the
+        ``SimProbe`` the constructor attached gets a ``ValueError``
+        naming the blocker before any state changes; :meth:`run`
+        simulates it."""
+        from repro.kernels.specialize import replay_hierarchy_specialized
 
-        return run_hierarchy_filtered(self, record)
+        return replay_hierarchy_specialized(self, record)

@@ -18,12 +18,14 @@ Layers:
   that every chip variant in a sweep replays (paper section 2.3: "the
   L1 miss frequency is the same as if execution had not migrated", so
   the L1 stage is identical across baseline/migration/ablations).
-* :mod:`repro.kernels.batch` — the record replay behind
+* :mod:`repro.kernels.specialize` — the record replay behind
   ``MultiCoreChip.run_filtered`` / ``run_arrays`` and their
-  ``SingleCoreHierarchy`` twins: the generated kernels of
-  :mod:`repro.kernels.specialize` for standard models, the real
-  component methods for probed or prefetching ones.  ``run_arrays``
-  is the L1 kernel followed by that same replay.
+  ``SingleCoreHierarchy`` twins: a kernel generated per model shape.
+  ``run_arrays`` is the L1 kernel followed by that same replay.  A
+  model the kernels cannot replay exactly (a prefetcher, an LRU
+  R-window, a non-standard component, or a probe other than the
+  ``SimProbe`` its constructor attached) is refused with a
+  ``ValueError``; ``run()``, the per-access specification, serves it.
 * :mod:`repro.kernels.sweep` — population sweeps: one record per
   workload, replayed through every variant.
 
@@ -31,12 +33,6 @@ See ``docs/performance.md`` for the architecture and measured numbers.
 """
 
 from repro.kernels.arrays import skew_slot_matrix, trace_to_arrays
-from repro.kernels.batch import (
-    run_chip_arrays,
-    run_chip_filtered,
-    run_hierarchy_arrays,
-    run_hierarchy_filtered,
-)
 from repro.kernels.l1filter import (
     L1FilterRecord,
     build_l1_filter,
@@ -45,16 +41,22 @@ from repro.kernels.l1filter import (
     l1_filter_job_for,
 )
 
+# The package imports the record replay up front, so a forked job
+# worker inherits its modules instead of importing them between its L1
+# build and its replays (about 4 MB more peak RSS on table2-cold).
+from repro.kernels.specialize import (
+    replay_chip_specialized,
+    replay_hierarchy_specialized,
+)
+
 __all__ = [
     "L1FilterRecord",
     "build_l1_filter",
     "ensure_l1_filter",
     "l1_filter_job",
     "l1_filter_job_for",
-    "run_chip_arrays",
-    "run_chip_filtered",
-    "run_hierarchy_arrays",
-    "run_hierarchy_filtered",
+    "replay_chip_specialized",
+    "replay_hierarchy_specialized",
     "skew_slot_matrix",
     "trace_to_arrays",
 ]

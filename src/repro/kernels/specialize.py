@@ -1,10 +1,15 @@
 """Trace-specialized replay kernels (generated per chip shape).
 
-These are the one fast replay of an L1-filter record: every chip and
-baseline hierarchy built from the standard component types replays
-through them, with no probe or with the
-:class:`~repro.obs.probe.SimProbe` its constructor attached
-(:mod:`repro.kernels.batch` dispatches).  The inner loop is generated
+These are the one fast replay of an L1-filter record:
+``MultiCoreChip.run_filtered`` and ``SingleCoreHierarchy.run_filtered``
+call :func:`replay_chip_specialized` and
+:func:`replay_hierarchy_specialized` (``run_arrays`` filters the trace
+through the model's own L1 pair first).  A model replays here when it
+is built from the standard component types with no prefetchers, FIFO
+R-windows, and no probe or the :class:`~repro.obs.probe.SimProbe` its
+constructor attached; any other model gets a ``ValueError`` naming what
+blocks it, before its state changes, and ``run()`` — the per-access
+specification — simulates it instead.  The inner loop is generated
 **per chip shape**: every configuration branch (L2 filtering on/off,
 2-way vs 4-way routing, store kind, exact-window tracking) is hoisted
 out of the loop at code-generation time, the mechanism/filter/store
@@ -54,10 +59,9 @@ Exactness contract: replaying through a specialized kernel leaves the
 chip in **bit-identical** state to the per-access simulator —
 ``ChipStats``, per-cache ``CacheStats`` and contents, controller,
 affinity store, filters, and update-bus bytes (the differential suite
-in ``tests/kernels`` enforces this).  The kernel also exposes a slice
-API (:func:`replay_chip_slice`): replaying ``[0, n)`` in any partition
-of consecutive slices is state-identical to one full replay, so a
-record can be streamed through one chip in bounded pieces.
+in ``tests/kernels`` enforces this).  Consecutive replays compose: a
+trace run as consecutive ``run_arrays`` calls ends where one call over
+the whole trace ends.
 """
 
 from __future__ import annotations
@@ -69,16 +73,16 @@ from itertools import repeat
 import numpy as np
 
 from repro.caches.base import EvictedLine
-from repro.caches.skewed import skew_hash
-from repro.core.affinity_store import AffinityCache
-from repro.core.mechanism import RWindowEntry
+from repro.caches.skewed import SkewedAssociativeCache, skew_hash
+from repro.core.affinity_store import AffinityCache, UnboundedAffinityStore
+from repro.core.controller import MigrationController
+from repro.core.mechanism import RWindowEntry, SplitMechanism
+from repro.core.transition_filter import TransitionFilter
 from repro.kernels.arrays import skew_slot_matrix
-from repro.kernels.batch import (
-    _chip_fast_eligible,
-    _controller_fast_eligible,
-    _hierarchy_fast_eligible,
-)
+from repro.multicore.coherence import CoherentL2s
+from repro.multicore.migration import MigrationEngine
 from repro.obs.metrics import process_counter
+from repro.obs.probe import SimProbe
 
 _UNSET = object()  # "cache never accessed here" sentinel for last_eviction
 _PRECOMP_ATTR = "_specialized_precomp"
@@ -147,6 +151,117 @@ class KernelLog:
         self.flips: "list[tuple]" = []
         #: ``(record, from core, to core)``
         self.migrations: "list[tuple[int, int, int]]" = []
+
+
+# -- what the kernels replay exactly ------------------------------------
+#
+# The generated loops transcribe the standard component types' methods,
+# so a subclass (which may override any of them), a prefetcher (which
+# mutates the L2s outside the loop), an LRU R-window or a probe the log
+# cannot describe would replay differently from ``run()``.  Each check
+# returns what blocks the kernels, or ``None``.
+
+
+def _probe_blocker(probe, components, chip=None, hierarchy=None):
+    """A kernel replay can log for no probe, or for a plain
+    :class:`SimProbe` on every component and bound to this one model
+    (its samples then read nothing but the model the log describes)."""
+    if any(component.probe is not probe for component in components):
+        return "its components do not all carry its probe"
+    if probe is None:
+        return None
+    if type(probe) is not SimProbe:
+        return f"its probe is a {type(probe).__name__}, not a SimProbe"
+    if probe._chip is not chip or probe._hierarchy is not hierarchy:
+        return "its probe is bound to a second model"
+    return None
+
+
+def _controller_blocker(controller, probe=None):
+    """What keeps the generated controller blocks from ``controller``:
+    non-standard component types, a probe other than ``probe`` (default
+    none) on it, its filters or mechanisms, an LRU R-window, mechanisms
+    that do not share the store, or a previous subset that is not the
+    current one."""
+    if type(controller) is not MigrationController:
+        return f"its controller is a {type(controller).__name__}"
+    store = controller.store
+    if type(store) not in (AffinityCache, UnboundedAffinityStore):
+        return f"its affinity store is a {type(store).__name__}"
+    mechanisms = controller.mechanisms()
+    filters = [controller.filter_x, *controller.filter_y.values()]
+    if any(type(m) is not SplitMechanism for m in mechanisms) or any(
+        type(f) is not TransitionFilter for f in filters
+    ):
+        return "its mechanisms or filters are not the standard types"
+    if any(m.lru_window for m in mechanisms):
+        return "it has an LRU R-window"
+    if any(m.store is not store for m in mechanisms):
+        return "its mechanisms do not share one affinity store"
+    if any(c.probe is not probe for c in [controller, *mechanisms, *filters]):
+        return "its controller components do not all carry its probe"
+    # The generated loop recomputes the subset only when a filter
+    # updates and takes the active core as the previous subset, which
+    # is only sound under this invariant (it holds for any chip or
+    # controller driven solely through the public run paths).
+    if controller._previous_subset != controller.current_subset():
+        return "its controller's previous subset is not its current one"
+    return None
+
+
+def _chip_blocker(chip):
+    if chip.prefetchers is not None:
+        return "it has L2 prefetchers"
+    engine = chip.engine
+    l2s = chip.l2s
+    first = l2s.caches[0]
+    if (
+        type(engine) is not MigrationEngine
+        or type(l2s) is not CoherentL2s
+        or any(
+            type(cache) is not SkewedAssociativeCache
+            or cache.num_sets != first.num_sets
+            or cache.ways != first.ways
+            for cache in l2s.caches
+        )
+    ):
+        return "its L2s or migration engine are not the standard types"
+    blocker = _probe_blocker(chip.probe, [engine, l2s], chip=chip)
+    if blocker is not None or not chip.config.migration_enabled:
+        return blocker
+    controller = chip.controller
+    blocker = _controller_blocker(controller, chip.probe)
+    if blocker is None and engine.active_core != controller._previous_subset:
+        blocker = "its active core is not its controller's subset"
+    return blocker
+
+
+def _hierarchy_blocker(hierarchy):
+    if hierarchy.prefetcher is not None:
+        return "it has an L2 prefetcher"
+    if type(hierarchy.l2) is not SkewedAssociativeCache:
+        return f"its L2 is a {type(hierarchy.l2).__name__}"
+    return _probe_blocker(hierarchy.probe, [], hierarchy=hierarchy)
+
+
+def _refuse(model, blocker) -> None:
+    if blocker is not None:
+        raise ValueError(
+            f"the replay kernels cannot simulate this "
+            f"{type(model).__name__} exactly: {blocker}; run() "
+            "simulates it access by access"
+        )
+
+
+def require_chip_kernel(chip) -> None:
+    """Raise ``ValueError``, naming the blocker, unless the chip kernels
+    replay ``chip`` exactly."""
+    _refuse(chip, _chip_blocker(chip))
+
+
+def require_hierarchy_kernel(hierarchy) -> None:
+    """The same for the baseline hierarchy's kernel."""
+    _refuse(hierarchy, _hierarchy_blocker(hierarchy))
 
 
 # -- code generation ----------------------------------------------------
@@ -972,7 +1087,7 @@ def observe_many(controller, lines, l2_miss=None) -> np.ndarray:
             raise ValueError(
                 f"{len(l2_miss)} l2_miss flags for {n} references"
             )
-    if not _controller_fast_eligible(controller):
+    if _controller_blocker(controller) is not None:
         flags = repeat(True) if l2_miss is None else l2_miss.tolist()
         return np.fromiter(
             map(controller.observe, lines.tolist(), flags),
@@ -1056,7 +1171,7 @@ def _record_base(record):
         base = (
             lines,
             (kinds_np >= 2).astype(np.uint8).tobytes(),
-            _kind_counts(kinds_np, 0, len(kinds_np)),
+            tuple(int(np.count_nonzero(kinds_np == k)) for k in range(4)),
         )
         record.__dict__[_BASE_ATTR] = base
     return base
@@ -1150,115 +1265,46 @@ def _control_codes(lines_np, requests, sampling, four_way) -> np.ndarray:
     return ctrl
 
 
-def _kind_counts(kinds_np, start, end):
-    ks = kinds_np[start:end]
-    return (
-        int(np.count_nonzero(ks == 0)),
-        int(np.count_nonzero(ks == 1)),
-        int(np.count_nonzero(ks == 2)),
-        int(np.count_nonzero(ks == 3)),
-    )
-
-
 # -- public replay API --------------------------------------------------
 
 
-def replay_chip_slice(
-    chip,
-    record,
-    start: int,
-    end: int,
-    *,
-    n_accesses: "int | None" = None,
-    max_instruction: "int | None" = None,
-):
-    """Replay records ``[start, end)`` of ``record`` through ``chip``.
+def replay_chip_specialized(chip, record):
+    """Replay an L1-filter record through ``chip``'s generated kernel.
 
-    ``n_accesses`` is the number of *original trace accesses* this
-    slice accounts for (``record.indices`` spans); it defaults to the
-    whole record's access count, which is only correct for a full
-    ``[0, n)`` replay.  ``max_instruction`` applies the record's
-    instruction high-water mark — pass it on the final slice only
-    (instruction counts are monotonic, so the final value is exact).
-
-    Replaying ``[0, n)`` as any sequence of consecutive slices leaves
-    the chip bit-identical to a single full replay.
+    Bit-identical final state to per-access simulation of the record's
+    trace (minus the L1 objects, which a record replaces).  Under the
+    :class:`SimProbe` the chip's constructor attached, the telemetry
+    variant fills a :class:`KernelLog` that the probe then replays
+    through its hooks.  Raises ``ValueError`` before touching the chip
+    when the record's L1 geometry differs or the kernels cannot replay
+    the chip exactly (:func:`require_chip_kernel`).
     """
     record.require_match(chip.config.caches)
-    if not _chip_fast_eligible(chip):
-        raise ValueError(
-            "chip is not specializable (probe, prefetcher, or "
-            "non-standard component); use run_filtered instead"
-        )
-    n = len(record.lines)
-    if not 0 <= start <= end <= n:
-        raise ValueError(f"bad slice [{start}, {end}) of {n} records")
-    if n_accesses is None:
-        n_accesses = record.accesses
-    _replay_records(chip, record, start, end, n_accesses, max_instruction)
-    return chip.stats
-
-
-def _replay_records(
-    chip, record, start, end, n_accesses, max_instruction, log=None
-):
-    """Records ``[start, end)`` through the chip's kernel; with ``log``,
-    through its telemetry variant, which fills the log."""
-    n = len(record.lines)
+    require_chip_kernel(chip)
+    probe = chip.probe
+    log = None if probe is None else KernelLog(record.records)
     sig = chip_signature(chip, log is not None)
     kernel = _kernel_for(sig)
-    rec_line, cols, w_b, c_b, full_counts, st_cols = _precompute(
+    rec_line, cols, w_b, c_b, kind_counts, st_cols = _precompute(
         record, chip, sig
     )
-    full = start == 0 and end == n
-    if full:
-        seq_line, seq_w, seq_c = rec_line, w_b, c_b
-        kind_counts = full_counts
-    else:
-        seq_line = rec_line[start:end]
-        seq_w = w_b[start:end]
-        seq_c = c_b[start:end] if c_b is not None else None
-        kind_counts = _kind_counts(record.kinds, start, end)
-    migration = sig[1]
-    if migration:
-        records_span = end - start
-        ctrl_references = records_span - kind_counts[2]
-        x_refs = seq_c.count(1)
-        sampled = x_refs + (seq_c.count(2) if sig[2] else 0)
-        ctrl_counts = (ctrl_references, sampled, x_refs)
+    n = len(rec_line)
+    if sig[1]:  # migration on: the controller's reference counts
+        x_refs = c_b.count(1)
+        sampled = x_refs + (c_b.count(2) if sig[2] else 0)
+        ctrl_counts = (n - kind_counts[2], sampled, x_refs)
     else:
         ctrl_counts = (0, 0, 0)
+    # The kernel takes a record range; a replay is always the whole one.
     args = (
-        chip, seq_line, seq_w, seq_c, cols, st_cols, start, end,
-        n_accesses, max_instruction, kind_counts, ctrl_counts,
+        chip, rec_line, w_b, c_b, cols, st_cols, 0, n, record.accesses,
+        record.max_instruction, kind_counts, ctrl_counts,
     )
     if log is None:
         kernel(*args)
     else:
         kernel(*args, log)
-
-
-def replay_chip_specialized(chip, record, log: "KernelLog | None" = None):
-    """Full-record replay through the chip's specialized kernel.
-
-    Bit-identical final state to per-access simulation (minus the L1
-    objects, which a record replaces); selected automatically by
-    ``run_chip_filtered`` when the chip is eligible.  With ``log`` (a
-    :class:`KernelLog` of the record's length), the telemetry variant
-    runs and fills it; the chip may then carry the probe its
-    constructor attached.
-    """
-    record.require_match(chip.config.caches)
-    probe = chip.probe if log is not None else None
-    if not _chip_fast_eligible(chip, probe):
-        raise ValueError(
-            "chip is not specializable (probe, prefetcher, or "
-            "non-standard component); use run_filtered instead"
-        )
-    _replay_records(
-        chip, record, 0, len(record.lines), record.accesses,
-        record.max_instruction, log,
-    )
+        probe.replay_log(record, log)
     return chip.stats
 
 
@@ -1267,9 +1313,8 @@ def replay_chip_specialized(chip, record, log: "KernelLog | None" = None):
 # The baseline hierarchy replays a record through one skewed L2.  The
 # generated kernel below applies the chip kernel's tricks — dict-based
 # residency for an O(1) hit check, timestamps derived from the loop
-# index, slot *columns* memoised on the record — and is selected by
-# ``run_hierarchy_filtered`` / ``run_hierarchy_arrays`` whenever the
-# hierarchy is fast-eligible.
+# index, slot *columns* memoised on the record — and is what
+# ``SingleCoreHierarchy.run_filtered`` and ``run_arrays`` replay through.
 
 #: (l2 ways, telemetry) -> compiled kernel
 _HIER_KERNELS: dict = {}
@@ -1362,37 +1407,26 @@ def _hier_kernel_for(ways: int, telemetry: bool = False):
     return kernel
 
 
-def _hier_cols(record, num_sets: int, ways: int):
-    """Slot columns for the baseline L2, through the same LRU memo the
-    chip kernels use — a baseline and any chip variant of the same L2
-    geometry share one entry, so a population sweep computes the slot
-    matrix exactly once per (record, geometry)."""
-    return _slot_cols(record, num_sets, ways, _precomp_memo(record))
-
-
-def replay_hierarchy_specialized(
-    hierarchy, record, log: "KernelLog | None" = None
-):
-    """Full-record replay through the baseline's specialized kernel.
+def replay_hierarchy_specialized(hierarchy, record):
+    """Replay an L1-filter record through the baseline's generated
+    kernel.
 
     Bit-identical final state to per-access simulation (L2 contents,
-    timestamps, clock, ``last_eviction``, every stat), selected
-    automatically by ``run_hierarchy_filtered`` and
-    ``run_hierarchy_arrays`` when the hierarchy is eligible.  ``log``
-    selects the telemetry variant, as for
-    :func:`replay_chip_specialized`.
+    timestamps, clock, ``last_eviction``, every stat).  Probes and
+    refusals as for :func:`replay_chip_specialized`
+    (:func:`require_hierarchy_kernel`).
     """
     record.require_match(hierarchy.config)
-    probe = hierarchy.probe if log is not None else None
-    if not _hierarchy_fast_eligible(hierarchy, probe):
-        raise ValueError(
-            "hierarchy is not specializable (probe, prefetcher, or "
-            "non-standard L2); use run_filtered instead"
-        )
+    require_hierarchy_kernel(hierarchy)
+    probe = hierarchy.probe
+    log = None if probe is None else KernelLog(record.records)
     l2 = hierarchy.l2
     kernel = _hier_kernel_for(l2.ways, log is not None)
     rec_line, w_b, full_counts = _record_base(record)
-    cols = _hier_cols(record, l2.num_sets, l2.ways)
+    # The chip kernels' memo: a baseline and any chip variant of the
+    # same L2 geometry share one entry, so a population sweep computes
+    # the slot matrix once per (record, geometry).
+    cols = _slot_cols(record, l2.num_sets, l2.ways, _precomp_memo(record))
     args = (
         hierarchy, rec_line, w_b, cols, len(rec_line), record.accesses,
         full_counts[0] + full_counts[1] + full_counts[3],
@@ -1402,4 +1436,5 @@ def replay_hierarchy_specialized(
         kernel(*args)
     else:
         kernel(*args, log)
+        probe.replay_log(record, log)
     return hierarchy.stats

@@ -241,18 +241,35 @@ class MultiCoreChip:
 
     def run_arrays(self, addresses, kinds, instructions) -> ChipStats:
         """Run a whole trace given as parallel arrays (the batched fast
-        path — bit-identical to :meth:`run`, see ``repro.kernels``)."""
-        from repro.kernels.batch import run_chip_arrays
+        path — bit-identical to :meth:`run`, see ``repro.kernels``):
+        the chip's own L1 pair filters the trace into a record, which
+        :meth:`run_filtered` replays.  Refuses, with the same
+        ``ValueError`` and before the L1s see the trace, every chip
+        :meth:`run_filtered` refuses."""
+        from repro.kernels.arrays import as_trace_arrays
+        from repro.kernels.l1filter import filter_through_l1s
+        from repro.kernels.specialize import require_chip_kernel
 
-        return run_chip_arrays(self, addresses, kinds, instructions)
+        require_chip_kernel(self)
+        record = filter_through_l1s(
+            self.il1, self.dl1, self.config.caches,
+            *as_trace_arrays(addresses, kinds, instructions),
+        )
+        return self.run_filtered(record)
 
     def run_filtered(self, record) -> ChipStats:
         """Replay a precomputed L1-filter miss stream
-        (:class:`~repro.kernels.l1filter.L1FilterRecord`), skipping the
-        L1 stage; ``ChipStats`` match running the original trace."""
-        from repro.kernels.batch import run_chip_filtered
+        (:class:`~repro.kernels.l1filter.L1FilterRecord`) through the
+        chip's generated kernel, skipping the L1 stage; ``ChipStats``
+        match running the original trace.  A chip the kernels cannot
+        replay exactly — L2 prefetchers, an LRU R-window, a
+        non-standard component such as a ``HierarchicalController``
+        with migration on, or a probe other than the ``SimProbe`` the
+        constructor attached — gets a ``ValueError`` naming the blocker
+        before any state changes; :meth:`run` simulates it."""
+        from repro.kernels.specialize import replay_chip_specialized
 
-        return run_chip_filtered(self, record)
+        return replay_chip_specialized(self, record)
 
     def update_bus_bytes(self) -> "dict[str, float]":
         """Update-bus traffic summary: measured store/fill bytes plus

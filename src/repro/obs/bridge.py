@@ -17,17 +17,13 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 from repro.obs.events import SimEvent
 from repro.runtime.events import JobEvent
 
 #: prefix shared by every bridged scheduler event kind
 RUNTIME_PREFIX = "runtime."
-
-#: JobEvent kinds that open/close a per-job span in the trace view
-_SPAN_OPEN = ("started",)
-_SPAN_CLOSE = ("finished", "failed", "interrupted")
 
 
 def sim_event_from_job_event(
@@ -106,68 +102,3 @@ class ObsRunlogSink:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-def runtime_trace_events(
-    events: "Sequence[SimEvent]", pid: int = 1
-) -> "list[dict[str, object]]":
-    """Chrome trace events for a bridged scheduler stream: one thread
-    row per job, spans from ``started`` to a terminal event, instants
-    for the rest."""
-    out: "list[dict[str, object]]" = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "scheduler"},
-        }
-    ]
-    tids: "dict[str, int]" = {}
-    open_spans: "dict[str, tuple[int, int]]" = {}  # label -> (tid, start_ts)
-    for event in events:
-        label = str(event.args.get("label", "job"))
-        if label not in tids:
-            tids[label] = len(tids)
-            out.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tids[label],
-                    "args": {"name": label},
-                }
-            )
-        tid = tids[label]
-        suffix = event.kind[len(RUNTIME_PREFIX):]
-        if suffix in _SPAN_OPEN:
-            open_spans[label] = (tid, event.t)
-            continue
-        if suffix in _SPAN_CLOSE and label in open_spans:
-            span_tid, start = open_spans.pop(label)
-            out.append(
-                {
-                    "name": suffix,
-                    "cat": "runtime",
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": span_tid,
-                    "ts": start,
-                    "dur": max(1, event.t - start),
-                    "args": dict(event.args),
-                }
-            )
-            continue
-        out.append(
-            {
-                "name": suffix,
-                "cat": "runtime",
-                "ph": "i",
-                "s": "t",
-                "pid": pid,
-                "tid": tid,
-                "ts": event.t,
-                "args": dict(event.args),
-            }
-        )
-    return out

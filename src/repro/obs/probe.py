@@ -335,8 +335,9 @@ class SimProbe:
     # -- kernel replays ---------------------------------------------------
 
     def replay_log(self, record, log) -> None:
-        """Make the hook calls a generic replay of ``record`` would have
-        made, from the ``log`` the telemetry kernel filled replaying it.
+        """Make the hook calls per-access simulation of ``record``'s
+        trace makes, from the ``log`` the telemetry kernel filled
+        replaying it.
 
         The same calls with the same arguments in the same order: record
         ``i`` is reference ``accesses + indices[i] + 1``, ``accesses``
@@ -421,8 +422,8 @@ class SimProbe:
                 sample(threshold, k)
             self._advance(t)
 
-        # (record, order) puts the controller events in the generic
-        # loop's order; the sort never compares the logged objects.
+        # (record, order) puts the controller events in per-access
+        # order; the sort never compares the logged objects.
         steps = sorted(
             [(i, 1, mechanism, refs) for i, mechanism, refs in log.rollovers]
             + [(i, 2, flt, sign, value) for i, flt, sign, value in log.flips]

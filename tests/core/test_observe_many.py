@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.controller import ControllerConfig, MigrationController
 from repro.core.sampling import SamplingPolicy
 from repro.kernels import specialize
-from repro.kernels.batch import _controller_fast_eligible
 from tests.kernels.helpers import controller_state
 
 #: (entries, ways) of a finite affinity store, or None for unbounded:
@@ -84,7 +83,7 @@ def test_matches_observe(config, stream, block):
     lines, misses = stream
     expected, spec = spec_run(config, lines.tolist(), misses.tolist())
     controller = MigrationController(config)
-    assert _controller_fast_eligible(controller)
+    assert specialize._controller_blocker(controller) is None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(specialize, "_OBSERVE_BLOCK", block)
         subsets = controller.observe_many(lines, misses)
@@ -151,7 +150,7 @@ def test_refused_controllers_take_the_observe_loop(config, stream, refused):
     else:
         controller = _probed(config)
         spec = _probed(config)
-    assert not _controller_fast_eligible(controller)
+    assert specialize._controller_blocker(controller) is not None
     expected = [
         spec.observe(line, miss)
         for line, miss in zip(lines.tolist(), misses.tolist())
@@ -186,7 +185,7 @@ def test_state_broken_by_hand_takes_the_observe_loop():
     spec = MigrationController(config)
     for c in (controller, spec):
         c.filter_x.reset(-5)
-    assert not _controller_fast_eligible(controller)
+    assert specialize._controller_blocker(controller) is not None
     lines = np.arange(50, dtype=np.int64) % 17
     expected = [spec.observe(line) for line in lines.tolist()]
     assert controller.observe_many(lines).tolist() == expected

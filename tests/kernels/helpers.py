@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, replace
 
 import numpy as np
+import pytest
 
 from repro.caches.fully_assoc import FullyAssociativeCache
 from repro.caches.hierarchy import CoreCacheConfig
@@ -20,7 +21,9 @@ from repro.caches.set_assoc import SetAssociativeCache
 from repro.caches.skewed import SkewedAssociativeCache
 from repro.core.affinity_store import AffinityCache, UnboundedAffinityStore
 from repro.core.controller import ControllerConfig, SamplingPolicy
-from repro.multicore.chip import ChipConfig
+from repro.core.multiway import HierarchicalController
+from repro.kernels.l1filter import build_l1_filter
+from repro.multicore.chip import ChipConfig, MultiCoreChip
 from repro.obs import SimProbe
 from repro.traces.trace import Access, AccessKind
 
@@ -109,9 +112,12 @@ def eventful_trace(seed, n=3000, span=900, line_size=64):
 
 
 def per_access(model, arrays):
-    """Drive ``model`` one ``Access`` at a time (the specification)."""
-    for address, kind, instruction in zip(*(a.tolist() for a in arrays)):
-        model.access(Access(address, AccessKind(kind), instruction))
+    """Drive ``model`` through ``run``, one ``Access`` at a time (the
+    specification)."""
+    model.run(
+        Access(address, AccessKind(kind), instruction)
+        for address, kind, instruction in zip(*(a.tolist() for a in arrays))
+    )
     return model
 
 
@@ -132,16 +138,14 @@ def probe_report(probe):
     )
 
 
-def assert_probe_reports_match(
-    make_model, replay_generic, arrays, record, probe_kwargs
-):
+def assert_probe_reports_match(make_model, arrays, record, probe_kwargs):
     """The whole probe report — meta, metrics, every event with its
     time, sequence number and arguments, the drop count — is the same
-    per access, through ``run_arrays`` and ``run_filtered`` (the
-    kernel's telemetry variant) and through the generic record loop.  A
-    low saturation threshold makes samples emit events too."""
+    per access as through ``run_arrays`` and ``run_filtered`` (the
+    kernel's telemetry variant).  A low saturation threshold makes
+    samples emit events too."""
     reports = {}
-    for mode in ("seed", "arrays", "filtered", "generic"):
+    for mode in ("seed", "arrays", "filtered"):
         probe = SimProbe(
             name="diff", bus_saturation_bytes_per_ref=20.0, **probe_kwargs
         )
@@ -150,13 +154,34 @@ def assert_probe_reports_match(
             per_access(model, arrays)
         elif mode == "arrays":
             model.run_arrays(*arrays)
-        elif mode == "filtered":
-            model.run_filtered(record)
         else:
-            replay_generic(model, record)
+            model.run_filtered(record)
         reports[mode] = probe_report(probe)
-    for mode in ("arrays", "filtered", "generic"):
+    for mode in ("arrays", "filtered"):
         assert reports[mode] == reports["seed"], mode
+
+
+def assert_refused(make_model, arrays, blocker):
+    """``run_arrays`` and ``run_filtered`` refuse the model built by
+    ``make_model()`` with a ``ValueError`` that names ``blocker`` and
+    points to ``run()``, before changing any of its state (its probe's
+    report and prefetcher counters included), and ``run()`` then serves
+    it: the model ends as a fresh one run per access."""
+    model = make_model()
+    chip = isinstance(model, MultiCoreChip)
+    caches = model.config.caches if chip else model.config
+    record = build_l1_filter(*arrays, config=caches)
+    before = model_state(model)
+    for replay in (
+        lambda: model.run_arrays(*arrays),
+        lambda: model.run_filtered(record),
+    ):
+        with pytest.raises(ValueError, match=blocker) as refusal:
+            replay()
+        assert "run()" in str(refusal.value)
+        assert model_state(model) == before
+    per_access(model, arrays)
+    assert model_state(model) == model_state(per_access(make_model(), arrays))
 
 
 def cache_state(cache):
@@ -219,15 +244,16 @@ def filter_state(transition_filter):
 
 
 def controller_state(controller):
+    if isinstance(controller, HierarchicalController):
+        filters = [controller._filters[n] for n in sorted(controller._filters)]
+    else:
+        filters = [controller.filter_x, *controller.filter_y.values()]
     return {
         "stats": asdict(controller.stats),
         "previous_subset": controller._previous_subset,
         "store": store_state(controller.store),
         "mechanisms": [mechanism_state(m) for m in controller.mechanisms()],
-        "filters": [
-            filter_state(f)
-            for f in [controller.filter_x, *controller.filter_y.values()]
-        ],
+        "filters": [filter_state(f) for f in filters],
     }
 
 
@@ -263,3 +289,18 @@ def without_l1(state):
     use this view.
     """
     return {k: v for k, v in state.items() if k not in ("il1", "dl1")}
+
+
+def model_state(model):
+    """A chip's or hierarchy's deep state, with its prefetchers'
+    counters and its probe's report."""
+    if isinstance(model, MultiCoreChip):
+        state = chip_state(model)
+        prefetchers = model.prefetchers or []
+    else:
+        state = hierarchy_state(model)
+        prefetchers = [model.prefetcher] if model.prefetcher else []
+    state["prefetchers"] = [dict(vars(p.stats)) for p in prefetchers]
+    if model.probe is not None:
+        state["probe"] = probe_report(model.probe)
+    return state

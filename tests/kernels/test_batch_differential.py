@@ -9,22 +9,26 @@ state.  The filtered path is compared without the L1 cache
 objects: the record *replaces* the model's L1 pair by contract, so
 the replaying model's il1/dl1 stay untouched while its ``ChipStats``
 (including the L1 miss counters) must still match exactly.  The fixed
-cases pin the configurations the fast path must
-*bypass* correctly (prefetchers) or handle structurally (probes,
-2-way controller, migration disabled, fully-associative L1s).
+cases pin the configurations the fast path must refuse (prefetchers,
+which ``run()`` serves) or handle structurally (probes, 2-way
+controller, migration disabled, fully-associative L1s).
 """
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.caches.hierarchy import CoreCacheConfig, SingleCoreHierarchy
 from repro.core.controller import ControllerConfig
-from repro.kernels.batch import _replay_chip_generic, _replay_hierarchy_generic
+from repro.core.multiway import HierarchicalConfig, HierarchicalController
 from repro.kernels.l1filter import build_l1_filter
 from repro.multicore.chip import ChipConfig, MultiCoreChip
 from tests.kernels.helpers import (
     PROBE_SHAPES,
     SMALL_CACHES,
     assert_probe_reports_match,
+    assert_refused,
     chip_state,
     eventful_trace,
     hierarchy_state,
@@ -121,24 +125,50 @@ class TestChipDifferential:
     @given(steps=steps_strategy)
     @settings(max_examples=10, deadline=None)
     def test_with_prefetcher(self, steps):
-        # A prefetcher mutates the L2s outside the fast path's model, so
-        # the batched entry points must fall back to the generic replay
-        # — and still match, including the prefetcher's own counters.
+        # A prefetcher mutates the L2s outside the kernels' model, so
+        # the batched entry points refuse the chip, and run() serves it
+        # (the prefetchers' own counters included).
         from repro.caches.prefetch import NextLinePrefetcher
 
-        accesses, arrays = make_trace(steps)
-        make_model = lambda: MultiCoreChip(
-            ChipConfig(), prefetcher_factory=NextLinePrefetcher
+        _, arrays = make_trace(steps)
+        assert_refused(
+            lambda: MultiCoreChip(
+                ChipConfig(), prefetcher_factory=NextLinePrefetcher
+            ),
+            arrays,
+            "prefetcher",
         )
-        seed, batched, filtered = run_three_ways(make_model, accesses, arrays)
-        assert chip_state(batched) == chip_state(seed)
-        assert without_l1(chip_state(filtered)) == without_l1(chip_state(seed))
-        digests = [
-            [vars(p.stats) for p in model.prefetchers]
-            for model in (seed, batched, filtered)
-        ]
-        assert digests[1] == digests[0]
-        assert digests[2] == digests[0]
+
+    @pytest.mark.parametrize(
+        "make_model, blocker",
+        [
+            (
+                lambda: MultiCoreChip(
+                    ChipConfig(caches=SMALL_CACHES),
+                    controller=HierarchicalController(
+                        HierarchicalConfig(depth=2)
+                    ),
+                ),
+                "HierarchicalController",
+            ),
+            (
+                lambda: MultiCoreChip(
+                    ChipConfig(
+                        caches=SMALL_CACHES,
+                        controller=replace(
+                            ControllerConfig.four_core(), lru_window=True
+                        ),
+                    )
+                ),
+                "LRU R-window",
+            ),
+        ],
+        ids=["hierarchical_controller", "lru_window"],
+    )
+    def test_refused_controllers(self, make_model, blocker):
+        # The generated controller blocks transcribe MigrationController
+        # with FIFO R-windows; run() serves any other controller.
+        assert_refused(make_model, eventful_trace(6), blocker)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -153,7 +183,6 @@ class TestChipDifferential:
         arrays = eventful_trace(seed)
         assert_probe_reports_match(
             lambda probe: MultiCoreChip(config, probe=probe),
-            _replay_chip_generic,
             arrays,
             build_l1_filter(*arrays, config=config.caches),
             probe_kwargs,
@@ -167,7 +196,6 @@ class TestChipDifferential:
         _, arrays = make_trace(steps)
         assert_probe_reports_match(
             lambda probe: MultiCoreChip(ChipConfig(), probe=probe),
-            _replay_chip_generic,
             arrays,
             build_l1_filter(*arrays),
             probe_kwargs,
@@ -204,13 +232,26 @@ class TestHierarchyDifferential:
             hierarchy_state(seed)
         )
 
+    @given(steps=steps_strategy)
+    @settings(max_examples=10, deadline=None)
+    def test_with_prefetcher(self, steps):
+        from repro.caches.prefetch import NextLinePrefetcher
+
+        _, arrays = make_trace(steps)
+        assert_refused(
+            lambda: SingleCoreHierarchy(
+                prefetcher_factory=NextLinePrefetcher
+            ),
+            arrays,
+            "prefetcher",
+        )
+
     @given(seed=st.integers(0, 2**32 - 1), probe_kwargs=probe_settings)
     @settings(max_examples=15, deadline=None)
     def test_with_probe(self, seed, probe_kwargs):
         arrays = eventful_trace(seed)
         assert_probe_reports_match(
             lambda probe: SingleCoreHierarchy(SMALL_CACHES, probe=probe),
-            _replay_hierarchy_generic,
             arrays,
             build_l1_filter(*arrays, config=SMALL_CACHES),
             probe_kwargs,
@@ -222,7 +263,6 @@ class TestHierarchyDifferential:
         _, arrays = make_trace(steps)
         assert_probe_reports_match(
             lambda probe: SingleCoreHierarchy(probe=probe),
-            _replay_hierarchy_generic,
             arrays,
             build_l1_filter(*arrays),
             probe_kwargs,

@@ -3,16 +3,15 @@
 ``run_arrays``/``build_l1_filter`` stream the trace in 64K-access
 chunks; an off-by-one at the chunk seam would corrupt exactly the
 traces whose length lands on the boundary.  This file pins lengths 0,
-1, ``_CHUNK - 1``, ``_CHUNK`` and ``_CHUNK + 1`` through both the fast
-regime (no probe — ``run_arrays`` and ``run_filtered`` both replay the
-miss stream through the specialized generated kernel) and the generic
-regime (a probe attached that the kernels cannot log for, a
-``SimProbe`` subclass, which makes the fast path ineligible), and
-requires identical deep state between the two.  The
-tiny lengths are additionally compared against the seed per-access
-loop; the 64K lengths are not (a quarter-million per-access steps per
-case would dominate the suite for no extra seam coverage).
+1, ``_CHUNK - 1``, ``_CHUNK`` and ``_CHUNK + 1`` through both fast
+paths (``run_arrays`` and ``run_filtered``, which replay the miss
+stream through the generated kernel) and requires the deep state of
+the generic path: per-access simulation through ``run()``, which
+serves every model.  Each length is simulated per access once per
+model kind and shared by the tests that compare against it.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,7 +19,13 @@ import pytest
 from repro.caches.hierarchy import SingleCoreHierarchy
 from repro.kernels.l1filter import _CHUNK, build_l1_filter
 from repro.multicore.chip import ChipConfig, MultiCoreChip
-from tests.kernels.helpers import chip_state, hierarchy_state, without_l1
+from tests.kernels.helpers import (
+    assert_probe_reports_match,
+    chip_state,
+    hierarchy_state,
+    per_access,
+    without_l1,
+)
 
 TINY = (0, 1)
 SEAM = (_CHUNK - 1, _CHUNK, _CHUNK + 1)
@@ -42,79 +47,56 @@ def boundary_arrays(n, line_size=64):
     return addresses, kinds, instructions
 
 
-def _accesses(arrays):
-    from repro.traces.trace import Access, AccessKind
-
-    addresses, kinds, instructions = arrays
-    return [
-        Access(int(a), AccessKind(int(k)), int(i))
-        for a, k, i in zip(addresses, kinds, instructions)
-    ]
-
-
-def _probe():
-    from repro.obs import SimProbe
-
-    class GenericProbe(SimProbe):
-        """Not exactly ``SimProbe``: replays take the generic loop."""
-
-    return GenericProbe(name="boundary", sample_interval=10_000)
+@lru_cache(maxsize=None)
+def generic_state(kind, n):
+    """The deep state after ``run()`` over ``boundary_arrays(n)``."""
+    if kind == "chip":
+        model = per_access(MultiCoreChip(ChipConfig()), boundary_arrays(n))
+        return chip_state(model)
+    model = per_access(SingleCoreHierarchy(), boundary_arrays(n))
+    return hierarchy_state(model)
 
 
 @pytest.mark.parametrize("n", TINY + SEAM)
 def test_chip_fast_vs_generic(n):
-    arrays = boundary_arrays(n)
     fast = MultiCoreChip(ChipConfig())
-    fast.run_arrays(*arrays)
-    generic = MultiCoreChip(ChipConfig(), probe=_probe())
-    generic.run_arrays(*arrays)
-    assert chip_state(fast) == chip_state(generic)
+    fast.run_arrays(*boundary_arrays(n))
+    assert chip_state(fast) == generic_state("chip", n)
 
 
 @pytest.mark.parametrize("n", TINY + SEAM)
 def test_chip_filtered_fast_vs_generic(n):
-    arrays = boundary_arrays(n)
-    record = build_l1_filter(*arrays)
     fast = MultiCoreChip(ChipConfig())
-    fast.run_filtered(record)
-    generic = MultiCoreChip(ChipConfig(), probe=_probe())
-    generic.run_filtered(record)
-    assert without_l1(chip_state(fast)) == without_l1(chip_state(generic))
-    # The filtered replays must also agree with the arrays path on
-    # everything but the untouched L1 objects.
-    arrays_chip = MultiCoreChip(ChipConfig())
-    arrays_chip.run_arrays(*arrays)
-    assert without_l1(chip_state(fast)) == without_l1(chip_state(arrays_chip))
+    fast.run_filtered(build_l1_filter(*boundary_arrays(n)))
+    assert without_l1(chip_state(fast)) == without_l1(generic_state("chip", n))
 
 
 @pytest.mark.parametrize("n", TINY + SEAM)
 def test_hierarchy_fast_vs_generic(n):
     arrays = boundary_arrays(n)
-    record = build_l1_filter(*arrays)
     fast = SingleCoreHierarchy()
     fast.run_arrays(*arrays)
-    generic = SingleCoreHierarchy(probe=_probe())
-    generic.run_arrays(*arrays)
-    assert hierarchy_state(fast) == hierarchy_state(generic)
+    assert hierarchy_state(fast) == generic_state("hierarchy", n)
     filtered = SingleCoreHierarchy()
-    filtered.run_filtered(record)
+    filtered.run_filtered(build_l1_filter(*arrays))
     assert without_l1(hierarchy_state(filtered)) == without_l1(
-        hierarchy_state(fast)
+        generic_state("hierarchy", n)
     )
 
 
 @pytest.mark.parametrize("n", TINY)
 def test_tiny_lengths_match_seed_loop(n):
+    # The telemetry replay's edges: no record at all, and one, sampled
+    # at every reference.
     arrays = boundary_arrays(n)
-    seed = MultiCoreChip(ChipConfig())
-    for access in _accesses(arrays):
-        seed.access(access)
-    batched = MultiCoreChip(ChipConfig())
-    batched.run_arrays(*arrays)
-    assert chip_state(batched) == chip_state(seed)
-    filtered = MultiCoreChip(ChipConfig())
-    filtered.run_filtered(build_l1_filter(*arrays))
-    assert without_l1(chip_state(filtered)) == without_l1(chip_state(seed))
+    record = build_l1_filter(*arrays)
+    for make_model in (MultiCoreChip, SingleCoreHierarchy):
+        assert_probe_reports_match(
+            lambda probe: make_model(probe=probe),
+            arrays,
+            record,
+            {"sample_interval": 1},
+        )
 
 
 @pytest.mark.parametrize("n", SEAM)
@@ -134,15 +116,5 @@ def test_l1_record_seam_consistency(n):
     second = tuple(a[cut:] for a in arrays)
     split.run_arrays(*first)
     split.run_arrays(*second)
-    # Instruction counting restarts per run_arrays call, and the L1s
-    # are only touched on the arrays path — compare the L2-and-beyond
-    # machine state, which the seam would corrupt first.
-    fast_state = without_l1(chip_state(whole))
-    split_state = without_l1(chip_state(split))
-    for state in (fast_state, split_state):
-        state["stats"] = {
-            k: v
-            for k, v in state["stats"].items()
-            if k not in ("instructions", "accesses", "l1_misses")
-        }
-    assert split_state == fast_state
+    # The L1s are only touched on the arrays path.
+    assert without_l1(chip_state(split)) == without_l1(chip_state(whole))

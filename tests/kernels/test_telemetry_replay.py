@@ -7,26 +7,27 @@ its kernel, and the probe then replays the kernel's raw log through its
 hooks (:meth:`SimProbe.replay_log`).  The differential tests in
 ``test_batch_differential.py`` compare the whole report against the
 per-access model on every chip shape; this suite pins the rest: which
-probes take the kernel path (and that probe-free models keep the plain
-kernel), that telemetry leaves the simulated state alone, that the
-reference clock carries on across calls, that a chip with migration
-off needs no migration controller, and that Table 2's obs artifacts
-are byte-identical to the generic loop's on real workloads.
+probes the kernels take (and that probe-free models keep the plain
+kernel), that other probes are refused and left to ``run()``, the
+per-access path that serves every model (the generic path below), that
+telemetry leaves the simulated state alone, that the reference clock
+carries on across calls, that a chip with migration off needs no
+migration controller, and that Table 2's obs artifacts are
+byte-identical to the per-access model's on real workloads.
 """
 
 import numpy as np
 import pytest
 
-import repro.kernels.batch as batch
 from repro.caches.hierarchy import SingleCoreHierarchy
-from repro.kernels.batch import _replay_chip_generic, _replay_hierarchy_generic
-from repro.kernels.l1filter import build_l1_filter, filter_through_l1s
+from repro.kernels.l1filter import build_l1_filter
 from repro.multicore.chip import ChipConfig, MultiCoreChip
 from repro.obs import SimProbe, save_report
 from tests.kernels.helpers import (
     PROBE_SHAPES,
     SMALL_CACHES,
     assert_probe_reports_match,
+    assert_refused,
     chip_state,
     eventful_trace,
     hierarchy_state,
@@ -41,46 +42,35 @@ def _model(kind, probe=None):
     return SingleCoreHierarchy(SMALL_CACHES, probe=probe)
 
 
-def _no_generic(monkeypatch):
-    def refuse(model, record):
-        raise AssertionError("replayed through the generic record loop")
-
-    monkeypatch.setattr(batch, "_replay_chip_generic", refuse)
-    monkeypatch.setattr(batch, "_replay_hierarchy_generic", refuse)
-
-
 class TestDispatch:
     @pytest.mark.parametrize("kind", ["chip", "hierarchy"])
-    def test_attached_sim_probe_takes_the_kernel(self, kind, monkeypatch):
-        _no_generic(monkeypatch)
+    def test_attached_sim_probe_takes_the_kernel(self, kind):
         probe = SimProbe()
         model = _model(kind, probe)
         model.run_arrays(*eventful_trace(3))
         assert probe.now == model.stats.accesses
 
     @pytest.mark.parametrize("kind", ["chip", "hierarchy"])
-    def test_other_probes_keep_the_generic_loop(self, kind, monkeypatch):
-        calls = []
-        for name in ("_replay_chip_generic", "_replay_hierarchy_generic"):
-            original = getattr(batch, name)
-            monkeypatch.setattr(
-                batch,
-                name,
-                lambda model, record, original=original: calls.append(
-                    original(model, record)
-                ),
-            )
-
+    def test_other_probes_keep_the_generic_loop(self, kind):
+        # A probe the kernels cannot log for is refused; run() serves
+        # the model, per access.
         class CustomProbe(SimProbe):
             pass
 
         arrays = eventful_trace(3)
-        _model(kind, CustomProbe()).run_arrays(*arrays)
-        # a probe bound to a second model samples that model too
-        shared = SimProbe()
-        _model("hierarchy" if kind == "chip" else "chip", shared)
-        _model(kind, shared).run_arrays(*arrays)
-        assert len(calls) == 2
+        assert_refused(
+            lambda: _model(kind, CustomProbe()),
+            arrays,
+            "CustomProbe, not a SimProbe",
+        )
+
+        def shared_probe_model():
+            # a probe bound to a second model samples that model too
+            shared = SimProbe()
+            _model("hierarchy" if kind == "chip" else "chip", shared)
+            return _model(kind, shared)
+
+        assert_refused(shared_probe_model, arrays, "bound to a second model")
 
     def test_probe_free_models_take_the_plain_kernel(self, monkeypatch):
         # The telemetry variant costs more per replay than the plain
@@ -109,14 +99,6 @@ class TestDispatch:
                 _model(kind, probe).run_arrays(*arrays)
         assert flags == [False, False, True, True]
 
-    def test_slices_still_refuse_probed_chips(self):
-        from repro.kernels.specialize import replay_chip_slice
-
-        chip = _model("chip", SimProbe())
-        record = build_l1_filter(*eventful_trace(3), config=SMALL_CACHES)
-        with pytest.raises(ValueError, match="not specializable"):
-            replay_chip_slice(chip, record, 0, record.records)
-
 
 @pytest.mark.parametrize("shape", sorted(PROBE_SHAPES))
 def test_telemetry_leaves_chip_state_identical(shape):
@@ -144,7 +126,8 @@ def test_telemetry_leaves_hierarchy_state_identical():
 def test_probe_clock_carries_on_across_calls(kind, path):
     # Two consecutive calls over the halves of a trace report exactly
     # what per-access simulation of the whole trace reports: the second
-    # call's events count on from the first call's references.
+    # call's events count on from the first call's references, whether
+    # the first ran through the kernel or per access.
     arrays = eventful_trace(11, n=4000)
     whole = SimProbe(sample_interval=7)
     per_access(_model(kind, whole), arrays)
@@ -152,32 +135,22 @@ def test_probe_clock_carries_on_across_calls(kind, path):
     probe = SimProbe(sample_interval=7)
     model = _model(kind, probe)
     half = len(arrays[0]) // 2
-    for part in (slice(None, half), slice(half, None)):
-        part_arrays = [array[part] for array in arrays]
-        if path == "kernel":
-            model.run_arrays(*part_arrays)
-            continue
-        record = filter_through_l1s(
-            model.il1,
-            model.dl1,
-            SMALL_CACHES,
-            *part_arrays,
-        )
-        if kind == "chip":
-            _replay_chip_generic(model, record)
-        else:
-            _replay_hierarchy_generic(model, record)
+    first = [array[:half] for array in arrays]
+    if path == "kernel":
+        model.run_arrays(*first)
+    else:
+        per_access(model, first)
+    model.run_arrays(*(array[half:] for array in arrays))
     assert probe.now == len(arrays[0])
     assert probe_report(probe) == probe_report(whole)
 
 
-def test_migration_off_kernel_reads_no_controller(monkeypatch):
+def test_migration_off_kernel_reads_no_controller():
     # With migration off the chip never consults its controller, so the
     # kernel takes the chip whatever its controller's type, and feeding
     # the log to the probe must not read the controller either.
     from repro.core.multiway import HierarchicalConfig, HierarchicalController
 
-    _no_generic(monkeypatch)
     config = ChipConfig(caches=SMALL_CACHES, migration_enabled=False)
     arrays = eventful_trace(4)
     assert_probe_reports_match(
@@ -186,20 +159,19 @@ def test_migration_off_kernel_reads_no_controller(monkeypatch):
             controller=HierarchicalController(HierarchicalConfig(depth=2)),
             probe=probe,
         ),
-        _replay_chip_generic,
         arrays,
         build_l1_filter(*arrays, config=SMALL_CACHES),
         {"sample_interval": 7},
     )
 
 
-def _table2_artifacts(directory, name, record, replay_baseline, replay_chip):
-    """``run_table2_for``'s two instrumented passes, replayed by the given
-    functions, saved as its artifact triples."""
+def _table2_artifacts(directory, name, replay):
+    """``run_table2_for``'s two instrumented passes, each model driven
+    by ``replay``, saved as its artifact triples."""
     baseline_probe = SimProbe(name="baseline")
-    replay_baseline(SingleCoreHierarchy(probe=baseline_probe), record)
+    replay(SingleCoreHierarchy(probe=baseline_probe))
     chip_probe = SimProbe(name="chip")
-    replay_chip(MultiCoreChip(ChipConfig(), probe=chip_probe), record)
+    replay(MultiCoreChip(ChipConfig(), probe=chip_probe))
     save_report(
         baseline_probe.report(workload=name, run="baseline"),
         directory,
@@ -215,35 +187,28 @@ def _table2_artifacts(directory, name, record, replay_baseline, replay_chip):
 
 @pytest.mark.parametrize("name, scale", [("179.art", 0.01), ("mst", 0.1)])
 def test_table2_obs_artifacts_match_the_generic_loop(tmp_path, name, scale):
+    # The generic loop is run(), per access.
     from repro.experiments.workloads import workload
 
-    record = build_l1_filter(*workload(name, scale=scale).arrays())
+    arrays = workload(name, scale=scale).arrays()
+    record = build_l1_filter(*arrays)
     kernel = _table2_artifacts(
-        tmp_path / "kernel",
-        name,
-        record,
-        SingleCoreHierarchy.run_filtered,
-        MultiCoreChip.run_filtered,
+        tmp_path / "kernel", name, lambda model: model.run_filtered(record)
     )
     generic = _table2_artifacts(
-        tmp_path / "generic",
-        name,
-        record,
-        _replay_hierarchy_generic,
-        _replay_chip_generic,
+        tmp_path / "generic", name, lambda model: per_access(model, arrays)
     )
     assert len(kernel) == 6
     assert kernel == generic
 
 
-def test_controller_references_can_lead_the_clock(monkeypatch):
+def test_controller_references_can_lead_the_clock():
     # A controller that observed references before joining the chip
     # reports transitions and rollovers at its own, larger reference
     # counts, which move the probe clock past the chip's; the telemetry
     # kernel's log must reproduce that too.
     from repro.core.controller import ControllerConfig, MigrationController
 
-    _no_generic(monkeypatch)
     arrays = eventful_trace(2)
     record = build_l1_filter(*arrays, config=SMALL_CACHES)
     reports = {}

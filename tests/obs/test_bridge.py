@@ -1,4 +1,4 @@
-"""The scheduler -> obs bridge: event conversion, sink, trace events.
+"""The scheduler -> obs bridge: event conversion and sink.
 
 Merging a whole ``--obs`` directory is ``repro.obs.aggregate``'s job
 (``test_aggregate.py``).
@@ -7,7 +7,6 @@ Merging a whole ``--obs`` directory is ``repro.obs.aggregate``'s job
 from repro.obs.bridge import (
     ObsRunlogSink,
     bridge_job_events,
-    runtime_trace_events,
     sim_event_from_job_event,
 )
 from repro.obs.export import load_events_jsonl
@@ -68,33 +67,3 @@ class TestRunlogSink:
         ]
         assert [e.seq for e in events] == [1, 2, 3]
         sink.close()
-
-
-class TestRuntimeTraceEvents:
-    def test_started_finished_becomes_span_per_job(self):
-        bridged = bridge_job_events(
-            [
-                _job_event("started", label="a", ts=100.0),
-                _job_event("started", label="b", ts=100.1),
-                _job_event("finished", label="a", ts=100.4),
-                _job_event("failed", label="b", ts=100.5, error="boom"),
-            ]
-        )
-        events = runtime_trace_events(bridged)
-        spans = [e for e in events if e["ph"] == "X"]
-        assert {s["name"] for s in spans} == {"finished", "failed"}
-        # One thread row per job label; spans live on their job's row.
-        tids = {
-            e["args"]["name"]: e["tid"]
-            for e in events
-            if e["name"] == "thread_name"
-        }
-        by_name = {s["name"]: s for s in spans}
-        assert by_name["finished"]["tid"] == tids["a"]
-        assert by_name["failed"]["tid"] == tids["b"]
-
-    def test_non_span_events_become_instants(self):
-        bridged = bridge_job_events([_job_event("queued"), _job_event("cache-hit")])
-        events = runtime_trace_events(bridged)
-        instants = [e for e in events if e["ph"] == "i"]
-        assert [e["name"] for e in instants] == ["queued", "cache-hit"]

@@ -3,13 +3,13 @@
 Every job's lifecycle must read ``queued -> started -> (retried ->
 started)* -> finished | failed`` in the emitted stream — even when
 workers crash and the scheduler retries — and the obs bridge must
-preserve that order into merged trace output, where same-millisecond
+preserve that order in its ``seq`` numbers, since same-millisecond
 timestamps would otherwise shuffle it.
 """
 
 import re
 
-from repro.obs.bridge import bridge_job_events, runtime_trace_events
+from repro.obs.bridge import bridge_job_events
 from repro.runtime import (
     EventBus,
     ExperimentRuntime,
@@ -131,21 +131,3 @@ class TestBridgedOrdering:
             "runtime.started",
             "runtime.finished",
         ]
-
-    def test_merged_trace_span_covers_final_attempt(self, tmp_path):
-        events = run_jobs(
-            tmp_path,
-            [Job.create(CRASH_ONCE, marker_path=str(tmp_path / "marker"))],
-            jobs=2,
-            retries=1,
-            use_cache=False,
-        )
-        bridged = bridge_job_events(events)
-        trace = runtime_trace_events(bridged)
-        spans = [e for e in trace if e["ph"] == "X"]
-        assert len(spans) == 1
-        span = spans[0]
-        assert span["name"] == "finished"
-        # The span opens at the *second* started (the successful attempt).
-        second_started = [e for e in bridged if e.kind == "runtime.started"][1]
-        assert span["ts"] == second_started.t
