@@ -86,7 +86,7 @@ def _run_experiment(
 
 
 def _finalize_obs(obs_dir: str) -> None:
-    """Aggregate every per-job trace, the bridged scheduler runlog, and
+    """Aggregate every per-job trace, the scheduler's run log, and
     the kernel phase spans into ``<obs_dir>/trace.json`` plus the
     machine-readable ``<obs_dir>/sweep_summary.json`` (best-effort:
     never fails the run)."""
@@ -223,9 +223,10 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.obs:
         from pathlib import Path
 
-        from repro.obs.bridge import ObsRunlogSink
+        from repro.obs.aggregate import RUNLOG
+        from repro.runtime.events import JsonlSink
 
-        runtime.bus.add(ObsRunlogSink(Path(args.obs) / "runtime.jsonl"))
+        runtime.bus.add(JsonlSink(Path(args.obs) / RUNLOG))
 
     start = time.time()
     failures: "list[tuple[str, str]]" = []

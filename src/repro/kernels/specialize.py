@@ -872,7 +872,7 @@ else:
             ]
         ctrl_locals = "\n".join(log_locals + [ctrl_locals])
 
-    loop = f"""i = start - 1
+    loop = f"""i = -1
 for {loop_vars} in zip({zip_args}):
     i += 1
 {_indent(l2_body, 4)}
@@ -880,8 +880,7 @@ for {loop_vars} in zip({zip_args}):
 
     last_params = "ctrl_counts, logs" if telemetry else "ctrl_counts"
     source = f"""def _replay(chip, seq_line, seq_w, seq_c, cols, st_cols,
-            start, end, n_accesses, max_instruction, kind_counts,
-            {last_params}):
+            n_accesses, max_instruction, kind_counts, {last_params}):
     caches = chip.l2s.caches
     num_cores = len(caches)
     engine = chip.engine
@@ -919,20 +918,21 @@ for {loop_vars} in zip({zip_args}):
     a_miss = a_evict = a_wb = 0
     a_lastev = None
     a_lastmiss = -2
-    reign_start = start
-    cbase = clock_fl[active] - reign_start + 1
+    reign_start = 0
+    cbase = clock_fl[active] + 1
     occ = tuple((idx_by_core[c].get, dirty_by_core[c])
                 for c in range(num_cores)
                 if c != active and idx_by_core[c])
 {_indent(loop, 4)}
-    if end > start:
-        clock_fl[active] = cbase + end - 1
-        acc_fl[active] += end - reign_start
+    n_records = len(seq_line)
+    if n_records:
+        clock_fl[active] = cbase + n_records - 1
+        acc_fl[active] += n_records - reign_start
         miss_fl[active] += a_miss
         evict_fl[active] += a_evict
         wb_fl[active] += a_wb
-        if end > reign_start:
-            last_fl[active] = a_lastev if a_lastmiss == end - 1 else None
+        if n_records > reign_start:
+            last_fl[active] = a_lastev if a_lastmiss == n_records - 1 else None
     g_miss = sum(miss_fl)
     for core in range(num_cores):
         cache = caches[core]
@@ -946,10 +946,9 @@ for {loop_vars} in zip({zip_args}):
         lf = last_fl[core]
         if lf is not _UNSET:
             cache.last_eviction = EvictedLine(*lf) if lf is not None else None
-    records_span = end - start
     coherence = chip.l2s.stats
-    coherence.accesses += records_span
-    coherence.hits += records_span - g_miss
+    coherence.accesses += n_records
+    coherence.hits += n_records - g_miss
     coherence.misses += g_miss
     coherence.forwards += coh_forwards
     coherence.l3_fetches += coh_l3
@@ -966,7 +965,7 @@ for {loop_vars} in zip({zip_args}):
     stats.il1_misses += fetch_misses
     stats.dl1_misses += load_misses + store_misses
     stats.l1_miss_requests += fetch_misses + load_misses + store_misses
-    stats.l2_accesses += records_span
+    stats.l2_accesses += n_records
     stats.l2_misses += g_miss
     stats.migrations += migrations
     bus = chip.bus_traffic
@@ -1295,9 +1294,8 @@ def replay_chip_specialized(chip, record):
         ctrl_counts = (n - kind_counts[2], sampled, x_refs)
     else:
         ctrl_counts = (0, 0, 0)
-    # The kernel takes a record range; a replay is always the whole one.
     args = (
-        chip, rec_line, w_b, c_b, cols, st_cols, 0, n, record.accesses,
+        chip, rec_line, w_b, c_b, cols, st_cols, record.accesses,
         record.max_instruction, kind_counts, ctrl_counts,
     )
     if log is None:

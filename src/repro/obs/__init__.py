@@ -4,8 +4,8 @@ The paper's argument is about *dynamic* behaviour — migration bursts,
 transition-filter hysteresis, per-core cache occupancy — which
 end-of-run counters average away.  This package adds the time axis:
 
-* :mod:`repro.obs.metrics` — zero-dependency counters, gauges,
-  HDR-style histograms and bounded rolling time-series;
+* :mod:`repro.obs.metrics` — zero-dependency counters, HDR-style
+  histograms and bounded rolling time-series;
 * :mod:`repro.obs.events` — the structured simulation event stream
   (migration start/commit, filter flips, R-window rollovers, L2
   eviction storms, update-bus saturation, controller transitions);
@@ -17,17 +17,17 @@ end-of-run counters average away.  This package adds the time axis:
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (load a run in
   Perfetto and watch execution hop between cores), JSONL, and terminal
   summaries;
-* :mod:`repro.obs.bridge` — merges the runtime's scheduler
-  :class:`~repro.runtime.events.JobEvent` stream into the same sink;
 * :mod:`repro.obs.trace_context` — cross-process span correlation:
   one trace id per sweep, deterministic per-job spans propagated into
   worker processes, kernel phase spans;
-* :mod:`repro.obs.aggregate` — stitches per-worker artifacts into one
-  merged Perfetto trace plus a machine-readable sweep summary
-  (per-stage latency histograms, span-linkage check);
-* :mod:`repro.obs.watch` — a live terminal view of a running sweep.
+* :mod:`repro.obs.aggregate` — stitches one ``--obs`` directory (the
+  per-job report artifacts, the scheduler's
+  :class:`~repro.runtime.events.JobEvent` run log ``runtime.jsonl``,
+  and the phase spans) into one merged Perfetto trace plus a
+  machine-readable sweep summary (per-stage latency histograms,
+  span-linkage check).
 
-Command line: ``python -m repro.obs {summarize,export,watch}``;
+Command line: ``python -m repro.obs {summarize,export} <dir>``;
 producer side: ``python -m repro.experiments.run_all --obs <dir>``.
 """
 
@@ -47,7 +47,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     TimeSeries,
@@ -58,7 +57,6 @@ from repro.obs.trace_context import TraceContext, mint_root, span_for_job
 __all__ = [
     "Counter",
     "EventLog",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ObsReport",

@@ -1,10 +1,11 @@
-"""Stitch per-worker/per-host obs artifacts into one sweep view.
+"""Stitch one ``run_all --obs`` directory into one sweep view.
 
-A parallel sweep scatters telemetry: every worker process writes its
-own report triple (``*.metrics.json`` / ``*.events.jsonl`` /
-``*.trace.json``), the scheduler bridge appends ``runtime.jsonl``, and
-kernel phase spans land in ``phases.jsonl``.  This module merges any
-mix of those — directories, globs, or individual files — into:
+A parallel sweep scatters telemetry over its ``--obs`` directory: every
+instrumented job writes its report triple (``*.metrics.json`` /
+``*.events.jsonl`` / ``*.trace.json``), the scheduler's run-log sink
+appends its :class:`~repro.runtime.events.JobEvent` records to
+``runtime.jsonl``, and kernel phase spans land in ``phases.jsonl``.
+This module merges them into:
 
 * **one Perfetto trace** (:func:`build_sweep_trace`): a ``scheduler``
   process with a root ``sweep`` span per trace id, one thread row per
@@ -18,21 +19,18 @@ mix of those — directories, globs, or individual files — into:
   and cache-hit / retry / failure counters, with a span-linkage check
   (every span's parent must exist in the merged trace).
 
-Scheduler and phase events carry absolute wall-clock microseconds
-(``wall_us``), so artifacts from different processes land on one
-shared timeline; simulator rows keep their own reference clock
-(1 ref = 1 us) as before.
+Scheduler and phase records carry absolute wall-clock time, so spans
+from different processes land on one shared timeline; simulator rows
+keep their own reference clock (1 ref = 1 us).
 """
 
 from __future__ import annotations
 
-import glob as _glob
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.obs.events import SimEvent
 from repro.obs.export import (
     chrome_trace,
     load_events_jsonl,
@@ -41,36 +39,23 @@ from repro.obs.export import (
 from repro.obs.metrics import Histogram
 from repro.obs.probe import ObsReport
 from repro.obs.trace_context import load_phases
+from repro.runtime.events import JobEvent, event_from_record
 
 SUMMARY_SCHEMA = "repro.obs/sweep-summary@1"
 
-#: JobEvent wire-shape keys accepted when reading raw run logs
-_JOB_EVENT_KEYS = (
-    "event",
-    "label",
-    "job_hash",
-    "timestamp",
-    "attempt",
-    "duration",
-    "references",
-    "error",
-    "trace_id",
-    "span_id",
-    "parent_span_id",
-)
+#: the scheduler's run log inside an ``--obs`` directory
+RUNLOG = "runtime.jsonl"
 
-_RUNTIME_PREFIX = "runtime."
 _TERMINAL = ("finished", "failed", "interrupted")
 
 
 @dataclass
 class SweepArtifacts:
-    """Everything one aggregation found across its inputs."""
+    """Everything one ``--obs`` directory holds."""
 
     reports: "list[ObsReport]" = field(default_factory=list)
-    runtime_events: "list[SimEvent]" = field(default_factory=list)
+    job_events: "list[JobEvent]" = field(default_factory=list)
     phases: "list[dict[str, object]]" = field(default_factory=list)
-    sources: "list[Path]" = field(default_factory=list)
 
 
 @dataclass
@@ -118,20 +103,7 @@ class JobSpan:
         }
 
 
-# -- input resolution ----------------------------------------------------
-
-
-def resolve_inputs(inputs: "Sequence[str | Path]") -> "list[Path]":
-    """Expand directories and shell globs into concrete paths."""
-    resolved: "list[Path]" = []
-    for item in inputs:
-        text = str(item)
-        if any(ch in text for ch in "*?["):
-            matches = sorted(_glob.glob(text))
-            resolved.extend(Path(m) for m in matches)
-        else:
-            resolved.append(Path(text))
-    return resolved
+# -- loading -------------------------------------------------------------
 
 
 def load_reports_from(directory: "str | Path") -> "list[ObsReport]":
@@ -166,142 +138,70 @@ def _load_report(metrics_path: Path) -> "ObsReport | None":
     )
 
 
-def load_runlog(path: "str | Path") -> "list[SimEvent]":
-    """Read one run log in either wire shape: obs-bridged
-    (:class:`SimEvent` dicts, as ``ObsRunlogSink`` writes) or raw
-    scheduler (``JobEvent`` records, as ``JsonlSink`` writes — these
-    are bridged here)."""
-    from repro.obs.bridge import bridge_job_events
-    from repro.runtime.events import JobEvent
-
-    sim_events: "list[SimEvent]" = []
-    job_events: "list[JobEvent]" = []
+def load_runlog(path: "str | Path") -> "list[JobEvent]":
+    """Read the scheduler's run log (``JsonlSink``'s records) in
+    emission order, skipping torn and foreign lines."""
+    events: "list[JobEvent]" = []
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError:
-        return sim_events
+        return events
     for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
         try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn tail of a killed run
-        if not isinstance(data, dict):
-            continue
-        if "kind" in data:
-            try:
-                sim_events.append(SimEvent.from_dict(data))
-            except (KeyError, TypeError, ValueError):
-                continue
-        elif "event" in data:
-            kwargs = {k: data[k] for k in _JOB_EVENT_KEYS if k in data}
-            try:
-                job_events.append(JobEvent(**kwargs))
-            except (TypeError, ValueError):
-                continue
-    if job_events:
-        sim_events.extend(bridge_job_events(job_events))
-    return sim_events
+            events.append(event_from_record(json.loads(line)))
+        except (ValueError, TypeError):
+            continue  # the torn tail of a killed run, or not a JobEvent
+    return events
 
 
-def collect_artifacts(inputs: "Sequence[str | Path]") -> SweepArtifacts:
-    """Gather reports, run logs, and phase spans from any mix of
-    directories, glob patterns, and files."""
-    artifacts = SweepArtifacts()
-    for path in resolve_inputs(inputs):
-        if path.is_dir():
-            _collect_dir(path, artifacts)
-        elif path.is_file():
-            _collect_file(path, artifacts)
-    return artifacts
-
-
-def _collect_dir(directory: Path, artifacts: SweepArtifacts) -> None:
-    artifacts.sources.append(directory)
-    artifacts.reports.extend(load_reports_from(directory))
-    for runlog in sorted(directory.glob("*.jsonl")):
-        if runlog.name.endswith(".events.jsonl"):
-            continue  # a report's sim events, already loaded above
-        if runlog.name == "phases.jsonl":
-            artifacts.phases.extend(load_phases(runlog))
-            continue
-        artifacts.runtime_events.extend(load_runlog(runlog))
-
-
-def _collect_file(path: Path, artifacts: SweepArtifacts) -> None:
-    name = path.name
-    if name.endswith(".metrics.json"):
-        report = _load_report(path)
-        if report is not None:
-            artifacts.sources.append(path)
-            artifacts.reports.append(report)
-    elif name == "phases.jsonl" or name.endswith(".phases.jsonl"):
-        artifacts.sources.append(path)
-        artifacts.phases.extend(load_phases(path))
-    elif name.endswith(".jsonl") and not name.endswith(".events.jsonl"):
-        artifacts.sources.append(path)
-        artifacts.runtime_events.extend(load_runlog(path))
-    # *.trace.json and *.events.jsonl are derived views of the above;
-    # merged outputs (trace.json) must never feed back in as inputs.
+def collect_artifacts(directory: "str | Path") -> SweepArtifacts:
+    """Gather the reports, run log and phase spans of one ``--obs``
+    directory.  The merged outputs (``trace.json``,
+    ``sweep_summary.json``) are never read back."""
+    directory = Path(directory)
+    return SweepArtifacts(
+        reports=load_reports_from(directory),
+        job_events=load_runlog(directory / RUNLOG),
+        phases=load_phases(directory / "phases.jsonl"),
+    )
 
 
 # -- job-span reconstruction ---------------------------------------------
 
 
-def _wall_us(event: SimEvent) -> "int | None":
-    wall = event.args.get("wall_us")
-    return int(wall) if isinstance(wall, (int, float)) else None
-
-
-def build_job_spans(events: "Sequence[SimEvent]") -> "list[JobSpan]":
-    """Fold a bridged scheduler stream into one span per job hash."""
+def build_job_spans(events: "Iterable[JobEvent]") -> "list[JobSpan]":
+    """Fold the scheduler's events, in emission order, into one span
+    per job hash."""
     spans: "dict[str, JobSpan]" = {}
-    order: "list[str]" = []
-    # Wall clock first (it is shared across processes; seq/t are local
-    # to one runlog), seq as the same-file tie-break.
-    for event in sorted(
-        events, key=lambda e: (_wall_us(e) or e.t, e.seq)
-    ):
-        if not event.kind.startswith(_RUNTIME_PREFIX):
-            continue
-        suffix = event.kind[len(_RUNTIME_PREFIX):]
-        job_hash = str(event.args.get("job_hash", ""))
-        span = spans.get(job_hash)
+    for event in events:
+        span = spans.get(event.job_hash)
         if span is None:
-            span = JobSpan(
-                label=str(event.args.get("label", "job")), job_hash=job_hash
+            span = spans[event.job_hash] = JobSpan(
+                label=event.label, job_hash=event.job_hash
             )
-            spans[job_hash] = span
-            order.append(job_hash)
-        trace_id = event.args.get("trace_id")
-        if trace_id is not None:
-            span.trace_id = str(trace_id)
-            span.span_id = str(event.args.get("span_id"))
-            parent = event.args.get("parent_span_id")
-            span.parent_span_id = str(parent) if parent is not None else None
-        wall = _wall_us(event)
-        attempt = event.args.get("attempt")
-        if isinstance(attempt, int) and attempt > span.attempts:
-            span.attempts = attempt
-        if suffix == "queued" and span.queued_us is None:
+        if event.trace_id is not None:
+            span.trace_id = event.trace_id
+            span.span_id = event.span_id
+            span.parent_span_id = event.parent_span_id
+        wall = int(event.timestamp * 1_000_000)
+        span.attempts = max(span.attempts, event.attempt)
+        kind = event.event
+        if kind == "queued" and span.queued_us is None:
             span.queued_us = wall
-        elif suffix == "started" and span.started_us is None:
+        elif kind == "started" and span.started_us is None:
             span.started_us = wall
-        elif suffix == "retried":
+        elif kind == "retried":
             span.retries += 1
-        elif suffix == "cache-hit":
+        elif kind == "cache-hit":
             span.cache_hit = True
             span.status = span.status or "cache-hit"
             span.ended_us = wall
-        elif suffix in _TERMINAL:
-            span.status = suffix
+        elif kind in _TERMINAL:
+            span.status = kind
             span.ended_us = wall
-            refs = event.args.get("references")
-            if isinstance(refs, int):
-                span.references = refs
-    return [spans[h] for h in order]
+            if event.references is not None:
+                span.references = event.references
+    return list(spans.values())
 
 
 def _trace_roots(
@@ -329,7 +229,7 @@ def _trace_roots(
 
 def sweep_summary(artifacts: SweepArtifacts) -> "dict[str, object]":
     """The machine-readable sweep roll-up (``sweep_summary.json``)."""
-    spans = build_job_spans(artifacts.runtime_events)
+    spans = build_job_spans(artifacts.job_events)
     roots = _trace_roots(spans, artifacts.phases)
 
     stages: "dict[str, Histogram]" = {}
@@ -401,7 +301,6 @@ def sweep_summary(artifacts: SweepArtifacts) -> "dict[str, object]":
         "phase_spans": len(artifacts.phases),
         "reports": len(artifacts.reports),
         "unlinked_spans": unlinked,
-        "sources": [str(p) for p in artifacts.sources],
     }
 
 
@@ -415,7 +314,7 @@ def scheduler_trace_events(
     ``sweep`` span, one thread row per job with queue-wait and execute
     spans, kernel phase spans nested on their job's row, and instants
     for retries/cache hits — all on one wall-clock timeline."""
-    spans = build_job_spans(artifacts.runtime_events)
+    spans = build_job_spans(artifacts.job_events)
     roots = _trace_roots(spans, artifacts.phases)
     walls: "list[int]" = []
     for span in spans:
@@ -589,34 +488,26 @@ def scheduler_trace_events(
 def build_sweep_trace(artifacts: SweepArtifacts) -> "dict[str, object]":
     """One Perfetto-loadable document for the whole artifact set."""
     documents: "list[dict[str, object]]" = []
-    if artifacts.runtime_events or artifacts.phases:
+    if artifacts.job_events or artifacts.phases:
         documents.append({"traceEvents": scheduler_trace_events(artifacts)})
     for report in artifacts.reports:
         documents.append(chrome_trace(report))
     return merge_trace_documents(documents)
 
 
-def aggregate(
-    inputs: "Sequence[str | Path]",
-) -> "tuple[dict[str, object], dict[str, object]]":
-    """Collect the inputs once; return ``(trace_document, summary)``."""
-    artifacts = collect_artifacts(inputs)
-    return build_sweep_trace(artifacts), sweep_summary(artifacts)
-
-
-def write_aggregate(
-    directory: "str | Path",
-    inputs: "Sequence[str | Path] | None" = None,
-) -> "dict[str, Path]":
-    """Aggregate ``inputs`` (default: the directory itself) and write
-    ``trace.json`` + ``sweep_summary.json`` into ``directory``."""
+def write_aggregate(directory: "str | Path") -> "dict[str, Path]":
+    """Aggregate one ``--obs`` directory and write ``trace.json`` +
+    ``sweep_summary.json`` into it."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    document, summary = aggregate(inputs if inputs is not None else [directory])
+    artifacts = collect_artifacts(directory)
     trace_path = directory / "trace.json"
-    trace_path.write_text(json.dumps(document) + "\n", encoding="utf-8")
+    trace_path.write_text(
+        json.dumps(build_sweep_trace(artifacts)) + "\n", encoding="utf-8"
+    )
     summary_path = directory / "sweep_summary.json"
     summary_path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(sweep_summary(artifacts), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
     )
     return {"trace": trace_path, "summary": summary_path}

@@ -1,18 +1,17 @@
 """``python -m repro.obs`` — inspect and export observability artifacts.
 
-Subcommands::
+Subcommands, each over one ``run_all --obs`` directory::
 
-    python -m repro.obs summarize obs-out/ 'more-obs/*.metrics.json'
-    python -m repro.obs export obs-out/ other-obs/ -o sweep/trace.json
-    python -m repro.obs watch obs-out/
+    python -m repro.obs summarize obs-out
+    python -m repro.obs export obs-out
 
-``summarize`` prints a terminal table over every report found in the
-given directories/globs/files (one row per instrumented job), the
-event-kind census, the merged chip counters, and the sweep roll-up
-(per-stage latency histograms, span-linkage check).  ``export`` merges
-everything into one Perfetto-loadable trace plus the machine-readable
-``sweep_summary.json`` (see :mod:`repro.obs.aggregate`).  ``watch``
-tails a sweep's run logs live.
+``summarize`` prints a terminal table over every report in the
+directory (one row per instrumented job), the event-kind census, the
+merged chip counters, and the sweep roll-up (per-stage latency
+histograms, span-linkage check).  ``export`` writes the merged
+Perfetto trace ``trace.json`` and the machine-readable
+``sweep_summary.json`` into the directory, as ``run_all --obs`` does at
+the end of a run (see :mod:`repro.obs.aggregate`).
 """
 
 from __future__ import annotations
@@ -23,19 +22,18 @@ import sys
 from pathlib import Path
 
 from repro.obs.aggregate import (
-    build_sweep_trace,
     collect_artifacts,
     load_reports_from,
     sweep_summary,
+    write_aggregate,
 )
 from repro.obs.export import summarize_reports
 from repro.obs.probe import ObsReport
 
 
 def load_reports(directory: "str | Path") -> "list[ObsReport]":
-    """Rebuild reports from one artifact directory (thin alias kept for
-    existing imports; multi-input loading lives in
-    :mod:`repro.obs.aggregate`)."""
+    """Rebuild the reports of one artifact directory (see
+    :func:`repro.obs.aggregate.load_reports_from`)."""
     return load_reports_from(directory)
 
 
@@ -77,11 +75,9 @@ def _stage_lines(summary: "dict[str, object]") -> "list[str]":
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    artifacts = collect_artifacts(args.inputs)
-    if not artifacts.reports and not artifacts.runtime_events:
-        print(
-            f"no obs artifacts in {' '.join(args.inputs)}", file=sys.stderr
-        )
+    artifacts = collect_artifacts(args.directory)
+    if not artifacts.reports and not artifacts.job_events:
+        print(f"no obs artifacts in {args.directory}", file=sys.stderr)
         return 1
     if artifacts.reports:
         print(summarize_reports(artifacts.reports))
@@ -89,10 +85,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         if merged:
             print()
             print(merged)
-    if artifacts.runtime_events:
-        print(
-            f"\nscheduler events bridged: {len(artifacts.runtime_events):,}"
-        )
+    if artifacts.job_events:
+        print(f"\nscheduler events: {len(artifacts.job_events):,}")
     summary = sweep_summary(artifacts)
     for line in _stage_lines(summary):
         print(line)
@@ -100,27 +94,15 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    artifacts = collect_artifacts(args.inputs)
-    document = build_sweep_trace(artifacts)
-    if not document["traceEvents"]:
-        print(f"no trace artifacts in {' '.join(args.inputs)}", file=sys.stderr)
+    paths = write_aggregate(args.directory)
+    summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
+    if not (summary["reports"] or summary["jobs"]["jobs"]
+            or summary["phase_spans"]):
+        print(f"no trace artifacts in {args.directory}", file=sys.stderr)
         return 1
-    first = Path(args.inputs[0])
-    base = first if first.is_dir() else first.parent
-    out = Path(args.output or (base / "trace.json"))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(document) + "\n", encoding="utf-8")
-    summary = sweep_summary(artifacts)
-    summary_path = out.with_name("sweep_summary.json")
-    summary_path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(
-        f"wrote {out} ({len(document['traceEvents']):,} trace events) — "
-        "load it at https://ui.perfetto.dev"
-    )
-    print(f"wrote {summary_path}")
-    unlinked = summary.get("unlinked_spans", [])
+    print(f"wrote {paths['trace']} — load it at https://ui.perfetto.dev")
+    print(f"wrote {paths['summary']}")
+    unlinked = summary["unlinked_spans"]
     if unlinked:
         print(f"warning: {len(unlinked)} span(s) have unknown parents",
               file=sys.stderr)
@@ -134,36 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     summarize = sub.add_parser(
-        "summarize", help="terminal summary of obs artifacts"
+        "summarize", help="terminal summary of an --obs directory"
     )
-    summarize.add_argument(
-        "inputs",
-        nargs="+",
-        help="--obs directories, globs, or individual artifact files",
-    )
+    summarize.add_argument("directory", help="a run_all --obs directory")
     summarize.set_defaults(handler=_cmd_summarize)
 
     export = sub.add_parser(
         "export",
-        help="merge all traces into one Chrome trace-event JSON "
-        "(+ sweep_summary.json)",
+        help="write the merged trace.json and sweep_summary.json into an "
+        "--obs directory",
     )
-    export.add_argument(
-        "inputs",
-        nargs="+",
-        help="--obs directories, globs, or individual artifact files",
-    )
-    export.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="output path (default: <first input dir>/trace.json)",
-    )
+    export.add_argument("directory", help="a run_all --obs directory")
     export.set_defaults(handler=_cmd_export)
-
-    from repro.obs.watch import add_watch_parser
-
-    add_watch_parser(sub)
     return parser
 
 

@@ -17,10 +17,10 @@ tables average away:
 * ``bus.saturation`` — measured update-bus bytes per reference
   crossing the configured ceiling;
 * ``controller.transition`` — the controller's subset decision moving
-  (the quantity behind Figures 4-5);
-* ``runtime.*`` — scheduler job lifecycle events bridged in from
-  :mod:`repro.runtime.events` so one stream covers scheduler and
-  simulator (see :mod:`repro.obs.bridge`).
+  (the quantity behind Figures 4-5).
+
+The scheduler's job lifecycle is not a simulation event: it stays in
+the run log's own :class:`~repro.runtime.events.JobEvent` records.
 
 :class:`EventLog` collects events with a hard cap so a pathological run
 (e.g. an unsplittable workload flipping filters every few references)
@@ -38,17 +38,6 @@ WINDOW_ROLLOVER = "window.rollover"
 L2_EVICTION_STORM = "l2.eviction_storm"
 BUS_SATURATION = "bus.saturation"
 CONTROLLER_TRANSITION = "controller.transition"
-
-#: simulator-side event kinds (runtime.* kinds come from the bridge)
-SIM_EVENT_KINDS = (
-    MIGRATION_START,
-    MIGRATION_COMMIT,
-    FILTER_FLIP,
-    WINDOW_ROLLOVER,
-    L2_EVICTION_STORM,
-    BUS_SATURATION,
-    CONTROLLER_TRANSITION,
-)
 
 
 @dataclass(frozen=True)
@@ -104,13 +93,3 @@ class EventLog:
             self.dropped += 1
             return
         self.events.append(SimEvent(kind=kind, t=t, seq=self._seq, args=args))
-
-    def kinds(self) -> "dict[str, int]":
-        """Event count per kind (insertion-ordered by first occurrence)."""
-        counts: "dict[str, int]" = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
-    def of_kind(self, kind: str) -> "list[SimEvent]":
-        return [event for event in self.events if event.kind == kind]

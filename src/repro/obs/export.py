@@ -243,8 +243,7 @@ def summarize_reports(
     )
     kind_totals: "dict[str, int]" = {}
     for report in reports:
-        counts = _kind_counts(report)
-        for kind, count in counts.items():
+        for kind, count in report.event_kinds().items():
             kind_totals[kind] = kind_totals.get(kind, 0) + count
         label = _report_label(report.meta)
         metrics = report.metrics
@@ -278,13 +277,6 @@ def _counter_value(metrics: "dict[str, object]", name: str) -> str:
     if not isinstance(metric, dict) or metric.get("type") != "counter":
         return "-"
     return f"{metric['value']:,}"
-
-
-def _kind_counts(report: ObsReport) -> "dict[str, int]":
-    counts: "dict[str, int]" = {}
-    for event in report.events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-    return counts
 
 
 def _jsonable_scalar(value: object) -> bool:

@@ -1,9 +1,8 @@
 """Zero-dependency metrics primitives for simulator telemetry.
 
-Four instrument kinds, all allocation-light and JSON-exportable:
+Three instrument kinds, all allocation-light and JSON-exportable:
 
 * :class:`Counter` — monotonically increasing event count;
-* :class:`Gauge` — last-written instantaneous value;
 * :class:`Histogram` — HDR-style log2 buckets with linear sub-buckets,
   so value distributions (migration gaps, storm sizes) keep bounded
   memory and ~6 % relative resolution regardless of range;
@@ -32,21 +31,6 @@ class Counter:
 
     def to_dict(self) -> "dict[str, object]":
         return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """Last-written instantaneous value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def to_dict(self) -> "dict[str, object]":
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -126,31 +110,6 @@ class Histogram:
                 return float(self._bucket_floor(index))
         return float(self.max or 0)
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other`` into this histogram in place (and return it).
-
-        Shards recorded independently (one histogram per worker) merge
-        into exactly the histogram a single recorder would have built:
-        bucket counts, count, total, min, and max all combine losslessly
-        as long as both sides share the same ``sub_buckets`` layout.
-        """
-        if other.sub_buckets != self.sub_buckets:
-            raise ValueError(
-                f"cannot merge histograms with sub_buckets="
-                f"{self.sub_buckets} and {other.sub_buckets}"
-            )
-        for index, count in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
-        self.count += other.count
-        self.total += other.total
-        for value in (other.min,):
-            if value is not None and (self.min is None or value < self.min):
-                self.min = value
-        for value in (other.max,):
-            if value is not None and (self.max is None or value > self.max):
-                self.max = value
-        return self
-
     def to_dict(self) -> "dict[str, object]":
         return {
             "type": "histogram",
@@ -226,17 +185,11 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, Gauge)
-
     def histogram(self, name: str, sub_buckets: int = 16) -> Histogram:
         return self._get(name, lambda: Histogram(sub_buckets), Histogram)
 
     def series(self, name: str, max_samples: int = 2048) -> TimeSeries:
         return self._get(name, lambda: TimeSeries(max_samples), TimeSeries)
-
-    def names(self) -> "list[str]":
-        return sorted(self._instruments)
 
     def clear(self) -> None:
         """Drop every instrument (long-lived registries, test resets)."""
@@ -264,12 +217,3 @@ PROCESS = MetricsRegistry()
 def process_counter(name: str) -> Counter:
     """The named process-global counter (created on first use)."""
     return PROCESS.counter(name)
-
-
-def process_snapshot() -> "dict[str, int]":
-    """Flat ``{counter name: value}`` view of the process counters."""
-    return {
-        name: instrument["value"]
-        for name, instrument in PROCESS.to_dict().items()
-        if instrument.get("type") == "counter"
-    }

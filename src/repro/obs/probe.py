@@ -59,8 +59,15 @@ class ObsReport:
             "meta": self.meta,
             "metrics": self.metrics,
             "dropped_events": self.dropped_events,
-            "event_kinds": _kind_counts(self.events),
+            "event_kinds": self.event_kinds(),
         }
+
+    def event_kinds(self) -> "dict[str, int]":
+        """Event count per kind, in order of first occurrence."""
+        counts: "dict[str, int]" = {}
+        for event in self.events:
+            counts[event.kind] = counts.get(event.kind, 0) + 1
+        return counts
 
 
 class _RecordPrefix:
@@ -100,13 +107,6 @@ def _reference_numbers(indices, records, first: int, chunk: int = 1 << 14):
     records = np.frombuffer(records, dtype=np.int64)
     for start in range(0, len(records), chunk):
         yield from (indices[records[start : start + chunk]] + first).tolist()
-
-
-def _kind_counts(events: "list[SimEvent]") -> "dict[str, int]":
-    counts: "dict[str, int]" = {}
-    for event in events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-    return counts
 
 
 class SimProbe:

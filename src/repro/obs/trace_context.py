@@ -4,20 +4,19 @@ A sweep mints one root :class:`TraceContext` (``trace_id`` + root
 ``span_id``); each job's span id is *derived* from the trace id and the
 job's content hash with :func:`span_for_job`, so the scheduler's
 run-log events and the context a job runs under (in process or in a
-spawned worker) carry the same span id without coordinating — the id
-is a pure function of what they all already know.
+worker) carry the same span id without coordinating — the id is a pure
+function of what they all already know.
 
 Propagation uses two channels:
 
-* **process-level root** — held in a module global and mirrored into
-  the ``REPRO_TRACE`` environment variable, so spawned/forked children
-  inherit the sweep's trace without any payload changes (job payloads
-  are content-hashed; a trace id in ``params`` would split the cache);
+* **process-level root** — held in a module global, which a forked
+  worker inherits (job payloads are content-hashed; a trace id in
+  ``params`` would split the cache);
 * **thread/worker activation** — :func:`activate` installs a context
   as the *current* one for this thread (the scheduler activates the
-  job's context around execution; a worker process activates it on
-  entry), so :func:`phase` spans started inside kernel code parent to
-  the right job.
+  job's context around in-process execution, and hands each worker
+  process its job's context to activate on entry), so :func:`phase`
+  spans started inside kernel code parent to the right job.
 
 :func:`phase` is the kernel-side hook: a context manager that records
 a named child span (wall-clock microseconds) into a bounded in-process
@@ -36,9 +35,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-#: environment variable carrying the sweep root context to children
-TRACE_ENV = "REPRO_TRACE"
-
 #: hard cap on buffered phase spans (drops are counted, never grown)
 MAX_PHASES = 4096
 
@@ -51,37 +47,14 @@ class TraceContext:
     span_id: str  #: 16 hex chars
     parent_span_id: "str | None" = None
 
-    def to_dict(self) -> "dict[str, object]":
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: "dict[str, object]") -> "TraceContext":
-        return cls(
-            trace_id=str(data["trace_id"]),
-            span_id=str(data["span_id"]),
-            parent_span_id=(
-                str(data["parent_span_id"])
-                if data.get("parent_span_id") is not None
-                else None
-            ),
-        )
-
 
 def _derive(*parts: str) -> str:
     return hashlib.sha256("/".join(parts).encode("utf-8")).hexdigest()[:16]
 
 
-def mint_root(seed: "str | None" = None) -> TraceContext:
-    """A new root context: random trace id (or derived from ``seed``
-    for reproducible traces), root span derived from the trace id."""
-    if seed is not None:
-        trace_id = hashlib.sha256(seed.encode("utf-8")).hexdigest()[:32]
-    else:
-        trace_id = os.urandom(16).hex()
+def mint_root() -> TraceContext:
+    """A new root context: random trace id, root span derived from it."""
+    trace_id = os.urandom(16).hex()
     return TraceContext(trace_id=trace_id, span_id=_derive(trace_id, "sweep"))
 
 
@@ -110,37 +83,17 @@ _phase_seq = 0
 _phases_dropped = 0
 
 
-def _root_context() -> "TraceContext | None":
-    """The process root: the module global, else the inherited env."""
-    global _root
-    if _root is not None:
-        return _root
-    raw = os.environ.get(TRACE_ENV)
-    if raw:
-        try:
-            with _lock:
-                if _root is None:
-                    _root = TraceContext.from_dict(json.loads(raw))
-        except (ValueError, KeyError, TypeError):
-            return None
-    return _root
-
-
 def set_root(ctx: TraceContext) -> None:
-    """Install the process root and mirror it into the environment so
-    spawned/forked children inherit the sweep's trace."""
+    """Install the process root (a forked worker inherits it)."""
     global _root
     with _lock:
         _root = ctx
-    os.environ[TRACE_ENV] = json.dumps(ctx.to_dict(), sort_keys=True)
 
 
 def current() -> "TraceContext | None":
     """This thread's active context, else the process root, else None."""
     ctx = getattr(_active, "ctx", None)
-    if ctx is not None:
-        return ctx
-    return _root_context()
+    return ctx if ctx is not None else _root
 
 
 def ensure_current() -> TraceContext:
@@ -152,29 +105,16 @@ def ensure_current() -> TraceContext:
     return ctx
 
 
-def activate(ctx: TraceContext, env: bool = False) -> "TraceContext | None":
+def activate(ctx: TraceContext) -> "TraceContext | None":
     """Make ``ctx`` this thread's current context; returns the previous
-    activation for :func:`restore`.  With ``env`` the context also
-    becomes the process root (worker-process entry), so any process the
-    worker itself spawns inherits it."""
+    activation for :func:`restore`."""
     prev = getattr(_active, "ctx", None)
     _active.ctx = ctx
-    if env:
-        set_root(ctx)
     return prev
 
 
 def restore(prev: "TraceContext | None") -> None:
     _active.ctx = prev
-
-
-@contextmanager
-def using(ctx: TraceContext):
-    prev = activate(ctx)
-    try:
-        yield ctx
-    finally:
-        restore(prev)
 
 
 def reset() -> None:
@@ -186,7 +126,6 @@ def reset() -> None:
         _phase_seq = 0
         _phases_dropped = 0
     _active.ctx = None
-    os.environ.pop(TRACE_ENV, None)
 
 
 # -- phase spans ---------------------------------------------------------

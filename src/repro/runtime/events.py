@@ -74,6 +74,14 @@ def event_record(event: JobEvent) -> "dict[str, object]":
     return record
 
 
+def event_from_record(record: "dict[str, object]") -> JobEvent:
+    """The event one run-log record holds (the inverse of
+    :func:`event_record`)."""
+    fields = dict(record)
+    fields.pop("refs_per_sec", None)
+    return JobEvent(**fields)
+
+
 class StderrSink:
     """Human-readable one-line-per-event progress on a stream."""
 

@@ -48,6 +48,11 @@ from repro.runtime.job import REFERENCES_KEY, Job, JobError, execute_job
 #: outcome states
 OK, CACHED, FAILED, INTERRUPTED = "ok", "cached", "failed", "interrupted"
 
+#: seconds between worker liveness/timeout checks
+POLL_INTERVAL = 0.05
+#: ceiling on the crash-retry backoff, seconds
+RETRY_BACKOFF_CAP = 5.0
+
 
 @dataclass(frozen=True)
 class RuntimeConfig:
@@ -58,10 +63,8 @@ class RuntimeConfig:
     retries: int = 1  #: extra attempts after a worker *crash*
     use_cache: bool = True
     start_method: str = "fork" if os.name == "posix" else "spawn"
-    poll_interval: float = 0.05  #: seconds between liveness/timeout checks
     profile_dir: "str | None" = None  #: dump per-job cProfile stats here
     retry_backoff: float = 0.1  #: base delay before a crash retry, seconds
-    retry_backoff_cap: float = 5.0  #: backoff ceiling, seconds
     kill_grace: float = 5.0  #: SIGTERM→SIGKILL escalation window, seconds
 
     def __post_init__(self) -> None:
@@ -71,8 +74,10 @@ class RuntimeConfig:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.retry_backoff < 0 or self.retry_backoff_cap < 0:
-            raise ValueError("retry backoff values must be >= 0")
+        if self.retry_backoff < 0:
+            raise ValueError(
+                f"retry_backoff must be >= 0, got {self.retry_backoff}"
+            )
         if self.kill_grace < 0:
             raise ValueError(f"kill_grace must be >= 0, got {self.kill_grace}")
 
@@ -87,7 +92,7 @@ class RuntimeConfig:
         if self.retry_backoff <= 0:
             return 0.0
         base = min(
-            self.retry_backoff_cap, self.retry_backoff * (2 ** (attempt - 1))
+            RETRY_BACKOFF_CAP, self.retry_backoff * (2 ** (attempt - 1))
         )
         jitter = random.Random(f"{job_hash}/{attempt}").uniform(0.5, 1.0)
         return base * jitter
@@ -192,9 +197,8 @@ def _worker_main(
     try:
         faults.fire("runtime.worker.start")
         if trace is not None:
-            # Adopt the job's span as this process's context (env too,
-            # so anything the worker spawns inherits the sweep trace).
-            trace_context.activate(trace, env=True)
+            # Phase spans the job records parent to its own span.
+            trace_context.activate(trace)
         payload, duration = _execute(job, profile_dir)
         conn.send(("ok", payload, duration))
     except BaseException as exc:  # noqa: BLE001 - must cross the pipe
@@ -500,11 +504,11 @@ class ExperimentRuntime:
         if running:
             ready = multiprocessing.connection.wait(
                 [slot.conn for slot in running],
-                timeout=self.config.poll_interval,
+                timeout=POLL_INTERVAL,
             )
         else:
             # Everything pending is backing off: idle one poll tick.
-            time.sleep(self.config.poll_interval)
+            time.sleep(POLL_INTERVAL)
             ready = []
         ready_set = set(ready)
         now = time.monotonic()

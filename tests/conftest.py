@@ -24,7 +24,7 @@ if _hypothesis_settings is not None:
 
 @pytest.fixture(autouse=True)
 def _pristine_trace_context():
-    """Reset the process trace context (global root, REPRO_TRACE env,
+    """Reset the process trace context (global root, thread activation,
     phase buffer) around every test, so a test that mints a sweep root
     never leaks correlation ids into the next one."""
     from repro.obs import trace_context

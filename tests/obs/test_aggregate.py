@@ -1,51 +1,59 @@
-"""Sweep aggregation: run-log loading in both wire shapes, job-span
-reconstruction across process-local logs, the sweep summary's linkage
-check and stage histograms, and the merged scheduler trace."""
+"""Sweep aggregation: reading the scheduler's run log, job-span
+reconstruction, the sweep summary's linkage check and stage histograms,
+the merged scheduler trace, and collecting one ``--obs`` directory."""
 
 import json
 
 from repro.obs import trace_context as tc
 from repro.obs.aggregate import (
+    RUNLOG,
     SUMMARY_SCHEMA,
     SweepArtifacts,
     build_job_spans,
-    build_sweep_trace,
     collect_artifacts,
     load_runlog,
-    resolve_inputs,
     scheduler_trace_events,
     sweep_summary,
     write_aggregate,
 )
-from repro.obs.events import SimEvent
-from repro.runtime.events import JobEvent, event_record
+from repro.runtime import (
+    EventBus,
+    ExperimentRuntime,
+    Job,
+    ResultCache,
+    RuntimeConfig,
+)
+from repro.runtime.events import JobEvent, JsonlSink, event_record
 
-ROOT = tc.mint_root(seed="aggregate-tests")
+ROOT = tc.mint_root()
+
+CRASH_ONCE = "tests.runtime.helper_jobs:crash_once_job"
 
 
 def _job_ctx(job_hash):
     return tc.job_context(ROOT, job_hash)
 
 
-def _ev(kind, wall_s, seq, job_hash, label="mst", **extra):
-    """One bridged scheduler event the way ObsRunlogSink writes it."""
+def _ev(kind, wall_s, job_hash, label="mst", **extra):
+    """One scheduler event the way the runtime emits it."""
     ctx = _job_ctx(job_hash)
-    args = {
-        "label": label,
-        "job_hash": job_hash,
-        "attempt": 1,
-        "wall_us": int(wall_s * 1_000_000),
-        "trace_id": ctx.trace_id,
-        "span_id": ctx.span_id,
-        "parent_span_id": ctx.parent_span_id,
-    }
-    args.update(extra)
-    return SimEvent(kind=f"runtime.{kind}", t=int(wall_s * 1_000_000), seq=seq, args=args)
+    return JobEvent(
+        event=kind,
+        label=label,
+        job_hash=job_hash,
+        timestamp=wall_s,
+        trace_id=ctx.trace_id,
+        span_id=ctx.span_id,
+        parent_span_id=ctx.parent_span_id,
+        **extra,
+    )
 
 
 def _write_jsonl(path, events):
     path.write_text(
-        "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in events),
+        "".join(
+            json.dumps(event_record(e), sort_keys=True) + "\n" for e in events
+        ),
         encoding="utf-8",
     )
     return path
@@ -65,56 +73,31 @@ def _phase(job_hash, name="l1filter.build", start_s=100.5, dur_us=2000):
 
 
 class TestLoadRunlog:
-    def test_obs_wire_shape(self, tmp_path):
-        path = _write_jsonl(
-            tmp_path / "runtime.jsonl",
-            [_ev("queued", 100.0, 1, "aaa"), _ev("finished", 101.0, 2, "aaa")],
-        )
-        events = load_runlog(path)
-        assert [e.kind for e in events] == ["runtime.queued", "runtime.finished"]
-        assert events[0].args["wall_us"] == 100_000_000
-
-    def test_raw_jobevent_shape_is_bridged(self, tmp_path):
-        ctx = _job_ctx("bbb")
-        raw = [
-            JobEvent(
-                event="queued",
-                label="bh",
-                job_hash="bbb",
-                timestamp=50.0,
-                trace_id=ctx.trace_id,
-                span_id=ctx.span_id,
-                parent_span_id=ctx.parent_span_id,
-            ),
-            JobEvent(
-                event="finished",
-                label="bh",
-                job_hash="bbb",
-                timestamp=51.0,
-                duration=1.0,
-                references=1000,
-            ),
+    def test_jobevent_records_round_trip(self, tmp_path):
+        events = [
+            _ev("queued", 50.0, "bbb", label="bh"),
+            _ev("finished", 51.25, "bbb", label="bh", duration=1.0,
+                references=1000),
         ]
-        path = tmp_path / "run.jsonl"
-        path.write_text(
-            "".join(
-                json.dumps(event_record(e), sort_keys=True) + "\n" for e in raw
-            ),
-            encoding="utf-8",
-        )
-        events = load_runlog(path)
-        assert [e.kind for e in events] == ["runtime.queued", "runtime.finished"]
-        assert events[0].args["span_id"] == ctx.span_id
-        assert events[0].args["wall_us"] == 50_000_000
-        assert events[1].args["references"] == 1000
+        path = tmp_path / RUNLOG
+        sink = JsonlSink(path)
+        for event in events:
+            sink.emit(event)
+        sink.close()
+        assert load_runlog(path) == events
 
     def test_torn_and_alien_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "runtime.jsonl"
-        good = json.dumps(_ev("queued", 1.0, 1, "ccc").to_dict())
-        path.write_text(
-            good + "\n" + '{"kind": "torn' + "\n" + '"scalar"\n', encoding="utf-8"
+        path = tmp_path / RUNLOG
+        good = json.dumps(event_record(_ev("queued", 1.0, "ccc")))
+        obs_shaped = json.dumps(
+            {"kind": "runtime.queued", "t": 0, "seq": 1, "args": {}}
         )
-        assert len(load_runlog(path)) == 1
+        path.write_text(
+            "\n".join([good, obs_shaped, '"scalar"', '{"event": "torn'])
+            + "\n",
+            encoding="utf-8",
+        )
+        assert [e.job_hash for e in load_runlog(path)] == ["ccc"]
 
     def test_missing_file_is_empty(self, tmp_path):
         assert load_runlog(tmp_path / "nope.jsonl") == []
@@ -123,9 +106,9 @@ class TestLoadRunlog:
 class TestBuildJobSpans:
     def test_lifecycle_reconstruction(self):
         events = [
-            _ev("queued", 100.0, 1, "aaa"),
-            _ev("started", 100.5, 2, "aaa"),
-            _ev("finished", 102.5, 3, "aaa", references=5000),
+            _ev("queued", 100.0, "aaa"),
+            _ev("started", 100.5, "aaa"),
+            _ev("finished", 102.5, "aaa", references=5000),
         ]
         (span,) = build_job_spans(events)
         data = span.to_dict()
@@ -138,11 +121,11 @@ class TestBuildJobSpans:
 
     def test_retry_counts_and_attempts(self):
         events = [
-            _ev("queued", 10.0, 1, "aaa"),
-            _ev("started", 11.0, 2, "aaa"),
-            _ev("retried", 12.0, 3, "aaa"),
-            _ev("started", 13.0, 4, "aaa", attempt=2),
-            _ev("finished", 14.0, 5, "aaa", attempt=2),
+            _ev("queued", 10.0, "aaa"),
+            _ev("started", 11.0, "aaa"),
+            _ev("retried", 12.0, "aaa"),
+            _ev("started", 13.0, "aaa", attempt=2),
+            _ev("finished", 14.0, "aaa", attempt=2),
         ]
         (span,) = build_job_spans(events)
         assert span.retries == 1
@@ -153,28 +136,17 @@ class TestBuildJobSpans:
         assert span.started_us == 11_000_000
 
     def test_cache_hit_is_terminal(self):
-        (span,) = build_job_spans([_ev("cache-hit", 5.0, 1, "aaa")])
+        (span,) = build_job_spans([_ev("cache-hit", 5.0, "aaa")])
         assert span.cache_hit
         assert span.status == "cache-hit"
         assert span.ended_us == 5_000_000
 
-    def test_cross_runlog_ordering_uses_wall_clock(self):
-        # Two processes wrote independent logs: seq restarts at 1 in
-        # each, so ordering must come from the shared wall clock.
-        other_log = [_ev("queued", 100.0, 7, "aaa")]
-        scheduler_log = [
-            _ev("started", 101.0, 1, "aaa"),
-            _ev("finished", 103.0, 2, "aaa"),
-        ]
-        (span,) = build_job_spans(scheduler_log + other_log)
-        assert span.to_dict()["queue_wait_us"] == 1_000_000
-
     def test_one_span_per_job_hash(self):
         events = [
-            _ev("queued", 1.0, 1, "aaa"),
-            _ev("queued", 1.1, 2, "bbb", label="bh"),
-            _ev("finished", 2.0, 3, "aaa"),
-            _ev("finished", 2.1, 4, "bbb", label="bh"),
+            _ev("queued", 1.0, "aaa"),
+            _ev("queued", 1.1, "bbb", label="bh"),
+            _ev("finished", 2.0, "aaa"),
+            _ev("finished", 2.1, "bbb", label="bh"),
         ]
         spans = build_job_spans(events)
         assert [s.label for s in spans] == ["mst", "bh"]
@@ -183,15 +155,15 @@ class TestBuildJobSpans:
 class TestSweepSummary:
     def _artifacts(self):
         events = [
-            _ev("queued", 100.0, 1, "aaa"),
-            _ev("started", 100.2, 2, "aaa"),
-            _ev("retried", 101.0, 3, "aaa"),
-            _ev("finished", 102.0, 4, "aaa", references=500),
-            _ev("queued", 100.1, 5, "bbb", label="bh"),
-            _ev("cache-hit", 100.3, 6, "bbb", label="bh"),
+            _ev("queued", 100.0, "aaa"),
+            _ev("started", 100.2, "aaa"),
+            _ev("retried", 101.0, "aaa"),
+            _ev("finished", 102.0, "aaa", references=500),
+            _ev("queued", 100.1, "bbb", label="bh"),
+            _ev("cache-hit", 100.3, "bbb", label="bh"),
         ]
         return SweepArtifacts(
-            runtime_events=events, phases=[_phase("aaa", start_s=100.5)]
+            job_events=events, phases=[_phase("aaa", start_s=100.5)]
         )
 
     def test_linkage_counters_and_stages(self):
@@ -224,10 +196,10 @@ class TestSweepSummary:
 class TestSchedulerTrace:
     def test_root_span_and_wall_alignment(self):
         artifacts = SweepArtifacts(
-            runtime_events=[
-                _ev("queued", 100.0, 1, "aaa"),
-                _ev("started", 100.5, 2, "aaa"),
-                _ev("finished", 102.0, 3, "aaa"),
+            job_events=[
+                _ev("queued", 100.0, "aaa"),
+                _ev("started", 100.5, "aaa"),
+                _ev("finished", 102.0, "aaa"),
             ]
         )
         events = scheduler_trace_events(artifacts)
@@ -242,9 +214,9 @@ class TestSchedulerTrace:
 
     def test_phase_lands_on_its_jobs_thread(self):
         artifacts = SweepArtifacts(
-            runtime_events=[
-                _ev("started", 100.0, 1, "aaa"),
-                _ev("finished", 102.0, 2, "aaa"),
+            job_events=[
+                _ev("started", 100.0, "aaa"),
+                _ev("finished", 102.0, "aaa"),
             ],
             phases=[_phase("aaa", start_s=100.5)],
         )
@@ -268,11 +240,11 @@ class TestCollectAndWrite:
     def _populate(self, directory):
         directory.mkdir(parents=True, exist_ok=True)
         _write_jsonl(
-            directory / "runtime.jsonl",
+            directory / RUNLOG,
             [
-                _ev("queued", 100.0, 1, "aaa"),
-                _ev("started", 100.2, 2, "aaa"),
-                _ev("finished", 101.0, 3, "aaa"),
+                _ev("queued", 100.0, "aaa"),
+                _ev("started", 100.2, "aaa"),
+                _ev("finished", 101.0, "aaa"),
             ],
         )
         (directory / "phases.jsonl").write_text(
@@ -281,31 +253,26 @@ class TestCollectAndWrite:
 
     def test_directory_collection(self, tmp_path):
         self._populate(tmp_path)
-        artifacts = collect_artifacts([tmp_path])
-        assert len(artifacts.runtime_events) == 3
+        artifacts = collect_artifacts(tmp_path)
+        assert len(artifacts.job_events) == 3
         assert len(artifacts.phases) == 1
 
-    def test_glob_and_file_inputs(self, tmp_path):
-        self._populate(tmp_path / "a")
-        self._populate(tmp_path / "b")
-        artifacts = collect_artifacts([str(tmp_path / "*" / "runtime.jsonl")])
-        assert len(artifacts.runtime_events) == 6
-
-    def test_resolve_inputs_expands_globs_only(self, tmp_path):
-        (tmp_path / "x.jsonl").touch()
-        (tmp_path / "y.jsonl").touch()
-        globbed = resolve_inputs([str(tmp_path / "*.jsonl")])
-        assert [p.name for p in globbed] == ["x.jsonl", "y.jsonl"]
-        plain = resolve_inputs(["no-glob-here.jsonl"])
-        assert [str(p) for p in plain] == ["no-glob-here.jsonl"]
+    def test_only_the_scheduler_runlog_is_read(self, tmp_path):
+        # A --runlog file kept in the same directory repeats the
+        # scheduler's events; only runtime.jsonl is the sweep's run log.
+        self._populate(tmp_path)
+        (tmp_path / "extra-runlog.jsonl").write_text(
+            (tmp_path / RUNLOG).read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        assert len(collect_artifacts(tmp_path).job_events) == 3
 
     def test_merged_outputs_never_feed_back(self, tmp_path):
         self._populate(tmp_path)
         write_aggregate(tmp_path)
-        before = collect_artifacts([tmp_path])
+        before = collect_artifacts(tmp_path)
         write_aggregate(tmp_path)  # second merge sees its own outputs
-        after = collect_artifacts([tmp_path])
-        assert len(after.runtime_events) == len(before.runtime_events)
+        after = collect_artifacts(tmp_path)
+        assert len(after.job_events) == len(before.job_events)
         assert len(after.reports) == len(before.reports)
 
     def test_write_aggregate_artifacts(self, tmp_path):
@@ -326,3 +293,31 @@ class TestCollectAndWrite:
         assert summary["schema"] == SUMMARY_SCHEMA
         assert summary["jobs"]["finished"] == 1
         assert summary["unlinked_spans"] == []
+
+
+class TestCrashRetryCount:
+    def test_one_crash_counts_once_beside_a_second_runlog(self, tmp_path):
+        # ``run_all --obs DIR --runlog DIR/other.jsonl``: two sinks log
+        # the same events, and the one crash must still count once.
+        obs_dir = tmp_path / "obs"
+        runtime = ExperimentRuntime(
+            config=RuntimeConfig(jobs=2, retries=1, use_cache=False),
+            cache=ResultCache(root=tmp_path / "cache"),
+            bus=EventBus(
+                [
+                    JsonlSink(obs_dir / RUNLOG),
+                    JsonlSink(obs_dir / "chaos-runlog.jsonl"),
+                ]
+            ),
+        )
+        (outcome,) = runtime.map(
+            [Job.create(CRASH_ONCE, marker_path=str(tmp_path / "marker"))]
+        )
+        runtime.close()
+        assert outcome.ok
+        summary = sweep_summary(collect_artifacts(obs_dir))
+        assert (
+            summary["jobs"]["crash_retries"]
+            == runtime.stats.crash_retries
+            == 1
+        )

@@ -35,17 +35,6 @@ class TestEventLog:
         assert len(log) == 3
         assert log.dropped == 7
 
-    def test_kinds_census_and_filter(self):
-        log = EventLog()
-        log.emit(ev.MIGRATION_START, 1, from_core=0, to_core=1)
-        log.emit(ev.MIGRATION_COMMIT, 1, from_core=0, to_core=1)
-        log.emit(ev.MIGRATION_START, 5, from_core=1, to_core=2)
-        assert log.kinds() == {
-            ev.MIGRATION_START: 2,
-            ev.MIGRATION_COMMIT: 1,
-        }
-        assert [e.t for e in log.of_kind(ev.MIGRATION_START)] == [1, 5]
-
     def test_rejects_nonpositive_cap(self):
         with pytest.raises(ValueError):
             EventLog(max_events=0)

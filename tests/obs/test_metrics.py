@@ -1,33 +1,24 @@
-"""Metrics primitives: counters, gauges, histograms, series, merging."""
+"""Metrics primitives: counters, histograms, series, the registry."""
 
 import json
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     TimeSeries,
 )
 
 
-class TestCounterAndGauge:
+class TestCounter:
     def test_counter_accumulates(self):
         c = Counter()
         c.inc()
         c.inc(4)
         assert c.value == 5
         assert c.to_dict() == {"type": "counter", "value": 5}
-
-    def test_gauge_keeps_last_value(self):
-        g = Gauge()
-        g.set(1.5)
-        g.set(0.25)
-        assert g.to_dict() == {"type": "gauge", "value": 0.25}
 
 
 class TestHistogram:
@@ -91,60 +82,6 @@ class TestHistogram:
         assert Histogram().percentile(100) == 0.0
 
 
-class TestHistogramMerge:
-    def test_merge_equals_concatenated_recording(self):
-        a, b, combined = Histogram(), Histogram(), Histogram()
-        for v in (1, 5, 42):
-            a.record(v)
-            combined.record(v)
-        for v in (7, 9001):
-            b.record(v)
-            combined.record(v)
-        a.merge(b)
-        assert a.to_dict() == combined.to_dict()
-
-    def test_merge_returns_self_and_accepts_empty(self):
-        a = Histogram()
-        a.record(3)
-        before = a.to_dict()
-        assert a.merge(Histogram()) is a
-        assert a.to_dict() == before
-
-    def test_merge_into_empty(self):
-        a, b = Histogram(), Histogram()
-        b.record(8)
-        a.merge(b)
-        assert a.count == 1
-        assert a.min == 8 and a.max == 8
-
-    def test_merge_layout_mismatch_raises(self):
-        with pytest.raises(ValueError, match="sub_buckets"):
-            Histogram(sub_buckets=16).merge(Histogram(sub_buckets=32))
-
-    @given(
-        shards=st.lists(
-            st.lists(st.integers(min_value=0, max_value=10**9), max_size=30),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    def test_merge_of_shards_equals_histogram_of_concatenation(self, shards):
-        # The sweep summary merges per-worker histograms; the result
-        # must be indistinguishable from one histogram that saw every
-        # sample — for any sharding.
-        merged = Histogram()
-        combined = Histogram()
-        for shard in shards:
-            h = Histogram()
-            for v in shard:
-                h.record(v)
-                combined.record(v)
-            merged.merge(h)
-        assert merged.to_dict() == combined.to_dict()
-        for p in (0, 50, 95, 100):
-            assert merged.percentile(p) == combined.percentile(p)
-
-
 class TestTimeSeries:
     def test_appends_below_cap(self):
         s = TimeSeries(max_samples=8)
@@ -180,12 +117,12 @@ class TestRegistry:
         r = MetricsRegistry()
         r.counter("x")
         with pytest.raises(TypeError, match="Counter"):
-            r.gauge("x")
+            r.histogram("x")
 
     def test_to_dict_sorted_and_serialisable(self):
         r = MetricsRegistry()
         r.counter("b").inc()
-        r.gauge("a").set(2.0)
+        r.counter("a").inc(2)
         r.histogram("c").record(3)
         r.series("d").append(1, 1.0)
         exported = r.to_dict()

@@ -6,7 +6,8 @@ from repro.caches.hierarchy import SingleCoreHierarchy
 from repro.core.controller import MigrationController
 from repro.multicore.chip import ChipConfig, MultiCoreChip
 from repro.obs import events as ev
-from repro.obs.probe import SimProbe
+from repro.obs.events import SimEvent
+from repro.obs.probe import ObsReport, SimProbe
 from repro.traces.synthetic import HalfRandom, behavior_trace
 
 
@@ -14,6 +15,10 @@ def _trace(count, num_lines=20_000, burst=5_000, seed=11):
     """A working set (~1.3 MB) larger than one 512-KB L2 but smaller
     than four — the configuration migration is designed to exploit."""
     return behavior_trace(HalfRandom(num_lines, burst=burst, seed=seed), count)
+
+
+def _of_kind(probe, kind):
+    return [event for event in probe.log.events if event.kind == kind]
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +36,7 @@ class TestChipInstrumentation:
 
     def test_migration_events_match_chip_stats(self, chip_probe):
         chip, probe = chip_probe
-        commits = probe.log.of_kind(ev.MIGRATION_COMMIT)
+        commits = _of_kind(probe, ev.MIGRATION_COMMIT)
         assert chip.stats.migrations > 0
         assert len(commits) == chip.stats.migrations
         assert probe.registry.counter("migrations").value == chip.stats.migrations
@@ -42,14 +47,14 @@ class TestChipInstrumentation:
     def test_at_least_three_distinct_event_kinds(self, chip_probe):
         # The acceptance bar for any instrumented run worth tracing.
         _, probe = chip_probe
-        assert len(probe.log.kinds()) >= 3
+        assert len(probe.report().event_kinds()) >= 3
 
     def test_filter_flips_and_rollovers_recorded(self, chip_probe):
         _, probe = chip_probe
-        kinds = probe.log.kinds()
+        kinds = probe.report().event_kinds()
         assert kinds.get(ev.FILTER_FLIP, 0) > 0
         assert kinds.get(ev.WINDOW_ROLLOVER, 0) > 0
-        flip = probe.log.of_kind(ev.FILTER_FLIP)[0]
+        flip = _of_kind(probe, ev.FILTER_FLIP)[0]
         assert flip.args["sign"] in (-1, 0, 1)
         assert flip.args["filter"]
 
@@ -128,13 +133,29 @@ class TestProbeOnTwoModels:
         )
 
 
+class TestObsReport:
+    def test_event_kinds_census(self):
+        report = ObsReport(
+            events=[
+                SimEvent(ev.MIGRATION_START, 1, 1),
+                SimEvent(ev.MIGRATION_COMMIT, 1, 2),
+                SimEvent(ev.MIGRATION_START, 5, 3),
+            ]
+        )
+        assert list(report.event_kinds().items()) == [
+            (ev.MIGRATION_START, 2),
+            (ev.MIGRATION_COMMIT, 1),
+        ]
+        assert report.to_dict()["event_kinds"] == report.event_kinds()
+
+
 class TestStormDetection:
     def test_clustered_evictions_fire_one_storm(self):
         probe = SimProbe(storm_window=100, storm_threshold=4)
         probe.on_access(10)
         for i in range(4):
             probe.on_l2_eviction(core=0, line=i, dirty=False)
-        storms = probe.log.of_kind(ev.L2_EVICTION_STORM)
+        storms = _of_kind(probe, ev.L2_EVICTION_STORM)
         assert len(storms) == 1  # burst collapses to one event
         assert storms[0].args["evictions"] == 4
         assert probe.registry.counter("l2.evictions").value == 4
@@ -144,7 +165,7 @@ class TestStormDetection:
         for t in (0, 100, 200, 300):
             probe.on_access(t)
             probe.on_l2_eviction(core=0, line=1, dirty=True)
-        assert not probe.log.of_kind(ev.L2_EVICTION_STORM)
+        assert not _of_kind(probe, ev.L2_EVICTION_STORM)
 
     def test_rejects_bad_sample_interval(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """Trace-context propagation: deterministic span derivation, the
-root/env mirror that carries a sweep's identity into worker processes,
-thread-local activation, and the phase-span buffer."""
+process root a forked worker inherits, thread-local activation, and the
+phase-span buffer."""
 
 import json
+import multiprocessing
 import os
 import threading
 
@@ -11,13 +12,12 @@ import pytest
 from repro.obs import trace_context as tc
 
 
-class TestDerivation:
-    def test_mint_root_seeded_is_deterministic(self):
-        a = tc.mint_root(seed="sweep-42")
-        b = tc.mint_root(seed="sweep-42")
-        assert a == b
-        assert a.trace_id != tc.mint_root(seed="sweep-43").trace_id
+def _send_current(conn):
+    conn.send(tc.current())
+    conn.close()
 
+
+class TestDerivation:
     def test_mint_root_unseeded_is_unique(self):
         assert tc.mint_root().trace_id != tc.mint_root().trace_id
 
@@ -25,7 +25,7 @@ class TestDerivation:
         # The whole cross-process correlation story rests on this:
         # the scheduler and a worker each derive the same span id
         # from (trace_id, job_hash) without talking to each other.
-        root = tc.mint_root(seed="s")
+        root = tc.mint_root()
         assert tc.span_for_job(root.trace_id, "abc") == tc.span_for_job(
             root.trace_id, "abc"
         )
@@ -34,37 +34,26 @@ class TestDerivation:
         )
 
     def test_job_context_parents_to_root(self):
-        root = tc.mint_root(seed="s")
+        root = tc.mint_root()
         job = tc.job_context(root, "deadbeef")
         assert job.trace_id == root.trace_id
         assert job.parent_span_id == root.span_id
         assert job.span_id == tc.span_for_job(root.trace_id, "deadbeef")
 
-    def test_to_dict_round_trip(self):
-        ctx = tc.job_context(tc.mint_root(seed="s"), "h")
-        assert tc.TraceContext.from_dict(ctx.to_dict()) == ctx
-
 
 class TestRootPropagation:
-    def test_set_root_mirrors_env(self):
-        root = tc.mint_root(seed="s")
+    @pytest.mark.skipif(os.name != "posix", reason="needs fork")
+    def test_forked_child_inherits_root(self):
+        root = tc.mint_root()
         tc.set_root(root)
-        raw = os.environ[tc.TRACE_ENV]
-        assert tc.TraceContext.from_dict(json.loads(raw)) == root
-
-    def test_env_inherited_root(self):
-        # Simulate a freshly spawned worker: no module global, but the
-        # parent's env var is present.
-        root = tc.mint_root(seed="s")
-        tc.set_root(root)
-        raw = os.environ[tc.TRACE_ENV]
-        tc.reset()
-        os.environ[tc.TRACE_ENV] = raw
-        assert tc.current() == root
-
-    def test_corrupt_env_is_ignored(self):
-        os.environ[tc.TRACE_ENV] = "{not json"
-        assert tc.current() is None
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_send_current, args=(sender,))
+        child.start()
+        sender.close()
+        seen = receiver.recv()
+        child.join()
+        assert seen == root
 
     def test_ensure_current_mints_once(self):
         first = tc.ensure_current()
@@ -74,7 +63,7 @@ class TestRootPropagation:
 
 class TestActivation:
     def test_activate_restore(self):
-        root = tc.mint_root(seed="s")
+        root = tc.mint_root()
         tc.set_root(root)
         job = tc.job_context(root, "h")
         prev = tc.activate(job)
@@ -82,41 +71,27 @@ class TestActivation:
         tc.restore(prev)
         assert tc.current() == root
 
-    def test_using_context_manager(self):
-        job = tc.job_context(tc.mint_root(seed="s"), "h")
-        with tc.using(job):
-            assert tc.current() == job
-        assert tc.current() is None
-
     def test_activation_is_thread_local(self):
-        job = tc.job_context(tc.mint_root(seed="s"), "h")
+        job = tc.job_context(tc.mint_root(), "h")
         seen = {}
 
         def other():
             seen["ctx"] = tc.current()
 
-        with tc.using(job):
-            thread = threading.Thread(target=other)
-            thread.start()
-            thread.join()
+        prev = tc.activate(job)
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join()
+        tc.restore(prev)
         assert seen["ctx"] is None  # no root installed, no bleed-through
-
-    def test_activate_env_installs_root(self):
-        job = tc.job_context(tc.mint_root(seed="s"), "h")
-        tc.activate(job, env=True)
-        assert os.environ.get(tc.TRACE_ENV)
-        # A grandchild process would inherit the *job* context as root.
-        assert tc.TraceContext.from_dict(
-            json.loads(os.environ[tc.TRACE_ENV])
-        ) == job
 
 
 class TestPhases:
     def test_phase_parents_to_active_context(self):
-        job = tc.job_context(tc.mint_root(seed="s"), "h")
-        with tc.using(job):
-            with tc.phase("l1filter.build", nodes=7):
-                pass
+        job = tc.job_context(tc.mint_root(), "h")
+        tc.activate(job)
+        with tc.phase("l1filter.build", nodes=7):
+            pass
         (record,) = tc.drain_phases()
         assert record["name"] == "l1filter.build"
         assert record["trace_id"] == job.trace_id
@@ -132,12 +107,11 @@ class TestPhases:
         assert record["name"] == "orphan"
 
     def test_phase_ids_unique_per_invocation(self):
-        job = tc.job_context(tc.mint_root(seed="s"), "h")
-        with tc.using(job):
-            with tc.phase("p"):
-                pass
-            with tc.phase("p"):
-                pass
+        tc.activate(tc.job_context(tc.mint_root(), "h"))
+        with tc.phase("p"):
+            pass
+        with tc.phase("p"):
+            pass
         first, second = tc.drain_phases()
         assert first["span_id"] != second["span_id"]
 
@@ -151,11 +125,11 @@ class TestPhases:
 
     def test_write_and_load_round_trip(self, tmp_path):
         path = tmp_path / "phases.jsonl"
-        with tc.using(tc.job_context(tc.mint_root(seed="s"), "h")):
-            with tc.phase("a"):
-                pass
-            with tc.phase("b"):
-                pass
+        tc.activate(tc.job_context(tc.mint_root(), "h"))
+        with tc.phase("a"):
+            pass
+        with tc.phase("b"):
+            pass
         assert tc.write_phases(path) == 2
         assert tc.drain_phases() == []  # drained by the write
         records = tc.load_phases(path)
@@ -185,10 +159,9 @@ class TestPhases:
 
 
 def test_reset_forgets_everything():
-    tc.set_root(tc.mint_root(seed="s"))
+    tc.set_root(tc.mint_root())
     with tc.phase("p"):
         pass
     tc.reset()
     assert tc.current() is None
     assert tc.drain_phases() == []
-    assert os.environ.get(tc.TRACE_ENV) is None

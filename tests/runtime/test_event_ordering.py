@@ -1,15 +1,15 @@
-"""Event-stream ordering guarantees (satellite of the obs work).
+"""Event-stream ordering guarantees.
 
 Every job's lifecycle must read ``queued -> started -> (retried ->
 started)* -> finished | failed`` in the emitted stream — even when
-workers crash and the scheduler retries — and the obs bridge must
-preserve that order in its ``seq`` numbers, since same-millisecond
-timestamps would otherwise shuffle it.
+workers crash and the scheduler retries — and the JSONL run log must
+read back in that order, since same-millisecond timestamps could not
+restore it.
 """
 
 import re
 
-from repro.obs.bridge import bridge_job_events
+from repro.obs.aggregate import load_runlog
 from repro.runtime import (
     EventBus,
     ExperimentRuntime,
@@ -17,7 +17,7 @@ from repro.runtime import (
     ResultCache,
     RuntimeConfig,
 )
-from repro.runtime.events import MemorySink
+from repro.runtime.events import JsonlSink, MemorySink
 
 ECHO = "tests.runtime.helper_jobs:echo_job"
 FAIL = "tests.runtime.helper_jobs:failing_job"
@@ -30,12 +30,12 @@ LIFECYCLE = re.compile(
 )
 
 
-def run_jobs(tmp_path, job_list, **config):
+def run_jobs(tmp_path, job_list, *sinks, **config):
     sink = MemorySink()
     runtime = ExperimentRuntime(
         config=RuntimeConfig(**config),
         cache=ResultCache(root=tmp_path / "cache"),
-        bus=EventBus([sink]),
+        bus=EventBus([sink, *sinks]),
     )
     runtime.map(job_list)
     runtime.close()
@@ -110,24 +110,23 @@ class TestPerJobOrdering:
         assert failed == ["queued", "started", "failed"]
 
 
-class TestBridgedOrdering:
-    def test_bridge_keeps_crash_retry_order(self, tmp_path):
-        events = run_jobs(
+class TestRunlogOrdering:
+    def test_runlog_keeps_crash_retry_order(self, tmp_path):
+        runlog = tmp_path / "runtime.jsonl"
+        emitted = run_jobs(
             tmp_path,
             [Job.create(CRASH_ONCE, marker_path=str(tmp_path / "marker"))],
+            JsonlSink(runlog),
             jobs=2,
             retries=1,
             use_cache=False,
         )
-        bridged = bridge_job_events(events)
-        # seq is strictly increasing, so order survives JSON round-trips
-        # even when wall-clock timestamps collide.
-        assert [e.seq for e in bridged] == list(range(1, len(bridged) + 1))
-        kinds = [e.kind for e in bridged]
-        assert kinds == [
-            "runtime.queued",
-            "runtime.started",
-            "runtime.retried",
-            "runtime.started",
-            "runtime.finished",
+        events = load_runlog(runlog)
+        assert events == emitted
+        assert [e.event for e in events] == [
+            "queued",
+            "started",
+            "retried",
+            "started",
+            "finished",
         ]
