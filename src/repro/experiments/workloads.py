@@ -8,7 +8,8 @@ workload; the paper ran 10^9 instructions), and the test suite uses
 much smaller scales.
 
 Olden traces are cached per (name, scale) because building them means
-actually running the benchmark — in memory per process (``lru_cache``)
+actually running the benchmark — in memory per process (``lru_cache``,
+for :meth:`WorkloadSpec.accesses` and :meth:`WorkloadSpec.array_chunks`)
 and on disk across processes: :meth:`WorkloadSpec.arrays` memoises each
 generated Olden trace as a ``file_format`` npz under the runtime cache
 dir, keyed by (workload, scale, seed, code version), so repeated sweep
@@ -140,7 +141,10 @@ def _olden_arrays(name: str, scale: float, seed: "int | None"):
     arrays = _load_olden_memo(path)
     if arrays is not None:
         return arrays
-    arrays = _olden_trace(name, scale, seed).arrays()
+    # Not through _olden_trace: the memo written below serves the next
+    # call, and a cached recording would keep its buffers alive after
+    # the caller drops these views of them.
+    arrays = olden_benchmark(name, scale=scale, seed=seed).arrays()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         handle = tempfile.NamedTemporaryFile(

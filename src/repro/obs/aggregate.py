@@ -12,8 +12,11 @@ This module merges them into:
   job carrying its queue-wait span, execute span, and kernel phase
   spans (all causally linked by ``trace_id``/``span_id``/
   ``parent_span_id`` from :mod:`repro.obs.trace_context`), plus each
-  job's simulator rows as separate processes via the pid-remapping
-  merge in :mod:`repro.obs.export`;
+  run's simulator rows as separate processes: the run's own saved
+  ``*.trace.json``, read once and merged as it is by the pid-remapping
+  merge in :mod:`repro.obs.export` (the events in ``*.events.jsonl``
+  are never decoded to rebuild it; a run whose trace is missing or
+  torn is left out);
 * **one machine-readable summary** (:func:`sweep_summary`): per-stage
   latency HDR histograms (queue wait, execution, each kernel phase)
   and cache-hit / retry / failure counters, with a span-linkage check
@@ -31,11 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.obs.export import (
-    chrome_trace,
-    load_events_jsonl,
-    merge_trace_documents,
-)
+from repro.obs.export import load_events_jsonl, merge_trace_documents
 from repro.obs.metrics import Histogram
 from repro.obs.probe import ObsReport
 from repro.obs.trace_context import load_phases
@@ -51,9 +50,11 @@ _TERMINAL = ("finished", "failed", "interrupted")
 
 @dataclass
 class SweepArtifacts:
-    """Everything one ``--obs`` directory holds."""
+    """Everything one ``--obs`` directory holds, as the aggregate needs
+    it: each run's saved Chrome trace document, the scheduler's run log
+    and the kernel phase spans."""
 
-    reports: "list[ObsReport]" = field(default_factory=list)
+    run_traces: "list[dict[str, object]]" = field(default_factory=list)
     job_events: "list[JobEvent]" = field(default_factory=list)
     phases: "list[dict[str, object]]" = field(default_factory=list)
 
@@ -138,6 +139,20 @@ def _load_report(metrics_path: Path) -> "ObsReport | None":
     )
 
 
+def load_run_traces(directory: "str | Path") -> "list[dict[str, object]]":
+    """The ``*.trace.json`` documents the instrumented runs saved in a
+    directory, in name order; a missing or torn one is left out."""
+    traces: "list[dict[str, object]]" = []
+    for path in sorted(Path(directory).glob("*.trace.json")):
+        try:
+            document = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            continue
+        if isinstance(document, dict):
+            traces.append(document)
+    return traces
+
+
 def load_runlog(path: "str | Path") -> "list[JobEvent]":
     """Read the scheduler's run log (``JsonlSink``'s records) in
     emission order, skipping torn and foreign lines."""
@@ -155,12 +170,12 @@ def load_runlog(path: "str | Path") -> "list[JobEvent]":
 
 
 def collect_artifacts(directory: "str | Path") -> SweepArtifacts:
-    """Gather the reports, run log and phase spans of one ``--obs``
+    """Gather the run traces, run log and phase spans of one ``--obs``
     directory.  The merged outputs (``trace.json``,
     ``sweep_summary.json``) are never read back."""
     directory = Path(directory)
     return SweepArtifacts(
-        reports=load_reports_from(directory),
+        run_traces=load_run_traces(directory),
         job_events=load_runlog(directory / RUNLOG),
         phases=load_phases(directory / "phases.jsonl"),
     )
@@ -299,7 +314,7 @@ def sweep_summary(artifacts: SweepArtifacts) -> "dict[str, object]":
         },
         "spans": [span.to_dict() for span in spans],
         "phase_spans": len(artifacts.phases),
-        "reports": len(artifacts.reports),
+        "reports": len(artifacts.run_traces),
         "unlinked_spans": unlinked,
     }
 
@@ -490,8 +505,7 @@ def build_sweep_trace(artifacts: SweepArtifacts) -> "dict[str, object]":
     documents: "list[dict[str, object]]" = []
     if artifacts.job_events or artifacts.phases:
         documents.append({"traceEvents": scheduler_trace_events(artifacts)})
-    for report in artifacts.reports:
-        documents.append(chrome_trace(report))
+    documents.extend(artifacts.run_traces)
     return merge_trace_documents(documents)
 
 

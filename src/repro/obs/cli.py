@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from repro.obs.aggregate import (
     collect_artifacts,
@@ -29,12 +28,6 @@ from repro.obs.aggregate import (
 )
 from repro.obs.export import summarize_reports
 from repro.obs.probe import ObsReport
-
-
-def load_reports(directory: "str | Path") -> "list[ObsReport]":
-    """Rebuild the reports of one artifact directory (see
-    :func:`repro.obs.aggregate.load_reports_from`)."""
-    return load_reports_from(directory)
 
 
 def _merged_chip_counters(reports: "list[ObsReport]") -> "str | None":
@@ -76,12 +69,13 @@ def _stage_lines(summary: "dict[str, object]") -> "list[str]":
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
     artifacts = collect_artifacts(args.directory)
-    if not artifacts.reports and not artifacts.job_events:
+    reports = load_reports_from(args.directory)
+    if not reports and not artifacts.job_events:
         print(f"no obs artifacts in {args.directory}", file=sys.stderr)
         return 1
-    if artifacts.reports:
-        print(summarize_reports(artifacts.reports))
-        merged = _merged_chip_counters(artifacts.reports)
+    if reports:
+        print(summarize_reports(reports))
+        merged = _merged_chip_counters(reports)
         if merged:
             print()
             print(merged)

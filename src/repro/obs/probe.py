@@ -101,12 +101,39 @@ def _l1_misses(counts: "list[int]") -> int:
     return counts[0] + counts[1] + counts[3]
 
 
-def _reference_numbers(indices, records, first: int, chunk: int = 1 << 14):
-    """Yield ``first + indices[r]`` for each record ``r`` of ``records``,
-    converting a chunk at a time."""
-    records = np.frombuffer(records, dtype=np.int64)
-    for start in range(0, len(records), chunk):
-        yield from (indices[records[start : start + chunk]] + first).tolist()
+def _eviction_storms(times, carried: int, window: int, threshold: int):
+    """Where :meth:`SimProbe.on_l2_eviction`, called at each clock of
+    ``times`` after the first ``carried`` (the deque it starts with),
+    fires a storm.
+
+    Returns ``(storms, sizes, rest)``: the positions in ``times`` of the
+    storms, the evictions in each one's window, and the deque afterwards,
+    ``times[rest:]``.  ``times`` never decreases, so the pops only ever
+    drop a prefix: the deque after eviction ``k`` holds
+    ``times[max(reset, start[k]) : k + 1]``, ``reset`` being the
+    eviction after the last storm and ``start[k]`` the first eviction
+    at or after ``times[k] - window``.  A storm fires at the first
+    eviction after ``reset`` whose deque holds ``threshold`` of them.
+    """
+    new = np.arange(carried, len(times))
+    start = np.searchsorted(times, times[carried:] - window)
+    start = np.minimum(start, new + 1)  # a window below 0 holds none
+    # evictions whose window, counted from its start, holds a storm
+    full = np.flatnonzero(new + 1 - start >= threshold) + carried
+    # The first storm is the first of these at or after both carried
+    # and step - 1; the storm after one at k, the first at k + step.
+    step = max(threshold, 1)
+    after = np.searchsorted(full, full + step)
+    chain = []
+    p = np.searchsorted(full, max(step - 1, carried))
+    while p < len(full):
+        chain.append(p)
+        p = after[p]
+    storms = full[chain]
+    resets = np.concatenate(([0], storms[:-1] + 1))
+    sizes = storms + 1 - np.maximum(resets, start[storms - carried])
+    rest = storms[-1] + 1 if len(storms) else 0
+    return storms, sizes, max(rest, int(start[-1]))
 
 
 class SimProbe:
@@ -348,6 +375,16 @@ class SimProbe:
         state, so the counters before the replay are the final ones less
         what the record and the log account for, and a sample adds back
         the records before its threshold.
+
+        L2 evictions are handled in bulk, since only a storm emits
+        anything: each eviction's clock is its reference number, or the
+        clock a controller step before it left if that is later,
+        :func:`_eviction_storms` finds the storms
+        :meth:`on_l2_eviction` would fire over those clocks, and the
+        hooks then run for the storms, the sample thresholds and the
+        controller steps alone.  ``l2.evictions`` grows by the count
+        once, and the storm window is left as :meth:`on_l2_eviction`
+        leaves it, so consecutive replays compose.
         """
         kinds = record.kinds
         indices = record.indices
@@ -402,6 +439,7 @@ class SimProbe:
                     l1_misses + _l1_misses(counts),
                 )
 
+        transitions = []
         if moves:
             # Every record but a store that hit the DL1 was a controller
             # reference (only a chip migrating has a controller to read).
@@ -409,6 +447,10 @@ class SimProbe:
                 len(kinds) - whole[2]
             )
             requests = _RecordPrefix(kinds, None)
+            transitions = [
+                (i, 3, references + i + 1 - requests.through(i + 1)[2], *move)
+                for i, *move in moves
+            ]
         interval = self.sample_interval
 
         def tick(t: int) -> None:
@@ -423,42 +465,84 @@ class SimProbe:
             self._advance(t)
 
         # (record, order) puts the controller events in per-access
-        # order; the sort never compares the logged objects.
+        # order; the sort never compares the logged objects.  A rollover
+        # and a transition carry the reference count they move the
+        # clock to.
         steps = sorted(
-            [(i, 1, mechanism, refs) for i, mechanism, refs in log.rollovers]
-            + [(i, 2, flt, sign, value) for i, flt, sign, value in log.flips]
-            + [(i, 3, source, target) for i, source, target in moves],
+            [(i, 1, refs, mechanism) for i, mechanism, refs in log.rollovers]
+            + [(i, 2, None, *flip) for i, *flip in log.flips]
+            + transitions,
             key=lambda step: step[:2],
         )
-        evictions = log.evictions
-        eviction_times = _reference_numbers(indices, evictions, first)
-        on_l2_eviction = self.on_l2_eviction
+        evictions = np.frombuffer(log.evictions, dtype=np.int64)
+        numbers = indices[evictions] + first
+        # An eviction's clock: its reference number, or the clock the
+        # rollovers and transitions at earlier records (or the calls
+        # before this one) left, if later.
+        at, lead = np.array(
+            [(-1, self.now)]
+            + [(step[0], step[2]) for step in steps if step[1] != 2],
+            dtype=np.int64,
+        ).T
+        led = np.maximum.accumulate(lead)[np.searchsorted(at, evictions) - 1]
+        times = np.maximum(numbers, led)
+        storm_numbers = storm_sizes = []
+        cuts = [0] * len(steps)
+        if len(evictions):
+            carried = len(self._eviction_times)
+            times = np.concatenate(
+                (np.array(self._eviction_times, dtype=np.int64), times)
+            )
+            found, sizes, rest = _eviction_storms(
+                times, carried, self.storm_window, self.storm_threshold
+            )
+            self._eviction_times = deque(times[rest:].tolist())
+            registry = self.registry
+            registry.counter("l2.evictions").inc(len(evictions))
+            if len(found):
+                registry.counter("l2.eviction_storms").inc(len(found))
+                storm_size = registry.histogram("l2.storm_size")
+                found -= carried
+                storm_numbers = numbers[found].tolist()
+                storm_sizes = sizes.tolist()
+                # A record's eviction comes with its L2 access, before
+                # its controller step: each step follows the storms at
+                # its record and before.
+                cuts = np.searchsorted(
+                    evictions[found], [step[0] for step in steps], "right"
+                ).tolist()
+        emit = self.log.emit
+        window = self.storm_window
         done = 0
-        for step in steps + [(len(indices),)]:
-            i = step[0]
-            # A record's eviction comes with its L2 access, before its
-            # controller step; the hook reads neither line nor dirty bit.
-            while done < len(evictions) and evictions[done] <= i:
-                tick(next(eviction_times))
-                on_l2_eviction(active, None, None)
-                done += 1
-            if len(step) == 1:
+        for step, cut in zip(steps + [None], cuts + [len(storm_numbers)]):
+            for number, size in zip(
+                storm_numbers[done:cut], storm_sizes[done:cut]
+            ):
+                tick(number)
+                storm_size.record(size)
+                emit(
+                    ev.L2_EVICTION_STORM,
+                    self.now,
+                    core=active,
+                    evictions=size,
+                    window_refs=window,
+                )
+            done = cut
+            if step is None:
                 break
+            i = step[0]
             tick(first + int(indices[i]))
             if step[1] == 1:
-                mechanism = step[2]
+                mechanism = step[3]
                 self.on_window_rollover(
-                    mechanism.name, mechanism.window_size, step[3]
+                    mechanism.name, mechanism.window_size, step[2]
                 )
             elif step[1] == 2:
-                self.on_filter_flip(step[2].name, step[3], step[4])
+                self.on_filter_flip(step[3].name, step[4], step[5])
             else:
                 # The transition is the migration.
-                source, target = step[2], step[3]
-                stores_hit = requests.through(i + 1)[2]
-                self.on_transition(
-                    references + i + 1 - stores_hit, source, target
-                )
+                source, target = step[3], step[4]
+                self.on_transition(step[2], source, target)
                 self.on_migration(source, target)
                 active = target
                 migrations += 1

@@ -47,12 +47,15 @@ steps_strategy = st.lists(
 )
 
 
-#: probe settings: the sample intervals, and an event cap low enough
-#: that some runs drop events
+#: probe settings: the sample intervals, an event cap low enough that
+#: some runs drop events, and storm rules from one eviction a storm
+#: (threshold 1) to the default 16 in 256 references
 probe_settings = st.fixed_dictionaries(
     {
         "sample_interval": st.sampled_from([5, 7, 1000]),
         "max_events": st.sampled_from([60, 100_000]),
+        "storm_window": st.sampled_from([1, 9, 256]),
+        "storm_threshold": st.sampled_from([1, 3, 16]),
     }
 )
 

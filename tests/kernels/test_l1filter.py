@@ -156,6 +156,30 @@ class TestOldenTraceMemo:
         assert kinds.tolist() == [int(a.kind) for a in stream]
         assert instructions.tolist() == [a.instruction for a in stream]
 
+    def test_arrays_keep_no_recording_alive(self, tmp_path, monkeypatch):
+        # arrays() hands out views of the recorder's buffers; once the
+        # caller drops them, nothing may hold the recording (an
+        # in-process cache kept it through both Table 2 replays).
+        import weakref
+
+        import repro.experiments.workloads as workloads
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        recordings = []
+        benchmark = workloads.olden_benchmark
+
+        def recorded(*args, **kwargs):
+            trace = benchmark(*args, **kwargs)
+            recordings.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(workloads, "olden_benchmark", recorded)
+        arrays = workloads.workload("mst", scale=0.05).arrays()
+        assert len(recordings) == 1  # no memo yet: the benchmark ran
+        assert len(arrays[0]) > 0
+        del arrays
+        assert recordings[0]() is None
+
     def test_corrupt_memo_regenerates(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         from repro.experiments.workloads import olden_trace_path, workload

@@ -230,3 +230,40 @@ def test_controller_references_can_lead_the_clock():
         reports[mode] = probe_report(probe)
         assert probe.now > chip.stats.accesses
     assert reports["filtered"] == reports["seed"]
+
+
+@pytest.mark.parametrize("storm_window, storm_threshold", [(1, 3), (9, 16)])
+def test_storms_count_on_the_led_clock(storm_window, storm_threshold):
+    # Once the controller's references have moved the clock past the
+    # chip's, every eviction lands on that clock until the chip catches
+    # up, so narrow windows fill with evictions whose reference numbers
+    # lie far apart: the replay must find storms on the clock, also when
+    # a second call starts behind the clock the first one left.
+    from repro.core.controller import ControllerConfig, MigrationController
+
+    arrays = eventful_trace(2)
+    record = build_l1_filter(*arrays, config=SMALL_CACHES)
+    reports = {}
+    for mode in ("seed", "filtered", "halves"):
+        controller = MigrationController(ControllerConfig.four_core())
+        controller.observe_many(
+            np.arange(20_000), l2_miss=np.zeros(20_000, dtype=bool)
+        )
+        probe = SimProbe(
+            sample_interval=7,
+            storm_window=storm_window,
+            storm_threshold=storm_threshold,
+        )
+        chip = MultiCoreChip(
+            ChipConfig(caches=SMALL_CACHES), controller=controller, probe=probe
+        )
+        if mode == "seed":
+            per_access(chip, arrays)
+        elif mode == "filtered":
+            chip.run_filtered(record)
+        else:
+            for half in (slice(None, 1500), slice(1500, None)):
+                chip.run_arrays(*(array[half] for array in arrays))
+        reports[mode] = probe_report(probe)
+    assert reports["filtered"] == reports["seed"]
+    assert reports["halves"] == reports["seed"]

@@ -1,8 +1,11 @@
 """Sweep aggregation: reading the scheduler's run log, job-span
 reconstruction, the sweep summary's linkage check and stage histograms,
-the merged scheduler trace, and collecting one ``--obs`` directory."""
+the merged scheduler trace, collecting one ``--obs`` directory, and
+merging the runs' saved traces."""
 
 import json
+
+import pytest
 
 from repro.obs import trace_context as tc
 from repro.obs.aggregate import (
@@ -11,11 +14,13 @@ from repro.obs.aggregate import (
     SweepArtifacts,
     build_job_spans,
     collect_artifacts,
+    load_reports_from,
     load_runlog,
     scheduler_trace_events,
     sweep_summary,
     write_aggregate,
 )
+from repro.obs.export import chrome_trace, merge_trace_documents
 from repro.runtime import (
     EventBus,
     ExperimentRuntime,
@@ -273,7 +278,7 @@ class TestCollectAndWrite:
         write_aggregate(tmp_path)  # second merge sees its own outputs
         after = collect_artifacts(tmp_path)
         assert len(after.job_events) == len(before.job_events)
-        assert len(after.reports) == len(before.reports)
+        assert len(after.run_traces) == len(before.run_traces)
 
     def test_write_aggregate_artifacts(self, tmp_path):
         self._populate(tmp_path)
@@ -293,6 +298,82 @@ class TestCollectAndWrite:
         assert summary["schema"] == SUMMARY_SCHEMA
         assert summary["jobs"]["finished"] == 1
         assert summary["unlinked_spans"] == []
+
+    def _save_runs(self, directory):
+        """A probed chip and baseline over a trace that evicts in
+        storms, rolls R-windows over and migrates, saved as
+        ``run_table2_for`` saves them."""
+        from repro.caches.hierarchy import SingleCoreHierarchy
+        from repro.multicore.chip import MultiCoreChip
+        from repro.obs import SimProbe, save_report
+        from tests.kernels.helpers import (
+            PROBE_SHAPES,
+            SMALL_CACHES,
+            eventful_trace,
+        )
+
+        arrays = eventful_trace(7)
+        models = {
+            "baseline": lambda probe: SingleCoreHierarchy(
+                SMALL_CACHES, probe=probe
+            ),
+            "chip": lambda probe: MultiCoreChip(
+                PROBE_SHAPES["four_core"], probe=probe
+            ),
+        }
+        for run, make_model in models.items():
+            probe = SimProbe(name=run, sample_interval=97)
+            make_model(probe).run_arrays(*arrays)
+            save_report(
+                probe.report(workload="w", run=run),
+                directory,
+                f"table2-w-{run}",
+            )
+
+    def test_merged_trace_equals_the_one_rebuilt_from_events(self, tmp_path):
+        # The saved traces hold what chrome_trace builds from the
+        # reports decoded back from metrics.json and events.jsonl; only
+        # the key order of instant args may differ (emit order against
+        # sorted), which parsed JSON does not see.
+        self._populate(tmp_path)
+        self._save_runs(tmp_path)
+        paths = write_aggregate(tmp_path)
+        scheduler = scheduler_trace_events(collect_artifacts(tmp_path))
+        rebuilt = merge_trace_documents(
+            [{"traceEvents": scheduler}]
+            + [chrome_trace(report) for report in load_reports_from(tmp_path)]
+        )
+        merged = json.loads(paths["trace"].read_text(encoding="utf-8"))
+        assert merged == json.loads(json.dumps(rebuilt))
+        kinds = {
+            e["name"] for e in merged["traceEvents"] if e.get("cat") == "sim"
+        }
+        assert {
+            "l2.eviction_storm",
+            "window.rollover",
+            "controller.transition",
+        } <= kinds
+        summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
+        assert summary["reports"] == 2
+
+    @pytest.mark.parametrize("damage", ["missing", "torn"])
+    def test_a_run_without_its_trace_is_left_out(self, tmp_path, damage):
+        self._save_runs(tmp_path)
+        trace = tmp_path / "table2-w-chip.trace.json"
+        if damage == "missing":
+            trace.unlink()
+        else:
+            trace.write_text(trace.read_text(encoding="utf-8")[:100])
+        paths = write_aggregate(tmp_path)
+        merged = json.loads(paths["trace"].read_text(encoding="utf-8"))
+        processes = [
+            e["args"]["name"]
+            for e in merged["traceEvents"]
+            if e["name"] == "process_name"
+        ]
+        assert processes == ["w/baseline"]
+        summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
+        assert summary["reports"] == 1
 
 
 class TestCrashRetryCount:

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.obs import events as ev
-from repro.obs.aggregate import RUNLOG
-from repro.obs.cli import load_reports, main
+from repro.obs.aggregate import RUNLOG, load_reports_from
+from repro.obs.cli import main
 from repro.obs.events import SimEvent
 from repro.obs.export import save_report
 from repro.obs.probe import ObsReport
@@ -58,7 +58,7 @@ def obs_dir(tmp_path):
 
 class TestLoadReports:
     def test_rebuilds_meta_metrics_events(self, obs_dir):
-        reports = load_reports(obs_dir)
+        reports = load_reports_from(obs_dir)
         assert len(reports) == 1
         report = reports[0]
         assert report.meta["workload"] == "mst"
@@ -67,7 +67,7 @@ class TestLoadReports:
 
     def test_corrupt_metrics_file_is_skipped(self, obs_dir):
         (obs_dir / "bad.metrics.json").write_text("{")
-        assert len(load_reports(obs_dir)) == 1
+        assert len(load_reports_from(obs_dir)) == 1
 
 
 class TestSummarize:

@@ -1,13 +1,15 @@
 """The SimProbe attached to real simulator components."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.caches.hierarchy import SingleCoreHierarchy
 from repro.core.controller import MigrationController
 from repro.multicore.chip import ChipConfig, MultiCoreChip
 from repro.obs import events as ev
 from repro.obs.events import SimEvent
-from repro.obs.probe import ObsReport, SimProbe
+from repro.obs.probe import ObsReport, SimProbe, _eviction_storms
 from repro.traces.synthetic import HalfRandom, behavior_trace
 
 
@@ -166,6 +168,44 @@ class TestStormDetection:
             probe.on_access(t)
             probe.on_l2_eviction(core=0, line=1, dirty=True)
         assert not _of_kind(probe, ev.L2_EVICTION_STORM)
+
+    @given(
+        gaps=st.lists(st.integers(0, 12), max_size=200),
+        carried=st.integers(0, 200),
+        window=st.sampled_from([-1, 0, 1, 9, 256]),
+        threshold=st.sampled_from([0, 1, 3, 16]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bulk_storms_match_the_hook(
+        self, gaps, carried, window, threshold
+    ):
+        # The evictions at the first ``carried`` clocks go through the
+        # hook first; the bulk finder, handed the deque they leave, must
+        # fire where the hook fires on the rest, with the same sizes,
+        # and leave the same deque.
+        clocks = np.cumsum(np.array(gaps, dtype=np.int64))
+        carried = min(carried, len(clocks))
+        probe = SimProbe(storm_window=window, storm_threshold=threshold)
+        fired = []
+        for k, t in enumerate(clocks.tolist()):
+            if k == carried:
+                deque_before = list(probe._eviction_times)
+            probe.now = t
+            before = len(probe.log.events)
+            probe.on_l2_eviction(core=0, line=k, dirty=False)
+            if k >= carried and len(probe.log.events) > before:
+                fired.append((k, probe.log.events[-1].args["evictions"]))
+        if carried == len(clocks):
+            return
+        times = np.concatenate(
+            (np.array(deque_before, dtype=np.int64), clocks[carried:])
+        )
+        offset = carried - len(deque_before)
+        storms, sizes, rest = _eviction_storms(
+            times, len(deque_before), window, threshold
+        )
+        assert list(zip((storms + offset).tolist(), sizes.tolist())) == fired
+        assert times[rest:].tolist() == list(probe._eviction_times)
 
     def test_rejects_bad_sample_interval(self):
         with pytest.raises(ValueError):
