@@ -8,7 +8,8 @@ reproductions above are throughput-bound on exactly these loops.
 The LRU stack is paired with ``stack_depths`` and the controller's
 ``observe`` loop with ``observe_many`` (the array engines Figures 4-5
 use), the mechanism's per-access loop with ``process_many`` (the
-batched step Figure 3 uses), and the chip's with ``run_arrays`` and
+kernel generated from the chip's mechanism block, which Figure 3
+uses), and the chip's with ``run_arrays`` and
 ``run_filtered`` from :mod:`repro.kernels`, so a session's JSON shows
 the batched paths staying ahead.  The end-to-end chip trio (a Table 2
 mst-class workload through ``chip.run`` vs the batched fast path) is

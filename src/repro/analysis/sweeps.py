@@ -304,21 +304,6 @@ def filter_point_job(
     }
 
 
-def sampling_point_job(
-    behavior: "dict[str, object]",
-    sampled_residues: int,
-    num_references: int = 400_000,
-) -> "dict[str, object]":
-    point = sampling_point(
-        behavior_from_spec(behavior),
-        sampled_residues,
-        num_references=num_references,
-    )
-    payload = asdict(point)
-    payload["references"] = num_references
-    return payload
-
-
 def rwindow_sweep_with_runtime(
     runtime,
     behavior_spec: "dict[str, object]",
@@ -373,34 +358,6 @@ def filter_width_sweep_with_runtime(
     return [
         FilterSweepPoint(
             filter_bits=p["filter_bits"], tail_frequency=p["tail_frequency"]
-        )
-        for p in payloads(runtime.map(jobs))
-    ]
-
-
-def sampling_sweep_with_runtime(
-    runtime,
-    behavior_spec: "dict[str, object]",
-    residue_counts: "Sequence[int]",
-    num_references: int = 400_000,
-) -> "list[SamplingSweepPoint]":
-    """Sampling-ratio sweep with one cached runtime job per point."""
-    jobs = [
-        Job.create(
-            "repro.analysis.sweeps:sampling_point_job",
-            label=f"sampling/{behavior_spec.get('type')}/{count}residues",
-            behavior=dict(behavior_spec),
-            sampled_residues=count,
-            num_references=num_references,
-        )
-        for count in residue_counts
-    ]
-    return [
-        SamplingSweepPoint(
-            sampled_residues=p["sampled_residues"],
-            sample_fraction=p["sample_fraction"],
-            overall_frequency=p["overall_frequency"],
-            filter_updates=p["filter_updates"],
         )
         for p in payloads(runtime.map(jobs))
     ]

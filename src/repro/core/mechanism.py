@@ -53,7 +53,7 @@ from collections import OrderedDict, deque
 from typing import NamedTuple, Optional
 
 from repro.common.saturating import SaturatingCounter, saturate, sign
-from repro.core.affinity_store import AffinityStore, UnboundedAffinityStore
+from repro.core.affinity_store import AffinityStore
 
 
 class RWindowEntry(NamedTuple):
@@ -182,96 +182,18 @@ class SplitMechanism:
             self.window_affinity.add(window_population * step)
 
     def process_many(self, lines) -> "list[int]":
-        """Batched :meth:`process`; returns the ``A_e`` values in order.
+        """:meth:`process` for each of ``lines`` in turn; returns the
+        ``A_e`` values in order.
 
-        Bit-identical to the per-line loop.  Falls back to it for LRU
-        windows, subclasses, or when a probe is attached (rollover
-        events must fire at exact reference counts); the FIFO fast path
-        keeps ``Δ`` and ``A_R`` in locals and, for the unbounded store,
-        inlines the dictionary lookups.
+        A FIFO-window mechanism with no probe and an unbounded store
+        runs a kernel generated from the chip kernel's mechanism block
+        (:func:`repro.kernels.specialize.process_many`); any other runs
+        the :meth:`process` loop, its specification.  Consecutive calls
+        compose like consecutive :meth:`process` calls.
         """
-        if (
-            self.lru_window
-            or self.probe is not None
-            or type(self) is not SplitMechanism
-        ):
-            return [self.process(line) for line in lines]
-        window_size = self.window_size
-        lo = -(1 << (self.affinity_bits - 1))
-        hi = (1 << (self.affinity_bits - 1)) - 1
-        delta_counter = self.delta
-        d_lo = delta_counter._lo
-        d_hi = delta_counter._hi
-        d_value = delta_counter._value
-        wa_counter = self.window_affinity
-        w_lo = wa_counter._lo
-        w_hi = wa_counter._hi
-        w_value = wa_counter._value
-        track = self.track_true_window_affinity
-        fifo = self._fifo
-        append = fifo.append
-        popleft = fifo.popleft
-        make_entry = RWindowEntry
-        store = self.store
-        unbounded = type(store) is UnboundedAffinityStore
-        if unbounded:
-            values = store._values
-            get = values.get
-            s_reads = s_misses = s_writes = 0
-        else:
-            store_read = store.read
-            store_write = store.write
-        out: "list[int]" = []
-        out_append = out.append
-        n = 0
-        for line in lines:
-            n += 1
-            delta = d_value
-            if unbounded:
-                s_reads += 1
-                o_e = get(line)
-                if o_e is None:
-                    s_misses += 1
-                    o_e = lo if delta < lo else hi if delta > hi else delta
-            else:
-                o_e = store_read(line)
-                if o_e is None:
-                    o_e = lo if delta < lo else hi if delta > hi else delta
-            value = o_e - delta
-            a_e = lo if value < lo else hi if value > hi else value
-            value = o_e - 2 * delta
-            i_e = lo if value < lo else hi if value > hi else value
-            append(make_entry(line, i_e))
-            if len(fifo) > window_size:
-                evicted = popleft()
-                value = evicted[1] + 2 * delta
-                o_f = lo if value < lo else hi if value > hi else value
-                if unbounded:
-                    s_writes += 1
-                    values[evicted[0]] = o_f
-                else:
-                    store_write(evicted[0], o_f)
-                value = w_value + (o_e - o_f)
-            else:
-                value = w_value + a_e  # window still filling
-            w_value = w_lo if value < w_lo else w_hi if value > w_hi else value
-            step = 1 if w_value >= 0 else -1
-            value = d_value + step
-            d_value = d_lo if value < d_lo else d_hi if value > d_hi else value
-            if track:
-                value = w_value + len(fifo) * step
-                w_value = (
-                    w_lo if value < w_lo else w_hi if value > w_hi else value
-                )
-            out_append(a_e)
-        delta_counter._value = d_value
-        wa_counter._value = w_value
-        self.references += n
-        if unbounded:
-            store.reads += s_reads
-            store.misses += s_misses
-            store.writes += s_writes
-        return out
+        from repro.kernels.specialize import process_many
+
+        return process_many(self, lines)
 
     def affinity_of(self, line: int) -> Optional[int]:
         """Current ``A_e`` of ``line``, or ``None`` if unknown.

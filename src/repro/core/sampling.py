@@ -88,9 +88,6 @@ class SamplingPolicy:
             return 1.0
         return len(self.sampled_residues) / self.modulus
 
-    def hash_of(self, line: int) -> int:
-        return line % self.modulus
-
     def is_sampled(self, line: int) -> bool:
         if self.sampled_residues is None:
             return True

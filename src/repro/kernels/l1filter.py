@@ -46,7 +46,6 @@ import numpy as np
 from repro import faults
 from repro.caches.base import EvictedLine
 from repro.obs import trace_context
-from repro.obs.metrics import process_counter
 from repro.caches.fully_assoc import FullyAssociativeCache
 from repro.caches.hierarchy import CoreCacheConfig
 from repro.caches.set_assoc import SetAssociativeCache
@@ -444,45 +443,6 @@ def _sidecar_path(cache: ResultCache, job: Job) -> Path:
     return cache.generation_dir / f"{job.hash}.l1f.npz"
 
 
-# -- in-process record reuse --------------------------------------------
-#
-# A sweep process (serial mode, the population coordinator replaying
-# many variants) calls ``ensure_l1_filter`` once
-# per variant; re-reading the same ``.l1f.npz`` each time costs a full
-# npz read *and* forfeits the per-record precompute memoised on the
-# record object.  Successfully *loaded* records are therefore kept in a
-# small process-level LRU keyed by the sidecar's on-disk identity
-# ``(path, inode, mtime_ns, size)`` — a rebuilt or replaced sidecar
-# (atomic ``os.replace`` mints a new inode) can never be served stale,
-# and the build path never populates the cache, so the
-# quarantine-and-rebuild recovery contract is unchanged.
-
-_RECORD_CACHE_CAP = 8
-_OPEN_RECORDS: "OrderedDict[tuple, L1FilterRecord]" = OrderedDict()
-
-
-def _open_record_key(sidecar: Path) -> "tuple | None":
-    """The sidecar's identity key, or ``None`` when it is not a file."""
-    try:
-        st = os.stat(sidecar)
-    except OSError:
-        return None
-    return (str(sidecar), st.st_ino, st.st_mtime_ns, st.st_size)
-
-
-def _remember_open_record(key: tuple, record: L1FilterRecord) -> None:
-    _OPEN_RECORDS[key] = record
-    _OPEN_RECORDS.move_to_end(key)
-    while len(_OPEN_RECORDS) > _RECORD_CACHE_CAP:
-        _OPEN_RECORDS.popitem(last=False)
-        process_counter("l1filter.record_cache.evictions").inc()
-
-
-def drop_open_records() -> None:
-    """Forget every in-process record (test isolation)."""
-    _OPEN_RECORDS.clear()
-
-
 def _record_payload(record: L1FilterRecord) -> "dict[str, object]":
     return {
         "accesses": record.accesses,
@@ -513,19 +473,12 @@ def ensure_l1_filter(
     cache = cache or ResultCache()
     job = l1_filter_job_for(name, scale=scale, seed=seed)
     sidecar = _sidecar_path(cache, job)
-    key = _open_record_key(sidecar)
-    if key is not None:
-        open_record = _OPEN_RECORDS.get(key)
-        if open_record is not None:
-            _OPEN_RECORDS.move_to_end(key)
-            process_counter("l1filter.record_cache.hits").inc()
-            return open_record, True
+    # A missing sidecar is built, not quarantined: ``CORRUPT_NPZ_ERRORS``
+    # includes the ``OSError`` a load of it would raise.
+    if sidecar.exists():
         try:
             with trace_context.phase("l1filter.load", workload=name):
-                record = L1FilterRecord.load(sidecar)
-            process_counter("l1filter.record_cache.loads").inc()
-            _remember_open_record(key, record)
-            return record, True
+                return L1FilterRecord.load(sidecar), True
         except CORRUPT_NPZ_ERRORS as exc:
             # Corrupt or stale sidecar (torn write survived a crash, bit
             # rot, old record version): quarantine it next to corrupt

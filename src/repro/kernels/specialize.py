@@ -41,19 +41,21 @@ plain kernel's, byte for byte; probe-free models keep that one, which
 takes 7–9 % less CPU per pass (``docs/performance.md``).
 
 Generated kernels are cached per signature for the life of the
-process; per-record precomputation (slot-matrix columns, store/control
-byte streams) is memoised on the record object in a small LRU
-(:data:`_PRECOMP_CAP` geometry keys; evictions counted on the process
-obs registry as ``kernels.precompute.evictions``), so sweeps
-replaying one record through many variants pay it once while
-long-lived processes stay bounded.  The memo holds typed arrays: the
-lines as ``array('q')`` and each slot column as ``array('i')``, 8 + 4
-bytes per way per record.
+process; per-record precomputation (slot-matrix columns, control byte
+streams) is memoised in one dict on the record object, so every replay
+of that record in the process — the baseline and each chip variant —
+pays it once, and the memo lives exactly as long as the record.  It
+holds typed arrays: the lines as ``array('q')`` and each slot column as
+``array('i')``, 8 + 4 bytes per way per record.
 
 The single-core baseline gets the same treatment:
 :func:`replay_hierarchy_specialized` generates a per-associativity
 kernel for the skewed L2 of ``SingleCoreHierarchy`` (dict-based
-residency, index-derived clocks, precomputed slot columns).
+residency, index-derived clocks, precomputed slot columns).  The
+controller and one mechanism run alone through kernels generated from
+the same controller and mechanism blocks as the chip's:
+:func:`observe_many` (``MigrationController.observe_many``) and
+:func:`process_many` (``SplitMechanism.process_many``).
 
 Exactness contract: replaying through a specialized kernel leaves the
 chip in **bit-identical** state to the per-access simulator —
@@ -67,7 +69,6 @@ the whole trace ends.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from itertools import repeat
 
 import numpy as np
@@ -81,15 +82,11 @@ from repro.core.transition_filter import TransitionFilter
 from repro.kernels.arrays import skew_slot_matrix
 from repro.multicore.coherence import CoherentL2s
 from repro.multicore.migration import MigrationEngine
-from repro.obs.metrics import process_counter
 from repro.obs.probe import SimProbe
 
 _UNSET = object()  # "cache never accessed here" sentinel for last_eviction
 _PRECOMP_ATTR = "_specialized_precomp"
 _BASE_ATTR = "_specialized_base"
-
-#: geometry keys kept per record before LRU eviction
-_PRECOMP_CAP = 8
 
 #: signature -> compiled kernel
 _KERNELS: dict = {}
@@ -621,6 +618,34 @@ _f_{fp}.sign_changes += {fp}_sc
 _f_{fp}._last_sign = {fp}_ls"""
 
 
+def _store_source(store_kind: str) -> "tuple[str, str]":
+    """``(locals, flush)`` of the affinity store in a generated loop
+    (``store`` must be bound)."""
+    if store_kind == "cache":
+        return """st_lines = store._lines
+st_values = store._values
+st_time = store._time
+st_num_sets = store._num_sets
+st_index_bits = store._index_bits
+st_way_range = range(store.ways)
+st_clock = store._clock
+st_idx = {}
+for slot, ln in enumerate(st_lines):
+    if ln is not None:
+        st_idx[ln] = slot
+st_idx_get = st_idx.get
+st_reads = st_writes = st_misses = st_evictions = 0""", """store.reads += st_reads
+store.writes += st_writes
+store.misses += st_misses
+store.evictions += st_evictions
+store._clock = st_clock"""
+    return """ub_values = store._values
+ub_get = ub_values.get
+st_reads = st_writes = st_misses = 0""", """store.reads += st_reads
+store.writes += st_writes
+store.misses += st_misses"""
+
+
 def _controller_source(
     four_way: bool,
     store_kind: str,
@@ -685,32 +710,7 @@ else:
         if four_way
         else [("fx", "controller.filter_x")]
     )
-    if store_kind == "cache":
-        store_locals = """st_lines = store._lines
-st_values = store._values
-st_time = store._time
-st_num_sets = store._num_sets
-st_index_bits = store._index_bits
-st_way_range = range(store.ways)
-st_clock = store._clock
-st_idx = {}
-for slot, ln in enumerate(st_lines):
-    if ln is not None:
-        st_idx[ln] = slot
-st_idx_get = st_idx.get
-st_reads = st_writes = st_misses = st_evictions = 0"""
-        store_flush = """store.reads += st_reads
-store.writes += st_writes
-store.misses += st_misses
-store.evictions += st_evictions
-store._clock = st_clock"""
-    else:
-        store_locals = """ub_values = store._values
-ub_get = ub_values.get
-st_reads = st_writes = st_misses = 0"""
-        store_flush = """store.reads += st_reads
-store.writes += st_writes
-store.misses += st_misses"""
+    store_locals, store_flush = _store_source(store_kind)
     st_unpack = []
     if st_ways:
         names = ", ".join(f"t{w}" for w in range(st_ways))
@@ -976,19 +976,28 @@ for {loop_vars} in zip({zip_args}):
     return source
 
 
-def _kernel_for(sig: tuple):
-    kernel = _KERNELS.get(sig)
+#: the globals every generated kernel runs with
+_KERNEL_GLOBALS = {
+    "EvictedLine": EvictedLine,
+    "skew_hash": skew_hash,
+    "make_entry": RWindowEntry,
+    "_UNSET": _UNSET,
+}
+
+
+def _compiled(table: dict, key, build, name: str):
+    """The kernel cached in ``table`` under ``key``; on first use, the
+    function ``name`` defined by the source ``build()`` returns."""
+    kernel = table.get(key)
     if kernel is None:
-        namespace = {
-            "EvictedLine": EvictedLine,
-            "skew_hash": skew_hash,
-            "make_entry": RWindowEntry,
-            "_UNSET": _UNSET,
-        }
-        source = _build_source(sig)
-        exec(compile(source, f"<specialized {sig}>", "exec"), namespace)
-        kernel = _KERNELS[sig] = namespace["_replay"]
+        namespace = dict(_KERNEL_GLOBALS)
+        exec(compile(build(), f"<{name} {key}>", "exec"), namespace)
+        kernel = table[key] = namespace[name]
     return kernel
+
+
+def _kernel_for(sig: tuple):
+    return _compiled(_KERNELS, sig, lambda: _build_source(sig), "_replay")
 
 
 # -- the controller alone -------------------------------------------------
@@ -1059,13 +1068,9 @@ def _build_observe_source(sig: tuple) -> str:
 
 
 def _observe_kernel_for(sig: tuple):
-    kernel = _OBSERVE_KERNELS.get(sig)
-    if kernel is None:
-        namespace = {"skew_hash": skew_hash, "make_entry": RWindowEntry}
-        source = _build_observe_source(sig)
-        exec(compile(source, f"<observe {sig}>", "exec"), namespace)
-        kernel = _OBSERVE_KERNELS[sig] = namespace["_observe"]
-    return kernel
+    return _compiled(
+        _OBSERVE_KERNELS, sig, lambda: _build_observe_source(sig), "_observe"
+    )
 
 
 def observe_many(controller, lines, l2_miss=None) -> np.ndarray:
@@ -1142,16 +1147,66 @@ def observe_many(controller, lines, l2_miss=None) -> np.ndarray:
     return np.repeat(np.array(subsets, dtype=np.uint8), np.diff(cuts))
 
 
+# -- one mechanism alone ------------------------------------------------
+#
+# ``SplitMechanism.process_many`` runs one mechanism's block of the
+# generated loops, with the filter update swapped for collecting each
+# ``A_e``.  Only the unbounded store has a kernel: Figure 3, the one
+# caller, uses it, and every other mechanism runs ``process``.
+
+#: track_true_window_affinity -> compiled process kernel
+_PROCESS_KERNELS: dict = {}
+
+
+def _build_process_source(track: bool) -> str:
+    store_locals, store_flush = _store_source("unbounded")
+    body = _mechanism_block("x", track, "unbounded", None, "out_append(a_e)")
+    return f"""def _process(mechs, seq_line):
+    store = mechs[0].store
+{_indent(store_locals, 4)}
+{_indent(_mech_locals("x", 0, False, False), 4)}
+    out = []
+    out_append = out.append
+    for line in seq_line:
+{_indent(body, 8)}
+{_indent(_mech_flush("x", 0, "len(out)", False, False), 4)}
+{_indent(store_flush, 4)}
+    return out
+"""
+
+
+def process_many(mechanism, lines) -> "list[int]":
+    """:meth:`SplitMechanism.process` over ``lines``, returning each
+    ``A_e`` in order.
+
+    Runs the generated kernel for a standard FIFO-window mechanism with
+    no probe and an unbounded store, and the ``process`` loop for any
+    other (an LRU window, a probe, a subclass, a finite or non-standard
+    store); both leave the mechanism and its store in the same state.
+    """
+    if (
+        type(mechanism) is not SplitMechanism
+        or mechanism.lru_window
+        or mechanism.probe is not None
+        or type(mechanism.store) is not UnboundedAffinityStore
+    ):
+        return [mechanism.process(line) for line in lines]
+    track = mechanism.track_true_window_affinity
+    kernel = _compiled(
+        _PROCESS_KERNELS, track, lambda: _build_process_source(track),
+        "_process",
+    )
+    return kernel((mechanism,), lines)
+
+
 # -- per-record precomputation (memoised on the record) -----------------
 #
 # Two tiers: geometry-independent work (lines, write bytes, kind counts)
 # is computed once per record (`_record_base`); everything keyed by
 # chip geometry/sampling (slot columns, control bytes, store columns)
-# lives in a small LRU so a tuner replaying one record through hundreds
-# of distinct geometries cannot grow the process without bound.  LRU
-# evictions are counted on the process obs registry.  Lines and slot
-# columns are typed arrays (8 and 4 bytes per record), built a chunk of
-# records at a time so no whole-record temporary is ever held.
+# lives in one dict beside it.  Both go when the record does.  Lines and
+# slot columns are typed arrays (8 and 4 bytes per record), built a
+# chunk of records at a time so no whole-record temporary is ever held.
 
 #: records per chunk when building the memo's typed arrays
 _MEMO_CHUNK = 1 << 16
@@ -1176,17 +1231,11 @@ def _record_base(record):
     return base
 
 
-def _precomp_memo(record) -> "OrderedDict":
+def _precomp_memo(record) -> dict:
     memo = record.__dict__.get(_PRECOMP_ATTR)
     if memo is None:
-        memo = record.__dict__[_PRECOMP_ATTR] = OrderedDict()
+        memo = record.__dict__[_PRECOMP_ATTR] = {}
     return memo
-
-
-def _trim_memo(memo: "OrderedDict") -> None:
-    while len(memo) > _PRECOMP_CAP:
-        memo.popitem(last=False)
-        process_counter("kernels.precompute.evictions").inc()
 
 
 def _slot_cols(record, num_sets: int, ways: int, memo):
@@ -1195,19 +1244,16 @@ def _slot_cols(record, num_sets: int, ways: int, memo):
     hierarchy, each chip variant, a non-shared store — reuses one
     entry."""
     key = ("cols", num_sets, ways)
-    hit = memo.get(key)
-    if hit is not None:
-        memo.move_to_end(key)
-        return hit
-    cols = tuple(array("i") for _ in range(ways))
-    for start in range(0, len(record.lines), _MEMO_CHUNK):
-        smat = skew_slot_matrix(
-            record.lines[start : start + _MEMO_CHUNK], num_sets, ways
-        )
-        for w, col in enumerate(cols):
-            col.frombytes(smat[:, w].astype(np.int32).tobytes())
-    memo[key] = cols
-    _trim_memo(memo)
+    cols = memo.get(key)
+    if cols is None:
+        cols = tuple(array("i") for _ in range(ways))
+        for start in range(0, len(record.lines), _MEMO_CHUNK):
+            smat = skew_slot_matrix(
+                record.lines[start : start + _MEMO_CHUNK], num_sets, ways
+            )
+            for w, col in enumerate(cols):
+                col.frombytes(smat[:, w].astype(np.int32).tobytes())
+        memo[key] = cols
     return cols
 
 
@@ -1223,14 +1269,10 @@ def _precompute(record, chip, sig):
         sampling_key = (sampling.modulus, sampling.sampled_residues)
         ckey = ("ctrl", sampling_key, four_way)
         c_b = memo.get(ckey)
-        if c_b is not None:
-            memo.move_to_end(ckey)
-        else:
-            c_b = _control_codes(
+        if c_b is None:
+            c_b = memo[ckey] = _control_codes(
                 record.lines, record.kinds != 2, sampling, four_way
             ).tobytes()
-            memo[ckey] = c_b
-            _trim_memo(memo)
     else:
         c_b = None
     if st_ways:
@@ -1395,14 +1437,10 @@ def _build_hierarchy_source(ways: int, telemetry: bool = False) -> str:
 
 
 def _hier_kernel_for(ways: int, telemetry: bool = False):
-    key = (ways, telemetry)
-    kernel = _HIER_KERNELS.get(key)
-    if kernel is None:
-        source = _build_hierarchy_source(ways, telemetry)
-        namespace = {"EvictedLine": EvictedLine, "_UNSET": _UNSET}
-        exec(compile(source, f"<specialized hier {key}>", "exec"), namespace)
-        kernel = _HIER_KERNELS[key] = namespace["_replay_hier"]
-    return kernel
+    return _compiled(
+        _HIER_KERNELS, (ways, telemetry),
+        lambda: _build_hierarchy_source(ways, telemetry), "_replay_hier",
+    )
 
 
 def replay_hierarchy_specialized(hierarchy, record):

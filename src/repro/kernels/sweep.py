@@ -13,6 +13,10 @@ once per population rather than once per variant:
 * any other worker — a spawned one, or a job run outside a population —
   falls back to the ordinary sidecar load (``record_source ==
   "sidecar"``): it costs one extra load, never a failure.
+
+The coordinator holds the record only while its population runs: once
+:func:`evaluate_population` returns, nothing in the process keeps the
+record or the precompute memo on it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.kernels.l1filter import L1FilterRecord, ensure_l1_filter, l1_filter_job_for
-from repro.obs.metrics import process_counter
 from repro.runtime import Job, payloads
 from repro.runtime.cache import ResultCache
 
@@ -51,19 +54,16 @@ def _resolve_record(
     """Find the population's record: ``(record, source, loads)``.
 
     Resolution order — coordinator object inherited over fork, then the
-    ordinary sidecar path.  ``loads`` counts actual record
-    materialisations (sidecar reads or L1 rebuilds) this call
-    performed; an inherited record is always 0.
+    ordinary sidecar path.  ``loads`` counts the record
+    materialisations (a sidecar read or an L1 rebuild) this call
+    performed: 0 for an inherited record, else 1.
     """
     cache = ResultCache()
     record = _SHARED_RECORDS.get(record_key(cache, name, scale, seed))
     if record is not None:
         return record, "inherited", 0
-    loads = process_counter("l1filter.record_cache.loads")
-    before = loads.value
-    record, cached = ensure_l1_filter(name, scale=scale, seed=seed, cache=cache)
-    performed = (loads.value - before) + (0 if cached else 1)
-    return record, "sidecar", performed
+    record, _cached = ensure_l1_filter(name, scale=scale, seed=seed, cache=cache)
+    return record, "sidecar", 1
 
 
 def population_job(
@@ -164,10 +164,7 @@ def evaluate_population(
         cache = runtime.cache if runtime is not None else ResultCache()
     key = record_key(cache, name, scale, seed)
     start = time.perf_counter()
-    loads = process_counter("l1filter.record_cache.loads")
-    before = loads.value
-    record, cached = ensure_l1_filter(name, scale=scale, seed=seed, cache=cache)
-    coordinator_loads = (loads.value - before) + (0 if cached else 1)
+    record, _cached = ensure_l1_filter(name, scale=scale, seed=seed, cache=cache)
     _SHARED_RECORDS[key] = record
     try:
         jobs = population_jobs(name, scale=scale, seed=seed, variants=variants)
@@ -188,7 +185,7 @@ def evaluate_population(
     return PopulationResult(
         workload=name,
         rows=rows,
-        shared_record_loads=coordinator_loads + worker_loads,
+        shared_record_loads=1 + worker_loads,
         wall_seconds=time.perf_counter() - start,
         record_sources=sources,
     )

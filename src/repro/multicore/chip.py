@@ -79,12 +79,6 @@ class ChipStats:
     def l1_misses(self) -> int:
         return self.il1_misses + self.dl1_misses
 
-    def instructions_per(self, events: int) -> float:
-        """Instructions per event (Table 2's unit; ``inf`` if none)."""
-        if events == 0:
-            return float("inf")
-        return self.instructions / events
-
     def to_dict(self) -> "dict[str, int]":
         """Raw counters as a JSON-able dict — the one sanctioned way for
         experiments and exporters to serialise chip statistics."""

@@ -37,7 +37,7 @@ from typing import Iterable
 from repro.obs.export import load_events_jsonl, merge_trace_documents
 from repro.obs.metrics import Histogram
 from repro.obs.probe import ObsReport
-from repro.obs.trace_context import load_phases
+from repro.obs.trace_context import load_phases, load_phases_dropped
 from repro.runtime.events import JobEvent, event_from_record
 
 SUMMARY_SCHEMA = "repro.obs/sweep-summary@1"
@@ -51,12 +51,14 @@ _TERMINAL = ("finished", "failed", "interrupted")
 @dataclass
 class SweepArtifacts:
     """Everything one ``--obs`` directory holds, as the aggregate needs
-    it: each run's saved Chrome trace document, the scheduler's run log
-    and the kernel phase spans."""
+    it: each run's saved Chrome trace document, the scheduler's run log,
+    the kernel phase spans and how many spans the buffer's cap
+    dropped."""
 
     run_traces: "list[dict[str, object]]" = field(default_factory=list)
     job_events: "list[JobEvent]" = field(default_factory=list)
     phases: "list[dict[str, object]]" = field(default_factory=list)
+    phases_dropped: int = 0
 
 
 @dataclass
@@ -178,6 +180,7 @@ def collect_artifacts(directory: "str | Path") -> SweepArtifacts:
         run_traces=load_run_traces(directory),
         job_events=load_runlog(directory / RUNLOG),
         phases=load_phases(directory / "phases.jsonl"),
+        phases_dropped=load_phases_dropped(directory / "phases.jsonl"),
     )
 
 
@@ -314,6 +317,7 @@ def sweep_summary(artifacts: SweepArtifacts) -> "dict[str, object]":
         },
         "spans": [span.to_dict() for span in spans],
         "phase_spans": len(artifacts.phases),
+        "phase_spans_dropped": artifacts.phases_dropped,
         "reports": len(artifacts.run_traces),
         "unlinked_spans": unlinked,
     }

@@ -12,7 +12,10 @@ Three instrument kinds, all allocation-light and JSON-exportable:
   sketch instead of growing without bound.
 
 A :class:`MetricsRegistry` names and owns instruments; everything
-serialises through :meth:`MetricsRegistry.to_dict`.
+serialises through :meth:`MetricsRegistry.to_dict`.  Each probe owns one
+registry for its run; the one process-wide registry is
+:data:`repro.runtime.health.HEALTH`, where the fault and recovery seams
+count.
 """
 
 from __future__ import annotations
@@ -200,20 +203,3 @@ class MetricsRegistry:
             name: instrument.to_dict()
             for name, instrument in sorted(self._instruments.items())
         }
-
-
-# -- the process-global obs registry ------------------------------------
-#
-# Long-lived infrastructure (kernel memo caches, the in-process record
-# cache) counts what it did here, the same way fault/recovery seams
-# count on :data:`repro.runtime.health.HEALTH`.  One registry per
-# process; worker processes keep their own (their counts describe their
-# own loads/evictions).
-
-#: the process-global metrics registry
-PROCESS = MetricsRegistry()
-
-
-def process_counter(name: str) -> Counter:
-    """The named process-global counter (created on first use)."""
-    return PROCESS.counter(name)

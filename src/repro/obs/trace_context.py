@@ -21,7 +21,8 @@ Propagation uses two channels:
 :func:`phase` is the kernel-side hook: a context manager that records
 a named child span (wall-clock microseconds) into a bounded in-process
 buffer, drained by :func:`write_phases` into ``phases.jsonl`` next to
-the other obs artifacts.  :mod:`repro.obs.aggregate` stitches job
+the other obs artifacts, with a count of the spans the buffer's cap
+dropped since the last drain.  :mod:`repro.obs.aggregate` stitches job
 spans and phase spans into one merged Perfetto trace.
 """
 
@@ -37,6 +38,9 @@ from dataclasses import dataclass
 
 #: hard cap on buffered phase spans (drops are counted, never grown)
 MAX_PHASES = 4096
+
+#: key of the ``phases.jsonl`` line counting the spans a drain lost
+DROPPED_KEY = "phase_spans_dropped"
 
 
 @dataclass(frozen=True)
@@ -168,47 +172,59 @@ def phase(name: str, **args: object):
                 _phases_dropped += 1
 
 
-def drain_phases() -> "list[dict[str, object]]":
-    """Take (and clear) every buffered phase record."""
+def _take_phases() -> "tuple[list[dict[str, object]], int]":
+    """Take (and clear) every buffered phase record and the count of
+    spans dropped since the last drain."""
+    global _phases_dropped
     with _lock:
         records = list(_phases)
         _phases.clear()
-    return records
+        dropped = _phases_dropped
+        _phases_dropped = 0
+    return records, dropped
+
+
+def drain_phases() -> "list[dict[str, object]]":
+    """Take (and clear) every buffered phase record; the drop count
+    restarts from 0."""
+    return _take_phases()[0]
 
 
 def phases_dropped() -> int:
+    """Spans the cap dropped since the last drain."""
     return _phases_dropped
 
 
 def write_phases(path: "str | os.PathLike") -> int:
-    """Append all buffered phase records to a JSONL file; returns how
-    many were written.  One ``write`` per drain keeps concurrent
-    workers' appends line-atomic on POSIX."""
-    records = drain_phases()
-    if not records:
+    """Append all buffered phase records to a JSONL file, then, if the
+    cap dropped any span since the last drain, one ``{DROPPED_KEY: n}``
+    line; returns how many records were written.  One ``write`` per
+    drain keeps concurrent workers' appends line-atomic on POSIX."""
+    records, dropped = _take_phases()
+    lines = [json.dumps(record, sort_keys=True) for record in records]
+    if dropped:
+        lines.append(json.dumps({DROPPED_KEY: dropped}))
+    if not lines:
         return 0
     from pathlib import Path
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    blob = "".join(
-        json.dumps(record, sort_keys=True) + "\n" for record in records
-    )
     with path.open("a", encoding="utf-8") as handle:
-        handle.write(blob)
+        handle.write("".join(line + "\n" for line in lines))
         handle.flush()
     return len(records)
 
 
-def load_phases(path: "str | os.PathLike") -> "list[dict[str, object]]":
-    """Read a ``phases.jsonl`` file, skipping torn lines."""
+def _phase_lines(path: "str | os.PathLike"):
+    """The JSON objects of a ``phases.jsonl`` file, skipping torn
+    lines."""
     from pathlib import Path
 
-    records: "list[dict[str, object]]" = []
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError:
-        return records
+        return
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -217,6 +233,20 @@ def load_phases(path: "str | os.PathLike") -> "list[dict[str, object]]":
             data = json.loads(line)
         except json.JSONDecodeError:
             continue
-        if isinstance(data, dict) and "span_id" in data:
-            records.append(data)
-    return records
+        if isinstance(data, dict):
+            yield data
+
+
+def load_phases(path: "str | os.PathLike") -> "list[dict[str, object]]":
+    """Read the phase records of a ``phases.jsonl`` file, skipping torn
+    lines."""
+    return [data for data in _phase_lines(path) if "span_id" in data]
+
+
+def load_phases_dropped(path: "str | os.PathLike") -> int:
+    """The spans the writers of a ``phases.jsonl`` file dropped."""
+    return sum(
+        data[DROPPED_KEY]
+        for data in _phase_lines(path)
+        if isinstance(data.get(DROPPED_KEY), int)
+    )

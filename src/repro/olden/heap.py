@@ -212,11 +212,6 @@ class TracedHeap:
         return int(_costs(np.frombuffer(self._words, dtype=np.int64)).sum())
 
     @property
-    def heap_bytes(self) -> int:
-        """Total bytes allocated so far."""
-        return self._brk
-
-    @property
     def recorded_accesses(self) -> int:
         words = np.frombuffer(self._words, dtype=np.int64)
         return int(np.count_nonzero(words >= 0))

@@ -9,7 +9,6 @@ record still loaded once.
 import pytest
 
 from repro.faults import FaultSpec
-from repro.kernels.l1filter import drop_open_records
 from repro.kernels.sweep import evaluate_population
 from repro.runtime.health import health_snapshot
 
@@ -21,11 +20,8 @@ STAT_KEYS = ("variant", "l1_misses", "l2_accesses", "l2_misses", "migrations")
 
 @pytest.fixture(autouse=True)
 def _population_isolation(tmp_path, monkeypatch):
-    """Private cache root (workers inherit it) and no leftover records."""
+    """Private cache root (workers inherit it)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    drop_open_records()
-    yield
-    drop_open_records()
 
 
 class TestPopulationWorkerKill:

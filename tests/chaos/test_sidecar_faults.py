@@ -29,7 +29,6 @@ from repro.experiments.workloads import olden_trace_path, workload
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernels.l1filter import (
     L1FilterRecord,
-    drop_open_records,
     ensure_l1_filter,
     l1_filter_job_for,
 )
@@ -166,7 +165,6 @@ class TestStoredSidecar:
         for count, member in enumerate(members, start=1):
             sidecar.write_bytes(pristine)
             flip_data_bit(sidecar, member, rng)
-            drop_open_records()
             record, cached = ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
             assert not cached, member
             assert record_fingerprint(record) == record_fingerprint(original)
@@ -176,7 +174,6 @@ class TestStoredSidecar:
         # Every flip was quarantined under the sidecar's one name.
         assert len(list((cache.root / QUARANTINE_DIR).glob("*.corrupt"))) == 1
         # The last rebuild published a good record.
-        drop_open_records()
         record, cached = ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
         assert cached
         assert record_fingerprint(record) == record_fingerprint(original)
@@ -189,7 +186,6 @@ class TestStoredSidecar:
             members = {key: data[key] for key in data.files}
         np.savez_compressed(sidecar, **members)
         assert zipfile.ZIP_DEFLATED in member_compression(sidecar).values()
-        drop_open_records()
         record, cached = ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
         assert cached
         assert record_fingerprint(record) == record_fingerprint(original)

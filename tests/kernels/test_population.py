@@ -5,26 +5,25 @@ resolution order (inherited over fork → sidecar), the
 ``shared_record_loads == 1`` happy path in both serial and forked
 multi-worker mode, spawned workers falling back to the sidecar, and row
 identity against each variant replaying a freshly built record on its
-own (``make_variant(v).run_filtered(record)``).  Also pins the bounded
-in-process caches feeding the sweep: the ``ensure_l1_filter``
-open-record LRU and the per-record precompute memo.
+own (``make_variant(v).run_filtered(record)``).  Also pins the record's
+lifetime (the coordinator's record dies with the population) and the
+footprint of the per-record precompute memo.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.kernels.l1filter import (
-    build_l1_filter,
-    drop_open_records,
-    ensure_l1_filter,
-)
+from repro.kernels import sweep
+from repro.kernels.l1filter import build_l1_filter, ensure_l1_filter
 from repro.kernels.sweep import (
     PopulationResult,
     evaluate_population,
     population_job,
     record_key,
 )
-from repro.obs.metrics import process_counter
 from repro.runtime import EventBus, ExperimentRuntime, ResultCache, RuntimeConfig
 
 SCALE = 0.05
@@ -44,11 +43,8 @@ STAT_KEYS = (
 
 @pytest.fixture(autouse=True)
 def _pristine(tmp_path, monkeypatch):
-    """Private cache root and an empty in-process record cache per test."""
+    """Private cache root per test."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    drop_open_records()
-    yield
-    drop_open_records()
 
 
 def _runtime(root, jobs=1, **config_kwargs):
@@ -173,53 +169,54 @@ class TestSidecarFallback:
         # share: it reads the sidecar for itself.
         cache = ResultCache(root=tmp_path)
         ensure_l1_filter("mst", scale=SCALE, cache=cache)  # build sidecar
-        drop_open_records()
         row = population_job("mst", "baseline", scale=SCALE)
         assert row["record_source"] == "sidecar"
         assert row["record_loads"] == 1
         assert row["l1_filter_cached"] is False
 
 
-class TestBoundedCaches:
-    def test_open_record_lru_evicts_and_recounts(self, tmp_path, monkeypatch):
-        import repro.kernels.l1filter as l1filter
+class TestRecordLifetime:
+    """The coordinator's record, and the memo on it, live exactly as
+    long as the population that loaded it."""
 
-        monkeypatch.setattr(l1filter, "_RECORD_CACHE_CAP", 1)
+    @pytest.fixture
+    def loaded(self, tmp_path, monkeypatch):
+        """A sidecar for the coordinator to load, and a weak reference
+        to each record it loads."""
+        ensure_l1_filter("mst", scale=SCALE, cache=ResultCache(root=tmp_path))
+        refs = []
+
+        def ensure(*args, **kwargs):
+            record, cached = ensure_l1_filter(*args, **kwargs)
+            refs.append(weakref.ref(record))
+            return record, cached
+
+        monkeypatch.setattr(sweep, "ensure_l1_filter", ensure)
+        return refs
+
+    def test_serial(self, tmp_path, loaded):
         cache = ResultCache(root=tmp_path)
-        ensure_l1_filter("mst", scale=0.02, cache=cache)
-        ensure_l1_filter("mst", scale=0.03, cache=cache)
-        drop_open_records()
+        result = evaluate_population("mst", scale=SCALE, cache=cache)
+        assert result.shared_record_loads == 1
+        del result
+        gc.collect()
+        (ref,) = loaded
+        assert ref() is None
 
-        evictions = process_counter("l1filter.record_cache.evictions")
-        hits = process_counter("l1filter.record_cache.hits")
-        before_evictions = evictions.value
-        ensure_l1_filter("mst", scale=0.02, cache=cache)  # load, remember
-        ensure_l1_filter("mst", scale=0.03, cache=cache)  # load, evict 0.02
-        assert evictions.value == before_evictions + 1
-        before_hits = hits.value
-        record_a, cached = ensure_l1_filter("mst", scale=0.03, cache=cache)
-        record_b, _ = ensure_l1_filter("mst", scale=0.03, cache=cache)
-        assert cached and record_a is record_b
-        assert hits.value == before_hits + 2
+    def test_forked_workers(self, tmp_path, loaded):
+        runtime = _runtime(tmp_path, jobs=2)
+        try:
+            result = evaluate_population("mst", scale=SCALE, runtime=runtime)
+        finally:
+            runtime.close()
+        assert result.record_sources == {"inherited": 3}
+        del result
+        gc.collect()
+        (ref,) = loaded
+        assert ref() is None
 
-    def test_precompute_memo_is_bounded(self, monkeypatch):
-        import repro.kernels.specialize as specialize
-        from repro.caches.hierarchy import CoreCacheConfig, SingleCoreHierarchy
-        from repro.kernels.specialize import replay_hierarchy_specialized
 
-        monkeypatch.setattr(specialize, "_PRECOMP_CAP", 1)
-        record = _tiny_record()
-        evictions = process_counter("kernels.precompute.evictions")
-        before = evictions.value
-        for l2_bytes in (32 * 1024, 64 * 1024):
-            hierarchy = SingleCoreHierarchy(
-                CoreCacheConfig(l2_bytes=l2_bytes)
-            )
-            replay_hierarchy_specialized(hierarchy, record)
-        assert evictions.value > before
-        memo = record.__dict__[specialize._PRECOMP_ATTR]
-        assert len(memo) <= 1
-
+class TestBoundedCaches:
     def test_precompute_memo_footprint(self):
         # Lines and slot columns are held as typed arrays, 8 + 4 bytes
         # per way per record (24 B for the 4-way L2), not Python int

@@ -280,6 +280,24 @@ class TestCollectAndWrite:
         assert len(after.job_events) == len(before.job_events)
         assert len(after.run_traces) == len(before.run_traces)
 
+    def test_dropped_phase_spans_reach_the_summary(self, tmp_path):
+        for _ in range(5000):
+            with tc.phase("replay.chip"):
+                pass
+        tc.write_phases(tmp_path / "phases.jsonl")
+        paths = write_aggregate(tmp_path)
+        summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
+        assert summary["phase_spans"] == tc.MAX_PHASES == 4096
+        assert summary["phase_spans_dropped"] == 904
+        assert summary["stages"]["phase.replay.chip_us"]["count"] == 4096
+
+    def test_nothing_dropped_reads_zero(self, tmp_path):
+        self._populate(tmp_path)
+        paths = write_aggregate(tmp_path)
+        summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
+        assert summary["phase_spans"] == 1
+        assert summary["phase_spans_dropped"] == 0
+
     def test_write_aggregate_artifacts(self, tmp_path):
         self._populate(tmp_path)
         paths = write_aggregate(tmp_path)

@@ -120,8 +120,24 @@ class TestPhases:
         for _ in range(5):
             with tc.phase("p"):
                 pass
-        assert len(tc.drain_phases()) == 3
         assert tc.phases_dropped() == 2
+        assert len(tc.drain_phases()) == 3
+        assert tc.phases_dropped() == 0  # a drain restarts the count
+
+    def test_write_records_the_drop_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tc, "MAX_PHASES", 3)
+        path = tmp_path / "phases.jsonl"
+        for _ in range(5):
+            with tc.phase("a"):
+                pass
+        assert tc.write_phases(path) == 3
+        with tc.phase("b"):
+            pass
+        assert tc.write_phases(path) == 1
+        assert tc.write_phases(path) == 0
+        assert [r["name"] for r in tc.load_phases(path)] == ["a"] * 3 + ["b"]
+        assert tc.load_phases_dropped(path) == 2
+        assert tc.load_phases_dropped(tmp_path / "nope.jsonl") == 0
 
     def test_write_and_load_round_trip(self, tmp_path):
         path = tmp_path / "phases.jsonl"
