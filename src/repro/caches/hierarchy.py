@@ -191,13 +191,13 @@ class SingleCoreHierarchy:
         :meth:`run_filtered` replays.  Refuses, before the L1s see the
         trace, every hierarchy :meth:`run_filtered` refuses."""
         from repro.kernels.arrays import as_trace_arrays
-        from repro.kernels.l1filter import filter_through_l1s
+        from repro.kernels.l1filter import filter_chunks
         from repro.kernels.specialize import require_hierarchy_kernel
 
         require_hierarchy_kernel(self)
-        record = filter_through_l1s(
+        record = filter_chunks(
             self.il1, self.dl1, self.config,
-            *as_trace_arrays(addresses, kinds, instructions),
+            [as_trace_arrays(addresses, kinds, instructions)],
         )
         return self.run_filtered(record)
 

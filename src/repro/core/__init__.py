@@ -22,7 +22,7 @@ migration controller built on it.
 from repro.core.affinity import ReferenceAffinitySplitter
 from repro.core.affinity_store import AffinityCache, AffinityStore, UnboundedAffinityStore
 from repro.core.controller import ControllerConfig, ControllerStats, MigrationController
-from repro.core.mechanism import RWindowEntry, SplitMechanism
+from repro.core.mechanism import SplitMechanism
 from repro.core.multiway import HierarchicalConfig, HierarchicalController
 from repro.core.sampling import SamplingPolicy, mod_hash
 from repro.core.transition_filter import TransitionFilter
@@ -35,7 +35,6 @@ __all__ = [
     "HierarchicalConfig",
     "HierarchicalController",
     "MigrationController",
-    "RWindowEntry",
     "ReferenceAffinitySplitter",
     "SamplingPolicy",
     "SplitMechanism",

@@ -50,17 +50,10 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, deque
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from repro.common.saturating import SaturatingCounter, saturate, sign
 from repro.core.affinity_store import AffinityStore
-
-
-class RWindowEntry(NamedTuple):
-    """One R-window slot: an element and its frozen ``I_e``."""
-
-    line: int
-    i_value: int
 
 
 class SplitMechanism:
@@ -110,9 +103,10 @@ class SplitMechanism:
         self.window_affinity = SaturatingCounter(ar_bits)
         self.delta = SaturatingCounter(affinity_bits + 1)
         self.references = 0
-        # FIFO window: deque of RWindowEntry (duplicates allowed).
+        # FIFO window: deque of ``(line, I_e)`` tuples, the one entry
+        # form the generated kernels use too (duplicates allowed).
         # LRU window: ordered dict line -> I_e (distinct elements).
-        self._fifo: "deque[RWindowEntry]" = deque()
+        self._fifo: "deque[tuple[int, int]]" = deque()
         self._lru: "OrderedDict[int, int]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -122,7 +116,7 @@ class SplitMechanism:
         """Window contents, oldest first."""
         if self.lru_window:
             return list(self._lru)
-        return [entry.line for entry in self._fifo]
+        return [entry[0] for entry in self._fifo]
 
     def _saturate(self, value: int) -> int:
         return saturate(value, self.affinity_bits)
@@ -157,11 +151,11 @@ class SplitMechanism:
                 self.store.write(_evicted, o_f)
             population = len(self._lru)
         else:
-            self._fifo.append(RWindowEntry(line, i_e))
+            self._fifo.append((line, i_e))
             if len(self._fifo) > self.window_size:
-                evicted = self._fifo.popleft()
-                o_f = self._saturate(evicted.i_value + 2 * delta)
-                self.store.write(evicted.line, o_f)
+                evicted, i_f = self._fifo.popleft()
+                o_f = self._saturate(i_f + 2 * delta)
+                self.store.write(evicted, o_f)
             population = len(self._fifo)
         if o_f is None:
             self.window_affinity.add(a_e)  # window still filling
@@ -206,9 +200,9 @@ class SplitMechanism:
             if line in self._lru:
                 return self._saturate(self._lru[line] + delta)
         else:
-            for entry in reversed(self._fifo):
-                if entry.line == line:
-                    return self._saturate(entry.i_value + delta)
+            for entry_line, i_e in reversed(self._fifo):
+                if entry_line == line:
+                    return self._saturate(i_e + delta)
         o_value = self.store.read(line)
         if o_value is None:
             return None

@@ -7,17 +7,16 @@ names.  A global ``scale`` knob shrinks every workload proportionally —
 workload; the paper ran 10^9 instructions), and the test suite uses
 much smaller scales.
 
-Olden traces are cached per (name, scale) because building them means
-actually running the benchmark — in memory per process (``lru_cache``,
-for :meth:`WorkloadSpec.accesses` and :meth:`WorkloadSpec.array_chunks`)
-and on disk across processes: :meth:`WorkloadSpec.arrays` memoises each
-generated Olden trace as a ``file_format`` npz under the runtime cache
-dir, keyed by (workload, scale, seed, code version), so repeated sweep
-jobs skip pure-Python trace regeneration entirely.  A memo that fails
-to load (bit rot, a torn file) is regenerated and replaced.
-:meth:`WorkloadSpec.array_chunks` reads a memo but never writes one:
-writing it costs a temporary copy that a chunked consumer otherwise
-never holds.
+Olden traces are memoised on disk because building one means actually
+running the benchmark: the first :meth:`WorkloadSpec.accesses`,
+:meth:`~WorkloadSpec.arrays` or :meth:`~WorkloadSpec.array_chunks` call
+for a (workload, scale, seed) runs it and writes its recording words
+(:class:`~repro.olden.heap.RecordedTrace`, 8 B a word) as an ``.npz``
+under the runtime cache dir, keyed by code version too; every later call,
+in any process, reads the words back and decodes them, a chunk at a time
+for ``array_chunks``.  A memo that does not load as words (bit rot, a
+torn file, an older layout) is regenerated and replaced.  Nothing keeps
+a trace in memory after the call that asked for it.
 
 SPEC traces are not memoised: :meth:`SpecModel.arrays` generates them
 vectorised, a chunk at a time, faster than a memo could be written.
@@ -29,19 +28,20 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
+import numpy as np
+
 from repro.olden import OLDEN_BENCHMARKS, olden_benchmark
+from repro.olden.heap import RecordedTrace
 from repro.traces.spec_models import spec_model, spec_model_names
 from repro.traces.trace import Access
 
 #: Paper order: SPEC first, then Olden (Tables 1-2, Figures 4-5).
 WORKLOAD_NAMES = tuple(spec_model_names()) + OLDEN_BENCHMARKS
 
-#: references per :meth:`WorkloadSpec.array_chunks` slice of an Olden
-#: trace (the SPEC models' own draw size)
-_OLDEN_CHUNK = 1 << 16
+#: version of the Olden trace memo's layout: the recording words
+_MEMO_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -80,32 +80,28 @@ class WorkloadSpec:
     def arrays(self):
         """The trace as ``(addresses, kinds, instructions)`` arrays.
 
-        Olden traces go through the on-disk npz memo (generation means
-        actually running the benchmark); SPEC models generate their
+        Olden traces are decoded from their memoised words (generation
+        means actually running the benchmark); SPEC models generate their
         arrays vectorised (:meth:`SpecModel.arrays`, equal to
         materialising :meth:`accesses`).
         """
         if self.is_olden:
-            return _olden_arrays(self.name, self.scale, self.seed)
+            return _olden_trace(self.name, self.scale, self.seed).arrays()
         return self._spec_model().arrays()
 
     def array_chunks(self):
         """The trace of :meth:`arrays` in consecutive chunks.
 
         SPEC models generate one chunk at a time
-        (:meth:`SpecModel.array_chunks`), so a consumer that goes chunk
-        by chunk never holds the whole trace; Olden traces are recorded
-        whole anyway and are sliced, from the memo if there is one.
+        (:meth:`SpecModel.array_chunks`) and Olden traces decode one
+        from their words, so a consumer that goes chunk by chunk never
+        holds the whole decoded trace.
         """
-        if not self.is_olden:
+        if self.is_olden:
+            trace = _olden_trace(self.name, self.scale, self.seed)
+            yield from trace.array_chunks()
+        else:
             yield from self._spec_model().array_chunks()
-            return
-        path = olden_trace_path(self.name, self.scale, self.seed)
-        arrays = _load_olden_memo(path)
-        if arrays is None:
-            arrays = _olden_trace(self.name, self.scale, self.seed).arrays()
-        for start in range(0, len(arrays[0]), _OLDEN_CHUNK):
-            yield tuple(array[start : start + _OLDEN_CHUNK] for array in arrays)
 
     def _spec_model(self):
         """The SPEC model at this workload's scaled trace length."""
@@ -116,13 +112,19 @@ class WorkloadSpec:
         return model
 
 
-@lru_cache(maxsize=8)
-def _olden_trace(name: str, scale: float, seed: "int | None" = None):
-    return olden_benchmark(name, scale=scale, seed=seed)
+def _olden_trace(name: str, scale: float, seed: "int | None") -> RecordedTrace:
+    """The Olden trace from its memo, or else from a run of the
+    benchmark, whose words then become the memo."""
+    path = olden_trace_path(name, scale, seed)
+    trace = _load_olden_memo(path, name)
+    if trace is None:
+        trace = olden_benchmark(name, scale=scale, seed=seed)
+        _save_olden_memo(path, trace.words)
+    return trace
 
 
 def olden_trace_path(name: str, scale: float, seed: "int | None" = None):
-    """Where :meth:`WorkloadSpec.arrays` memoises this Olden trace.
+    """Where this Olden trace's recording words are memoised.
 
     Lives under the runtime result cache's current code generation, so
     editing simulator source invalidates trace memos alongside result
@@ -134,17 +136,12 @@ def olden_trace_path(name: str, scale: float, seed: "int | None" = None):
     return default_cache_root() / code_fingerprint() / "traces" / f"{stem}.npz"
 
 
-def _olden_arrays(name: str, scale: float, seed: "int | None"):
-    from repro.traces.file_format import save_trace_arrays
+def _save_olden_memo(path, words: np.ndarray) -> None:
+    """Write the words memo atomically, stored, not deflated; a cache
+    dir that cannot be written is skipped (the memo is an optimisation,
+    not a need)."""
+    from repro.traces.file_format import save_npz
 
-    path = olden_trace_path(name, scale, seed)
-    arrays = _load_olden_memo(path)
-    if arrays is not None:
-        return arrays
-    # Not through _olden_trace: the memo written below serves the next
-    # call, and a cached recording would keep its buffers alive after
-    # the caller drops these views of them.
-    arrays = olden_benchmark(name, scale=scale, seed=seed).arrays()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         handle = tempfile.NamedTemporaryFile(
@@ -152,7 +149,7 @@ def _olden_arrays(name: str, scale: float, seed: "int | None"):
         )
         try:
             with handle:
-                save_trace_arrays(handle, *arrays)
+                save_npz(handle, version=np.int64(_MEMO_VERSION), words=words)
             os.replace(handle.name, path)
         except BaseException:
             try:
@@ -161,24 +158,29 @@ def _olden_arrays(name: str, scale: float, seed: "int | None"):
                 pass
             raise
     except OSError:
-        pass  # read-only cache dir: memo is an optimisation, not a need
-    return arrays
+        pass
 
 
-def _load_olden_memo(path):
-    """The trace memoised at ``path``, or ``None`` if there is none or
-    it does not load."""
+def _load_olden_memo(path, name: str) -> "RecordedTrace | None":
+    """The trace whose words are memoised at ``path``, or ``None`` if
+    there is no memo or it does not load as words."""
     from repro.runtime.health import health_counter
-    from repro.traces.file_format import CORRUPT_NPZ_ERRORS, load_trace
+    from repro.traces.file_format import CORRUPT_NPZ_ERRORS
 
     if not path.is_file():
         return None
     try:
-        return load_trace(path).arrays()
+        with np.load(path) as data:
+            version = int(data["version"])
+            if version != _MEMO_VERSION:
+                raise ValueError(
+                    f"trace memo layout version {version}, "
+                    f"expected {_MEMO_VERSION}"
+                )
+            return RecordedTrace(name, data["words"])
     except CORRUPT_NPZ_ERRORS as exc:
-        # Corrupt or stale memo (bit rot, a torn file, an old format
-        # version): the caller regenerates the trace, and
-        # _olden_arrays replaces the memo.
+        # Corrupt or stale memo (bit rot, a torn file, an older layout):
+        # the caller regenerates the trace and replaces the memo.
         health_counter("recovery.trace_memo.regenerated").inc()
         print(
             f"[workloads] corrupt trace memo {path.name}: {exc}; "

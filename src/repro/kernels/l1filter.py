@@ -11,11 +11,17 @@ work, and this module factors it out:
   the exact semantics of ``MultiCoreChip.access`` (write-through,
   non-write-allocate DL1) and emits one compact record per L2-bound
   reference;
+* :func:`filter_chunks` takes a trace as consecutive chunks through one
+  L1 pair and grows the record's arrays in place, so a build holds the
+  record and one chunk, never the whole trace or a joined copy;
+  :func:`build_l1_filter_from_chunks` does it with fresh L1s, and
+  :func:`build_l1_filter` is its one-chunk case;
 * :class:`L1FilterRecord` packages the miss stream as numpy arrays,
   with npz persistence under the :mod:`repro.runtime` cache so a sweep
   computes it once per ``(trace, L1 geometry, code version)``;
 * :func:`ensure_l1_filter` / :func:`l1_filter_job` are the cache-aware
-  entry points sweep jobs call.
+  entry points sweep jobs call; a build streams
+  :meth:`~repro.experiments.workloads.WorkloadSpec.array_chunks`.
 
 Record kinds (the ``kinds`` array):
 
@@ -36,6 +42,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import count
@@ -52,7 +59,7 @@ from repro.caches.set_assoc import SetAssociativeCache
 from repro.runtime.cache import QUARANTINE_DIR, ResultCache
 from repro.runtime.health import health_counter
 from repro.runtime.job import Job
-from repro.traces.file_format import CORRUPT_NPZ_ERRORS
+from repro.traces.file_format import CORRUPT_NPZ_ERRORS, save_npz
 
 #: miss-stream record kinds
 FETCH_MISS = 0
@@ -88,59 +95,85 @@ def _l1_view(cache):
 def l1_miss_stream(
     il1, dl1, addresses: np.ndarray, kinds: np.ndarray, line_size: int
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Run the mirrored L1 pair over a whole trace.
+    """Run the mirrored L1 pair over a trace.
 
     Returns ``(indices, lines, record_kinds)`` as ``int64``/``int64``/
     ``uint8`` arrays — one entry per reference that reaches the L2
     (0-based access index, cache-line address, record kind).  Cache
     contents, ``CacheStats`` and ``last_eviction`` of ``il1``/``dl1``
     end up exactly as after the equivalent sequence of per-access
-    ``cache.access`` calls.  The trace goes through in chunks of
-    :data:`_CHUNK` references, each cache's share of a chunk set by set
-    (:func:`_filter_set_major`).
+    ``cache.access`` calls, so they carry their state from one call to
+    the next (each call's indices count from 0).  The trace goes
+    through in chunks of :data:`_CHUNK` references, each cache's share
+    of a chunk set by set (:func:`_filter_set_major`).
     """
-    il1_view = _l1_view(il1)
-    dl1_view = _l1_view(dl1)
-    if il1_view is None or dl1_view is None:
-        raise TypeError(
-            f"unsupported L1 cache types: {type(il1).__name__}/"
-            f"{type(dl1).__name__}"
+    stream = _MissStream(il1, dl1, line_size)
+    stream.extend(addresses, kinds)
+    return stream.arrays()
+
+
+class _MissStream:
+    """The L2-bound records of one trace fed through one L1 pair piece
+    by piece, its arrays grown in place (``array.frombytes`` per chunk,
+    wrapped by ``np.frombuffer`` at the end), never joined."""
+
+    def __init__(self, il1, dl1, line_size: int) -> None:
+        self._caches = []
+        for cache, miss_kind in ((il1, FETCH_MISS), (dl1, LOAD_MISS)):
+            view = _l1_view(cache)
+            if view is None:
+                raise TypeError(
+                    f"unsupported L1 cache types: {type(il1).__name__}/"
+                    f"{type(dl1).__name__}"
+                )
+            self._caches.append((cache, view, miss_kind))
+        self._line_size = line_size
+        self.references = 0  #: trace references fed so far
+        self._indices = array("q")
+        self._lines = array("q")
+        self._kinds = array("B")
+
+    def extend(self, addresses: np.ndarray, kinds: np.ndarray) -> None:
+        """Feed the trace's next ``addresses``/``kinds``."""
+        for start in range(0, len(addresses), _CHUNK):
+            lines = addresses[start : start + _CHUNK] // self._line_size
+            chunk_kinds = kinds[start : start + _CHUNK]
+            fetch = chunk_kinds == 0
+            store = ~fetch & (chunk_kinds != 1)
+            record = np.empty(len(lines), dtype=np.uint8)
+            for (cache, view, miss_kind), share in zip(
+                self._caches, (fetch, ~fetch)
+            ):
+                if not share.any():
+                    continue
+                cache_lines = lines[share]
+                record[share], misses, evictions, writebacks, last = (
+                    _filter_set_major(
+                        view, cache_lines, store[share], miss_kind
+                    )
+                )
+                stats = cache.stats
+                stats.accesses += len(cache_lines)
+                stats.hits += len(cache_lines) - misses
+                stats.misses += misses
+                stats.evictions += evictions
+                stats.writebacks += writebacks
+                cache.last_eviction = last
+            keep = np.flatnonzero(record != _HIT)
+            first = self.references + start
+            self._indices.frombytes((keep + first).tobytes())
+            self._lines.frombytes(lines[keep].tobytes())
+            self._kinds.frombytes(record[keep].tobytes())
+        self.references += len(addresses)
+
+    def arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(indices, lines, record_kinds)`` over the grown buffers; the
+        stream takes no more pieces after this."""
+        return (
+            np.frombuffer(self._indices, dtype=np.int64),
+            np.frombuffer(self._lines, dtype=np.int64),
+            np.frombuffer(self._kinds, dtype=np.uint8),
         )
-    out_index = [np.empty(0, dtype=np.int64)]
-    out_line = [np.empty(0, dtype=np.int64)]
-    out_kind = [np.empty(0, dtype=np.uint8)]
-    for start in range(0, len(addresses), _CHUNK):
-        lines = addresses[start : start + _CHUNK] // line_size
-        chunk_kinds = kinds[start : start + _CHUNK]
-        fetch = chunk_kinds == 0
-        store = ~fetch & (chunk_kinds != 1)
-        record = np.empty(len(lines), dtype=np.uint8)
-        for cache, view, share, miss_kind in (
-            (il1, il1_view, fetch, FETCH_MISS),
-            (dl1, dl1_view, ~fetch, LOAD_MISS),
-        ):
-            if not share.any():
-                continue
-            cache_lines = lines[share]
-            record[share], misses, evictions, writebacks, last = (
-                _filter_set_major(view, cache_lines, store[share], miss_kind)
-            )
-            stats = cache.stats
-            stats.accesses += len(cache_lines)
-            stats.hits += len(cache_lines) - misses
-            stats.misses += misses
-            stats.evictions += evictions
-            stats.writebacks += writebacks
-            cache.last_eviction = last
-        keep = np.flatnonzero(record != _HIT)
-        out_index.append(keep + start)
-        out_line.append(lines[keep])
-        out_kind.append(record[keep])
-    return (
-        np.concatenate(out_index),
-        np.concatenate(out_line),
-        np.concatenate(out_kind),
-    )
 
 
 def _filter_set_major(view, lines, stores, miss_kind):
@@ -321,7 +354,7 @@ class L1FilterRecord:
                 # Stored, not deflated: deflating took about as long as
                 # building the record, and the zip CRC-32 still guards
                 # every member on load (docs/performance.md, "Cold path").
-                np.savez(
+                save_npz(
                     handle,
                     version=np.int64(_RECORD_VERSION),
                     line_size=np.int64(self.line_size),
@@ -373,25 +406,43 @@ class L1FilterRecord:
             )
 
 
-def filter_through_l1s(
-    il1, dl1, config: CoreCacheConfig, addresses, kinds, instructions
-) -> L1FilterRecord:
-    """Run a trace (numpy arrays) through ``il1``/``dl1`` and package
+def filter_chunks(il1, dl1, config: CoreCacheConfig, chunks) -> L1FilterRecord:
+    """Run a trace, given as consecutive ``(addresses, kinds,
+    instructions)`` numpy chunks, through ``il1``/``dl1`` and package
     the miss stream as a record of ``config``'s L1 geometry; the two
-    caches end up exactly as after per-access simulation."""
-    indices, lines, record_kinds = l1_miss_stream(
-        il1, dl1, addresses, kinds, config.line_size
-    )
+    caches end up exactly as after per-access simulation.  Holds the
+    record and one chunk, never the whole trace."""
+    stream = _MissStream(il1, dl1, config.line_size)
+    max_instruction = -1
+    for addresses, kinds, instructions in chunks:
+        stream.extend(addresses, kinds)
+        if len(instructions):
+            max_instruction = max(max_instruction, int(instructions.max()))
+    indices, lines, record_kinds = stream.arrays()
     return L1FilterRecord(
         line_size=config.line_size,
         il1_bytes=config.il1_bytes,
         dl1_bytes=config.dl1_bytes,
         l1_ways=config.l1_ways,
-        accesses=len(addresses),
-        max_instruction=int(instructions.max()) if len(instructions) else -1,
+        accesses=stream.references,
+        max_instruction=max_instruction,
         indices=indices,
         lines=lines,
         kinds=record_kinds,
+    )
+
+
+def build_l1_filter_from_chunks(
+    chunks, config: "CoreCacheConfig | None" = None
+) -> L1FilterRecord:
+    """Filter one trace, in consecutive chunks, through fresh L1s built
+    from ``config`` (:func:`filter_chunks`)."""
+    config = config or CoreCacheConfig()
+    return filter_chunks(
+        config.make_l1(config.il1_bytes),
+        config.make_l1(config.dl1_bytes),
+        config,
+        chunks,
     )
 
 
@@ -401,20 +452,12 @@ def build_l1_filter(
     instructions,
     config: "CoreCacheConfig | None" = None,
 ) -> L1FilterRecord:
-    """Filter one trace through fresh L1s built from ``config``."""
+    """Filter one whole trace through fresh L1s built from ``config``:
+    :func:`build_l1_filter_from_chunks` with one chunk."""
     from repro.kernels.arrays import as_trace_arrays
 
-    config = config or CoreCacheConfig()
-    addresses, kinds, instructions = as_trace_arrays(
-        addresses, kinds, instructions
-    )
-    return filter_through_l1s(
-        config.make_l1(config.il1_bytes),
-        config.make_l1(config.dl1_bytes),
-        config,
-        addresses,
-        kinds,
-        instructions,
+    return build_l1_filter_from_chunks(
+        [as_trace_arrays(addresses, kinds, instructions)], config
     )
 
 
@@ -488,8 +531,10 @@ def ensure_l1_filter(
             _quarantine_sidecar(cache, sidecar, exc)
             health_counter("recovery.sidecar.rebuilt").inc()
     spec = workload(name, scale=scale, seed=seed)
+    # The phase covers trace generation too: the chunks are generated
+    # (or decoded from an Olden trace's words) as the build takes them.
     with trace_context.phase("l1filter.build", workload=name):
-        record = build_l1_filter(*spec.arrays())
+        record = build_l1_filter_from_chunks(spec.array_chunks())
     try:
         record.save(sidecar)
     except OSError as exc:

@@ -45,8 +45,16 @@ process; per-record precomputation (slot-matrix columns, control byte
 streams) is memoised in one dict on the record object, so every replay
 of that record in the process — the baseline and each chip variant —
 pays it once, and the memo lives exactly as long as the record.  It
-holds typed arrays: the lines as ``array('q')`` and each slot column as
-``array('i')``, 8 + 4 bytes per way per record.
+copies nothing it can share: the kernels iterate a ``memoryview`` of
+``record.lines`` itself, and each slot column is a 16-bit ``array``
+(32-bit for a geometry of more than 65,536 slots).  For the 4-way L2
+the memo holds 10 bytes per record: four 2-byte columns, a write byte
+and a control byte.
+
+R-window entries are plain tuples, ``(line, I_e)`` as the
+specification's ``SplitMechanism`` keeps them; under a finite affinity
+store the loop appends ``(line, I_e, record index)`` and the write-back
+turns the at most ``|R|`` survivors back into pairs.
 
 The single-core baseline gets the same treatment:
 :func:`replay_hierarchy_specialized` generates a per-associativity
@@ -77,7 +85,7 @@ from repro.caches.base import EvictedLine
 from repro.caches.skewed import SkewedAssociativeCache, skew_hash
 from repro.core.affinity_store import AffinityCache, UnboundedAffinityStore
 from repro.core.controller import MigrationController
-from repro.core.mechanism import RWindowEntry, SplitMechanism
+from repro.core.mechanism import SplitMechanism
 from repro.core.transition_filter import TransitionFilter
 from repro.kernels.arrays import skew_slot_matrix
 from repro.multicore.coherence import CoherentL2s
@@ -478,7 +486,7 @@ def _mechanism_block(
         # probes the precomputed slot columns by that index
         entry = "(line, i_e, i)"
     else:
-        entry = "make_entry(line, i_e)"
+        entry = "(line, i_e)"
     if sig_track:
         step_source = f"""if {p}_w >= 0:
     step = 1
@@ -595,7 +603,7 @@ mechs[{index}].references += {refs}"""
     if triple_entries:
         source += f"""
 if {p}_fifo:
-    entries = [make_entry(e[0], e[1]) for e in {p}_fifo]
+    entries = [(e[0], e[1]) for e in {p}_fifo]
     {p}_fifo.clear()
     {p}_fifo.extend(entries)"""
     return source
@@ -980,7 +988,6 @@ for {loop_vars} in zip({zip_args}):
 _KERNEL_GLOBALS = {
     "EvictedLine": EvictedLine,
     "skew_hash": skew_hash,
-    "make_entry": RWindowEntry,
     "_UNSET": _UNSET,
 }
 
@@ -1204,26 +1211,25 @@ def process_many(mechanism, lines) -> "list[int]":
 # Two tiers: geometry-independent work (lines, write bytes, kind counts)
 # is computed once per record (`_record_base`); everything keyed by
 # chip geometry/sampling (slot columns, control bytes, store columns)
-# lives in one dict beside it.  Both go when the record does.  Lines and
-# slot columns are typed arrays (8 and 4 bytes per record), built a
-# chunk of records at a time so no whole-record temporary is ever held.
+# lives in one dict beside it.  Both go when the record does.  The line
+# sequence is a memoryview of ``record.lines`` itself; slot columns are
+# typed arrays, 2 bytes per record for a geometry of at most 65 536
+# slots and 4 otherwise; everything is built a chunk of records at a
+# time, so no whole-record int64 temporary is ever held.
 
-#: records per chunk when building the memo's typed arrays
+#: records per chunk when building the memo's arrays
 _MEMO_CHUNK = 1 << 16
 
 
 def _record_base(record):
-    """``(lines array('q'), w_b bytes, full kind counts)`` — shared by
+    """``(lines memoryview, w_b bytes, full kind counts)`` — shared by
     every geometry (and by the hierarchy kernel)."""
     base = record.__dict__.get(_BASE_ATTR)
     if base is None:
         kinds_np = record.kinds
-        lines = array("q")
-        for start in range(0, len(record.lines), _MEMO_CHUNK):
-            chunk = record.lines[start : start + _MEMO_CHUNK]
-            lines.frombytes(chunk.astype(np.int64).tobytes())
         base = (
-            lines,
+            # iterating it yields Python ints, as an ``array('q')`` does
+            memoryview(np.ascontiguousarray(record.lines, dtype=np.int64)),
             (kinds_np >= 2).astype(np.uint8).tobytes(),
             tuple(int(np.count_nonzero(kinds_np == k)) for k in range(4)),
         )
@@ -1242,17 +1248,21 @@ def _slot_cols(record, num_sets: int, ways: int, memo):
     """Slot columns for one skewed geometry, memoised independently of
     any controller state so every same-geometry consumer — the baseline
     hierarchy, each chip variant, a non-shared store — reuses one
-    entry."""
+    entry.  A slot is ``way * num_sets + set``, so 16 bits hold every
+    slot of a geometry of at most 65 536 (the 512-KB L2 has 8 192)."""
     key = ("cols", num_sets, ways)
     cols = memo.get(key)
     if cols is None:
-        cols = tuple(array("i") for _ in range(ways))
+        code, dtype = (
+            ("H", np.uint16) if num_sets * ways <= 1 << 16 else ("i", np.int32)
+        )
+        cols = tuple(array(code) for _ in range(ways))
         for start in range(0, len(record.lines), _MEMO_CHUNK):
             smat = skew_slot_matrix(
                 record.lines[start : start + _MEMO_CHUNK], num_sets, ways
             )
             for w, col in enumerate(cols):
-                col.frombytes(smat[:, w].astype(np.int32).tobytes())
+                col.frombytes(smat[:, w].astype(dtype).tobytes())
         memo[key] = cols
     return cols
 
@@ -1286,23 +1296,28 @@ def _precompute(record, chip, sig):
 def _control_codes(lines_np, requests, sampling, four_way) -> np.ndarray:
     """Each record's controller step: 0 none (not a request, or not
     sampled), 1 mechanism ``X``, 2 a ``Y`` mechanism (4-way, even
-    hash; 2-way sends every sampled request to ``X``)."""
+    hash; 2-way sends every sampled request to ``X``).  Filled
+    :data:`_MEMO_CHUNK` records at a time."""
     modulus, residues = sampling.modulus, sampling.sampled_residues
-    if residues is None:
-        samp = requests
-        res = None
-    else:
-        res = lines_np % modulus
-        samp = np.isin(res, np.fromiter(residues, dtype=np.int64)) & requests
+    if residues is not None:
+        residues = np.fromiter(residues, dtype=np.int64)
     ctrl = np.zeros(len(lines_np), np.uint8)
-    if four_way:
-        if res is None:
-            res = lines_np % modulus
-        odd = (res & 1) == 1
-        ctrl[samp & odd] = 1
-        ctrl[samp & ~odd] = 2
-    else:
-        ctrl[samp] = 1
+    for start in range(0, len(lines_np), _MEMO_CHUNK):
+        end = start + _MEMO_CHUNK
+        samp = requests[start:end]
+        res = None
+        if residues is not None:
+            res = lines_np[start:end] % modulus
+            samp = np.isin(res, residues) & samp
+        out = ctrl[start:end]
+        if four_way:
+            if res is None:
+                res = lines_np[start:end] % modulus
+            odd = (res & 1) == 1
+            out[samp & odd] = 1
+            out[samp & ~odd] = 2
+        else:
+            out[samp] = 1
     return ctrl
 
 

@@ -5,8 +5,9 @@ through every chip configuration.  This module materialises the record
 once per population rather than once per variant:
 
 * :func:`evaluate_population` loads (or builds) the record **once** in the
-  coordinating process and fans one :func:`population_job` per variant
-  over the ordinary scheduler (or runs them in-process);
+  coordinating process, when any variant job will actually run, and
+  fans one :func:`population_job` per variant over the ordinary
+  scheduler (or runs them in-process);
 * forked workers find the coordinator's record object in
   :data:`_SHARED_RECORDS` (copy-on-write page sharing,
   ``record_source == "inherited"``);
@@ -126,10 +127,13 @@ class PopulationResult:
 
     workload: str
     rows: "list[dict[str, object]]"
-    #: record materialisations across coordinator + every job; exactly 1
-    #: when sharing worked (the coordinator's own load)
+    #: record materialisations across coordinator + every job that ran;
+    #: exactly 1 when sharing worked (the coordinator's own load), 0
+    #: when the runtime served every job
     shared_record_loads: int
     wall_seconds: float = 0.0
+    #: rows by where their record came from; ``"cached"`` for a row the
+    #: runtime served without running its job
     record_sources: "dict[str, int]" = field(default_factory=dict)
 
     def row_for(self, variant: str) -> "dict[str, object]":
@@ -150,42 +154,55 @@ def evaluate_population(
 ) -> PopulationResult:
     """Evaluate a population of chip variants over one shared record.
 
-    Loads (or builds) the workload's L1-filter record exactly once in
-    this process, makes it available to forked workers by inheritance,
-    and fans one :func:`population_job` per variant over ``runtime`` —
-    or runs them serially in-process when ``runtime`` is ``None``.  On
-    the happy path ``result.shared_record_loads == 1``; spawned workers
-    read the sidecar, one load each.
+    Loads (or builds) the workload's L1-filter record once in this
+    process — unless ``runtime`` would serve every variant job from its
+    checkpoint or result cache (:meth:`ExperimentRuntime.serves`), when
+    no job needs it — makes it available to forked workers by
+    inheritance, and fans one :func:`population_job` per variant over
+    ``runtime``, or runs them serially in-process when ``runtime`` is
+    ``None``.  ``result.shared_record_loads`` counts the loads this
+    call made: 1 on the happy path, plus one per spawned worker that
+    read the sidecar, and 0 when every job was served.
     """
     from repro.experiments.variants import VARIANT_NAMES
+    from repro.runtime.scheduler import CACHED
 
     variants = list(VARIANT_NAMES if variants is None else variants)
     if cache is None:
         cache = runtime.cache if runtime is not None else ResultCache()
     key = record_key(cache, name, scale, seed)
     start = time.perf_counter()
-    record, _cached = ensure_l1_filter(name, scale=scale, seed=seed, cache=cache)
-    _SHARED_RECORDS[key] = record
+    jobs = population_jobs(name, scale=scale, seed=seed, variants=variants)
+    loads = 0
+    if runtime is None or not all(runtime.serves(job) for job in jobs):
+        record, _cached = ensure_l1_filter(
+            name, scale=scale, seed=seed, cache=cache
+        )
+        _SHARED_RECORDS[key] = record
+        loads = 1
     try:
-        jobs = population_jobs(name, scale=scale, seed=seed, variants=variants)
         if runtime is None:
             rows = [population_job(**job.kwargs) for job in jobs]
+            ran = [True] * len(rows)
         else:
-            rows = payloads(runtime.map(jobs))
+            outcomes = runtime.map(jobs)
+            rows = payloads(outcomes)
+            ran = [outcome.status != CACHED for outcome in outcomes]
     finally:
         _SHARED_RECORDS.pop(key, None)
     sources: "dict[str, int]" = {}
-    worker_loads = 0
-    for row in rows:
-        source = str(row.get("record_source", "?"))
+    for row, fresh in zip(rows, ran):
+        # A served row found its record, and made its loads, in the run
+        # that cached it.
+        source = str(row.get("record_source", "?")) if fresh else "cached"
         sources[source] = sources.get(source, 0) + 1
         record_loads = row.get("record_loads", 0)
-        if isinstance(record_loads, int):
-            worker_loads += record_loads
+        if fresh and isinstance(record_loads, int):
+            loads += record_loads
     return PopulationResult(
         workload=name,
         rows=rows,
-        shared_record_loads=1 + worker_loads,
+        shared_record_loads=loads,
         wall_seconds=time.perf_counter() - start,
         record_sources=sources,
     )

@@ -241,13 +241,13 @@ class MultiCoreChip:
         ``ValueError`` and before the L1s see the trace, every chip
         :meth:`run_filtered` refuses."""
         from repro.kernels.arrays import as_trace_arrays
-        from repro.kernels.l1filter import filter_through_l1s
+        from repro.kernels.l1filter import filter_chunks
         from repro.kernels.specialize import require_chip_kernel
 
         require_chip_kernel(self)
-        record = filter_through_l1s(
+        record = filter_chunks(
             self.il1, self.dl1, self.config.caches,
-            *as_trace_arrays(addresses, kinds, instructions),
+            [as_trace_arrays(addresses, kinds, instructions)],
         )
         return self.run_filtered(record)
 

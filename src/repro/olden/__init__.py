@@ -20,6 +20,8 @@ scaled down, every size is a constructor argument):
 * :func:`~repro.olden.mst.mst` — minimum spanning tree over hashed adjacency (1024 nodes)
 """
 
+import gc
+
 from repro.common.rng import mix_seed
 from repro.olden.heap import HeapObject, RecordedTrace, TracedHeap
 from repro.olden.bh import bh
@@ -47,8 +49,17 @@ def olden_benchmark(
     ``seed`` re-derives each benchmark's input-generation seed (``None``
     keeps the calibrated defaults; ``treeadd`` and ``perimeter`` are
     deterministic and ignore it).
-    """
 
+    The benchmark's heap objects are freed before this returns: they
+    form reference cycles, which would otherwise live until the cycle
+    collector next runs.
+    """
+    trace = _run(name, scale, seed)
+    gc.collect()
+    return trace
+
+
+def _run(name: str, scale: float, seed: "int | None") -> RecordedTrace:
     def derive(default: int) -> int:
         if seed is None:
             return default

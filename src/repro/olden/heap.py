@@ -9,10 +9,17 @@ runs, the heap records one ``int64`` word per event in an ``array``:
 * an instruction charge of ``n`` (:meth:`TracedHeap.work`, an
   allocation) appends ``-(n + 1)``.
 
-:meth:`TracedHeap.finish` decodes the words into the ``(address,
-kind, instruction, pointer flag)`` buffers of a :class:`RecordedTrace`,
-a :class:`~repro.traces.trace.TraceSource` that can be replayed any
-number of times.
+:meth:`TracedHeap.finish` hands one copy of the words to a
+:class:`RecordedTrace`, a :class:`~repro.traces.trace.TraceSource` that
+keeps them as they are (8 B a word) and decodes them on demand,
+:data:`_CHUNK` words at a time, into ``(address, kind, instruction,
+pointer flag)`` values; it can be replayed any number of times.  The
+words are also what the on-disk Olden trace memo stores
+(:mod:`repro.experiments.workloads`).
+
+Objects of one field tuple share one layout (each field's word offset,
+kept by their heap), so an object holds its slots and one dict of field
+values.
 
 Instruction accounting: each field load/store advances the dynamic
 instruction counter by a small per-operation cost, and benchmarks call
@@ -40,69 +47,124 @@ _ALLOCATE_COST = 4  #: instructions charged per allocation
 
 _LOAD = int(AccessKind.LOAD)
 _STORE = int(AccessKind.STORE)
+_KINDS = tuple(AccessKind)  #: each access kind at its value
 
-#: recording words decoded per step of :meth:`TracedHeap.finish`
+#: recording words decoded per step of a :class:`RecordedTrace`
 _CHUNK = 1 << 16
 
 
-class RecordedTrace:
-    """A replayable trace recorded by a :class:`TracedHeap` run."""
+def _costs(words: np.ndarray) -> np.ndarray:
+    """The instructions each recording word charges."""
+    return np.where(
+        words >= 0,
+        np.where(words & 2, _STORE_COST, _LOAD_COST),
+        -1 - words,
+    )
 
-    def __init__(
-        self,
-        name: str,
-        addresses: "array[int]",
-        kinds: "array[int]",
-        instructions: "array[int]",
-        pointer_flags: "array[int] | None" = None,
-    ) -> None:
-        if not len(addresses) == len(kinds) == len(instructions):
-            raise ValueError("trace buffers must have equal lengths")
-        if pointer_flags is not None and len(pointer_flags) != len(addresses):
-            raise ValueError("pointer flags must match trace length")
+
+def _pieces(words: np.ndarray) -> "Iterator[np.ndarray]":
+    for start in range(0, len(words), _CHUNK):
+        yield words[start : start + _CHUNK]
+
+
+def _charged(words: np.ndarray) -> int:
+    """The instructions ``words`` charge in all."""
+    return sum(int(_costs(piece).sum()) for piece in _pieces(words))
+
+
+class RecordedTrace:
+    """A replayable trace recorded by a :class:`TracedHeap` run, held as
+    its recording words: a 1-D ``int64`` array whose clock starts at
+    instruction 0."""
+
+    def __init__(self, name: str, words: np.ndarray) -> None:
+        if words.dtype != np.int64 or words.ndim != 1:
+            raise ValueError("recording words must be a 1-D int64 array")
         self.name = name
-        self._addresses = addresses
-        self._kinds = kinds
-        self._instructions = instructions
-        self._pointer_flags = pointer_flags
+        self.words = words
+        self._length = sum(
+            int(np.count_nonzero(piece >= 0)) for piece in _pieces(words)
+        )
 
     def __len__(self) -> int:
-        return len(self._addresses)
+        return self._length
 
     @property
     def instruction_count(self) -> int:
-        if not self._instructions:
+        """One past the last access's instruction stamp (0 if none)."""
+        if not self._length:
             return 0
-        return self._instructions[-1] + 1
+        words = self.words
+        last = len(words) - 1 - int(np.argmax(words[::-1] >= 0))
+        return _charged(words[:last]) + 1
 
     @property
     def pointer_load_count(self) -> int:
-        if self._pointer_flags is None:
-            return 0
-        return sum(self._pointer_flags)
+        return sum(
+            int(np.count_nonzero((piece >= 0) & ((piece & 1) == 1)))
+            for piece in _pieces(self.words)
+        )
+
+    def _decoded(self) -> "Iterator[tuple[np.ndarray, ...]]":
+        """``(addresses, kinds, instructions, pointer flags)`` of each
+        :data:`_CHUNK` words; the instruction clock carries from one
+        chunk to the next, and a chunk of charges alone yields empty
+        arrays."""
+        clock = 0
+        for piece in _pieces(self.words):
+            costs = _costs(piece)
+            ends = np.cumsum(costs) + clock
+            clock = int(ends[-1])
+            access = piece >= 0
+            stamps = (ends - costs)[access]
+            piece = piece[access]
+            yield (
+                piece >> 2,
+                np.where(piece & 2, _STORE, _LOAD).astype(np.int8),
+                stamps,
+                (piece & 1).astype(np.int8),
+            )
+
+    def array_chunks(self) -> "Iterator[tuple[np.ndarray, ...]]":
+        """The trace as consecutive ``(addresses, kinds, instructions)``
+        chunks of :meth:`arrays`, decoded one at a time."""
+        for addresses, kinds, instructions, _flags in self._decoded():
+            if len(addresses):
+                yield addresses, kinds, instructions
 
     def accesses(self) -> Iterator[Access]:
-        addresses = self._addresses
-        kinds = self._kinds
-        instructions = self._instructions
-        for i in range(len(addresses)):
-            yield Access(addresses[i], AccessKind(kinds[i]), instructions[i])
+        for addresses, kinds, instructions, _flags in self._decoded():
+            for address, kind, instruction in zip(
+                addresses.tolist(), kinds.tolist(), instructions.tolist()
+            ):
+                yield Access(address, _KINDS[kind], instruction)
 
     def arrays(self):
-        """``(addresses, kinds, instructions)`` numpy views of the
-        recording buffers, for the batched kernels."""
-        return (
-            np.asarray(self._addresses, dtype=np.int64),
-            np.asarray(self._kinds, dtype=np.int8),
-            np.asarray(self._instructions, dtype=np.int64),
+        """``(addresses, kinds, instructions)`` of the whole trace as
+        ``int64``/``int8``/``int64`` arrays, for the batched kernels."""
+        n = self._length
+        out = (
+            np.empty(n, dtype=np.int64),
+            np.empty(n, dtype=np.int8),
+            np.empty(n, dtype=np.int64),
         )
+        at = 0
+        for chunk in self.array_chunks():
+            end = at + len(chunk[0])
+            for whole, part in zip(out, chunk):
+                whole[at:end] = part
+            at = end
+        return out
 
     def pointer_flags(self) -> np.ndarray:
         """One ``bool`` per access: whether it is a pointer access (see
         :meth:`accesses_with_pointer_flags`)."""
-        if self._pointer_flags is None:
-            return np.zeros(len(self), dtype=bool)
-        return np.asarray(self._pointer_flags, dtype=bool)
+        flags = np.empty(self._length, dtype=bool)
+        at = 0
+        for _addresses, _kinds, _instructions, chunk in self._decoded():
+            flags[at : at + len(chunk)] = chunk
+            at += len(chunk)
+        return flags
 
     def accesses_with_pointer_flags(self) -> "Iterator[tuple[Access, bool]]":
         """Yield ``(access, is_pointer_access)`` pairs.
@@ -113,9 +175,14 @@ class RecordedTrace:
         transition filter updated only on requests coming from pointer
         loads").
         """
-        flags = self._pointer_flags
-        for i, access in enumerate(self.accesses()):
-            yield access, bool(flags[i]) if flags is not None else False
+        for addresses, kinds, instructions, flags in self._decoded():
+            for address, kind, instruction, flag in zip(
+                addresses.tolist(),
+                kinds.tolist(),
+                instructions.tolist(),
+                flags.tolist(),
+            ):
+                yield Access(address, _KINDS[kind], instruction), bool(flag)
 
 
 class HeapObject:
@@ -127,48 +194,41 @@ class HeapObject:
     addresses and access order, not data encoding.
     """
 
-    __slots__ = ("address", "_record", "_words", "_values")
+    __slots__ = ("address", "_record", "_base", "_layout", "_values")
 
     def __init__(
         self, heap: "TracedHeap", address: int, fields: "Sequence[str]"
     ) -> None:
         self.address = address
         self._record = heap._record
-        #: each field's load word (its address above the two flag bits)
-        self._words = {
-            name: (address + i * FIELD_BYTES) << 2
-            for i, name in enumerate(fields)
-        }
-        self._values: "Dict[str, object]" = {name: None for name in fields}
+        #: the first field's load word; each field adds its layout offset
+        self._base = address << 2
+        self._layout = layout = heap._layout(fields)
+        self._values: "Dict[str, object]" = dict.fromkeys(layout)
 
     @property
     def size_bytes(self) -> int:
-        return len(self._words) * FIELD_BYTES
+        return len(self._layout) * FIELD_BYTES
 
     def get(self, field: str):
         """Traced load of ``field`` (tagged as a pointer load when the
         value is a heap reference)."""
         value = self._values[field]
-        self._record(self._words[field] | isinstance(value, HeapObject))
+        self._record(
+            (self._base + self._layout[field]) | isinstance(value, HeapObject)
+        )
         return value
 
     def set(self, field: str, value) -> None:
         """Traced store to ``field``."""
-        self._record(self._words[field] | 2 | isinstance(value, HeapObject))
+        self._record(
+            (self._base + self._layout[field]) | 2 | isinstance(value, HeapObject)
+        )
         self._values[field] = value
 
     def peek(self, field: str):
         """Untraced read (for assertions and result checking only)."""
         return self._values[field]
-
-
-def _costs(words: np.ndarray) -> np.ndarray:
-    """The instructions each recording word charges."""
-    return np.where(
-        words >= 0,
-        np.where(words & 2, _STORE_COST, _LOAD_COST),
-        -1 - words,
-    )
 
 
 class TracedHeap:
@@ -181,6 +241,18 @@ class TracedHeap:
         # Bound append: HeapObject.get/set record each access with one
         # call into the buffer.
         self._record = self._words.append
+        #: field tuple -> each field's word offset, ``index *
+        #: FIELD_BYTES << 2``, shared by every object of those fields
+        self._layouts: "Dict[tuple, Dict[str, int]]" = {}
+
+    def _layout(self, fields: "Sequence[str]") -> "Dict[str, int]":
+        key = fields if type(fields) is tuple else tuple(fields)
+        layout = self._layouts.get(key)
+        if layout is None:
+            layout = self._layouts[key] = {
+                name: (i * FIELD_BYTES) << 2 for i, name in enumerate(key)
+            }
+        return layout
 
     def allocate(self, fields: "Sequence[str]", align: int = 8) -> HeapObject:
         """Allocate a record with the given fields (malloc-equivalent).
@@ -209,7 +281,7 @@ class TracedHeap:
     @property
     def instruction(self) -> int:
         """The dynamic instruction counter: everything charged so far."""
-        return int(_costs(np.frombuffer(self._words, dtype=np.int64)).sum())
+        return _charged(np.frombuffer(self._words, dtype=np.int64))
 
     @property
     def recorded_accesses(self) -> int:
@@ -217,38 +289,17 @@ class TracedHeap:
         return int(np.count_nonzero(words >= 0))
 
     def finish(self) -> RecordedTrace:
-        """Move the recorded accesses into a replayable trace, decoding
-        the words :data:`_CHUNK` at a time.
+        """Move the recorded accesses into a replayable trace: one copy
+        of the words.
 
         The heap keeps its instruction counter; accesses recorded after
         this call go to the next ``finish``.
         """
-        addresses = array("q")
-        kinds = array("b")
-        instructions = array("q")
-        pointer_flags = array("b")
-        words = np.frombuffer(self._words, dtype=np.int64)
-        clock = 0
-        for start in range(0, len(words), _CHUNK):
-            chunk = words[start : start + _CHUNK]
-            costs = _costs(chunk)
-            ends = np.cumsum(costs) + clock
-            clock = int(ends[-1])
-            access = chunk >= 0
-            stamps = (ends - costs)[access]
-            chunk = chunk[access]
-            addresses.frombytes((chunk >> 2).tobytes())
-            kinds.frombytes(
-                np.where(chunk & 2, _STORE, _LOAD).astype(np.int8).tobytes()
-            )
-            instructions.frombytes(stamps.tobytes())
-            pointer_flags.frombytes((chunk & 1).astype(np.int8).tobytes())
-        del words  # the buffer cannot shrink while a view exports it
-        # Every HeapObject holds the buffer through its bound append,
-        # often in reference cycles that outlive the heap: free the
-        # words now, not when the cycle collector runs.
+        words = np.frombuffer(self._words, dtype=np.int64).copy()
+        clock = _charged(words)
+        # Every HeapObject holds the buffer through its bound append, so
+        # it is emptied in place (no view of it may be alive), and the
+        # clock so far becomes the next recording's first charge.
         del self._words[:]
         self._record(-1 - clock)
-        return RecordedTrace(
-            self.name, addresses, kinds, instructions, pointer_flags
-        )
+        return RecordedTrace(self.name, words)

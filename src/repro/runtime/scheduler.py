@@ -301,6 +301,14 @@ class ExperimentRuntime:
             )
         )
 
+    def serves(self, job: Job) -> bool:
+        """Whether :meth:`map` would answer ``job`` without running it:
+        the rule of :meth:`_cached_outcome`, checked without reading
+        the cached artifact (one that turns out corrupt still runs)."""
+        if self.checkpoint is not None and self.checkpoint.get(job) is not None:
+            return True
+        return self.config.use_cache and job in self.cache
+
     def _cached_outcome(self, job: Job) -> "JobOutcome | None":
         # The sweep checkpoint is consulted first: it works even with
         # the cache disabled, which is what bounds a killed driver's

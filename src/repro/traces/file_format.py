@@ -77,6 +77,28 @@ def save_trace_arrays(
     return len(addresses)
 
 
+def save_npz(file, **arrays) -> None:
+    """``np.savez``'s stored ``.npz``, each member's data written
+    straight from the array's buffer.
+
+    ``np.savez`` passes a member through ``tobytes`` copies of up to
+    16 MB each; this writes the same ``.npy`` members (``np.load``
+    reads them alike) with no copy of a contiguous array.
+    """
+    with zipfile.ZipFile(
+        file, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True
+    ) as archive:
+        for key, value in arrays.items():
+            value = np.asarray(value)
+            if not value.flags.c_contiguous:
+                value = value.copy()
+            with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(value)
+                )
+                member.write(memoryview(value.reshape(-1)).cast("B"))
+
+
 class FileTrace:
     """A trace loaded from disk; replayable any number of times."""
 

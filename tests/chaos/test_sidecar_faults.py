@@ -34,7 +34,8 @@ from repro.kernels.l1filter import (
 )
 from repro.runtime.cache import QUARANTINE_DIR, ResultCache
 from repro.runtime.health import health_snapshot
-from repro.traces.file_format import load_trace
+from repro.olden.heap import RecordedTrace
+from repro.traces.file_format import save_trace_arrays
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
@@ -192,6 +193,13 @@ class TestStoredSidecar:
         assert "fault.sidecar.corrupt" not in health_snapshot()
 
 
+def memo_arrays(path):
+    """The trace a words memo holds, decoded."""
+    with np.load(path) as data:
+        assert int(data["version"]) == 2
+        return RecordedTrace(WORKLOAD, data["words"]).arrays()
+
+
 class TestOldenTraceMemo:
     @pytest.fixture
     def memo(self, tmp_path, monkeypatch):
@@ -210,20 +218,37 @@ class TestOldenTraceMemo:
             assert np.array_equal(g, w)
 
     def test_memo_members_are_stored(self, memo):
-        path, _arrays = memo
+        path, original = memo
         compression = member_compression(path)
-        assert "addresses.npy" in compression
+        assert set(compression) == {"version.npy", "words.npy"}
         assert set(compression.values()) == {zipfile.ZIP_STORED}
+        self.assert_same(memo_arrays(path), original)
 
     def test_flipped_bit_regenerates_identical_arrays(self, memo, capsys):
         path, original = memo
-        flip_data_bit(path, "addresses.npy", random.Random(7))
+        flip_data_bit(path, "words.npy", random.Random(7))
         self.assert_same(workload(WORKLOAD, scale=SCALE).arrays(), original)
         assert health_snapshot()["recovery.trace_memo.regenerated"] == 1
         assert "corrupt trace memo" in capsys.readouterr().err
         # The memo was replaced by a good one, which now serves.
-        self.assert_same(load_trace(path).arrays(), original)
+        self.assert_same(memo_arrays(path), original)
         self.assert_same(workload(WORKLOAD, scale=SCALE).arrays(), original)
+        assert health_snapshot()["recovery.trace_memo.regenerated"] == 1
+
+    def test_old_three_array_memo_regenerates_identical_arrays(
+        self, memo, capsys
+    ):
+        # The layout memos had before they held the recording words.
+        path, original = memo
+        save_trace_arrays(path, *original)
+        self.assert_same(workload(WORKLOAD, scale=SCALE).arrays(), original)
+        assert health_snapshot()["recovery.trace_memo.regenerated"] == 1
+        assert "corrupt trace memo" in capsys.readouterr().err
+        self.assert_same(memo_arrays(path), original)
+        chunks = list(workload(WORKLOAD, scale=SCALE).array_chunks())
+        self.assert_same(
+            [np.concatenate(column) for column in zip(*chunks)], original
+        )
         assert health_snapshot()["recovery.trace_memo.regenerated"] == 1
 
     def test_deflated_memo_still_loads(self, memo):
@@ -232,7 +257,7 @@ class TestOldenTraceMemo:
             members = {key: data[key] for key in data.files}
         np.savez_compressed(path, **members)
         assert zipfile.ZIP_DEFLATED in member_compression(path).values()
-        self.assert_same(load_trace(path).arrays(), original)
+        self.assert_same(memo_arrays(path), original)
         self.assert_same(workload(WORKLOAD, scale=SCALE).arrays(), original)
         assert "recovery.trace_memo.regenerated" not in health_snapshot()
 

@@ -26,13 +26,14 @@ def test_three_variant_sweep_simulates_l1_once(runtime, monkeypatch):
     from repro.experiments.variants import VARIANT_NAMES, run_population
 
     builds = []
-    real_build = l1filter.build_l1_filter
+    real_build = l1filter.build_l1_filter_from_chunks
 
     def counting_build(*args, **kwargs):
         builds.append(1)
         return real_build(*args, **kwargs)
 
-    monkeypatch.setattr(l1filter, "build_l1_filter", counting_build)
+    # every L1-filter build, whole-trace or chunked, goes through it
+    monkeypatch.setattr(l1filter, "build_l1_filter_from_chunks", counting_build)
     result = run_population("mst", scale=0.05, runtime=runtime)
     rows = result.rows
     assert [row["variant"] for row in rows] == list(VARIANT_NAMES)
@@ -62,6 +63,76 @@ def test_warm_sweep_is_all_cache_hits(runtime, tmp_path):
     assert warm.stats.executed == 0
     assert warm.stats.cache_hits == len(VARIANT_NAMES)
     assert all(row["l1_filter_cached"] for row in rows)
+
+
+def test_fully_cached_population_reads_no_sidecar(runtime, tmp_path, monkeypatch):
+    import repro.kernels.l1filter as l1filter
+    from repro.experiments.variants import VARIANT_NAMES, run_population
+
+    first = run_population("mst", scale=0.05, runtime=runtime)
+    loads = []
+    real_load = l1filter.L1FilterRecord.load.__func__
+
+    def counting_load(cls, path):
+        loads.append(path)
+        return real_load(cls, path)
+
+    monkeypatch.setattr(
+        l1filter.L1FilterRecord, "load", classmethod(counting_load)
+    )
+
+    def rerun(**config):
+        again = ExperimentRuntime(
+            config=RuntimeConfig(jobs=1, **config),
+            cache=ResultCache(root=tmp_path),
+            bus=EventBus([]),
+        )
+        return again, run_population("mst", scale=0.05, runtime=again)
+
+    warm, result = rerun()
+    assert warm.stats.cache_hits == len(VARIANT_NAMES)
+    assert loads == []
+    assert result.shared_record_loads == 0
+    assert result.record_sources == {"cached": len(VARIANT_NAMES)}
+    assert result.rows == first.rows
+    # Jobs that run need the record: the coordinator reads the sidecar.
+    uncached, result = rerun(use_cache=False)
+    assert uncached.stats.executed == len(VARIANT_NAMES)
+    assert len(loads) == 1
+    assert result.shared_record_loads == 1
+    assert result.rows == first.rows
+
+
+def test_corrupt_cached_row_reads_the_sidecar_itself(runtime, tmp_path):
+    # The coordinator trusts the cache and loads no record; the one job
+    # whose artifact turns out corrupt runs and reads the sidecar.
+    from repro.experiments.variants import VARIANT_NAMES, run_population
+    from repro.kernels.sweep import population_jobs
+
+    first = run_population("mst", scale=0.05, runtime=runtime)
+    cache = ResultCache(root=tmp_path)
+    cache.path_for(population_jobs("mst", scale=0.05)[0]).write_text("{")
+    again = ExperimentRuntime(
+        config=RuntimeConfig(jobs=1), cache=cache, bus=EventBus([])
+    )
+    result = run_population("mst", scale=0.05, runtime=again)
+    assert again.stats.executed == 1
+    assert result.shared_record_loads == 1
+    assert result.record_sources == {
+        "cached": len(VARIANT_NAMES) - 1,
+        "sidecar": 1,
+    }
+    # The rerun row says where its own record came from; its counters
+    # are the cached row's.
+    where = ("record_source", "record_loads", "l1_filter_cached")
+
+    def counters(rows):
+        return [
+            {key: value for key, value in row.items() if key not in where}
+            for row in rows
+        ]
+
+    assert counters(result.rows) == counters(first.rows)
 
 
 def test_serial_sweep_without_runtime(tmp_path, monkeypatch):

@@ -1,11 +1,14 @@
 """The traced heap."""
 
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
+import repro.olden.heap as heap_module
 from repro.olden.heap import FIELD_BYTES, TracedHeap
-from repro.traces.trace import AccessKind
+from repro.traces.trace import Access, AccessKind
 
 
 class TestAllocation:
@@ -145,3 +148,87 @@ class TestRecordingFootprint:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (1 + 1 / 16) * (accesses + 200)
+
+
+def _run_program(heap, rng, steps):
+    """Random allocations, work charges, and pointer and plain loads
+    and stores."""
+    objects = [heap.allocate(("a", "b", "c"))]
+    for _ in range(steps):
+        roll = rng.random()
+        target = rng.choice(objects)
+        field = rng.choice("abc")
+        if roll < 0.1:
+            objects.append(heap.allocate(["a", "b", "c"]))
+        elif roll < 0.3:
+            heap.work(rng.randrange(50))
+        elif roll < 0.65:
+            target.set(field, rng.choice([None, 7, rng.choice(objects)]))
+        else:
+            target.get(field)
+
+
+def _decode_per_word(words):
+    """The recording format, word by word: ``(access, pointer)``."""
+    clock = 0
+    decoded = []
+    for word in words.tolist():
+        if word < 0:
+            clock += -1 - word
+            continue
+        store = bool(word & 2)
+        kind = AccessKind.STORE if store else AccessKind.LOAD
+        decoded.append((Access(word >> 2, kind, clock), bool(word & 1)))
+        clock += 2
+    return decoded
+
+
+def _views(trace):
+    """Everything a trace decodes, as plain values."""
+    chunks = list(trace.array_chunks())
+    return {
+        "len": len(trace),
+        "instruction_count": trace.instruction_count,
+        "pointer_load_count": trace.pointer_load_count,
+        "arrays": [a.tolist() for a in trace.arrays()],
+        "dtypes": [a.dtype for a in trace.arrays()],
+        "chunks": [
+            np.concatenate(column).tolist() for column in zip(*chunks)
+        ],
+        "pointer_flags": trace.pointer_flags().tolist(),
+        "accesses": list(trace.accesses()),
+        "pairs": list(trace.accesses_with_pointer_flags()),
+    }
+
+
+class TestChunkedDecode:
+    @pytest.fixture(scope="class")
+    def traces(self):
+        """Two recordings of one heap: the second's words start with
+        the clock the first left."""
+        rng = random.Random(11)
+        heap = TracedHeap("t")
+        _run_program(heap, rng, 400)
+        first = heap.finish()
+        _run_program(heap, rng, 300)
+        heap.work(9)  # trailing charges after the last access
+        return first, heap.finish()
+
+    def test_whole_decode_is_the_recording_format(self, traces):
+        for trace in traces:
+            views = _views(trace)
+            assert len(trace.words) < heap_module._CHUNK  # one chunk
+            pairs = _decode_per_word(trace.words)
+            assert views["pairs"] == pairs
+            assert views["accesses"] == [access for access, _ in pairs]
+            assert views["len"] == len(pairs)
+            assert views["instruction_count"] == pairs[-1][0].instruction + 1
+            assert views["pointer_load_count"] == sum(p for _, p in pairs)
+            assert views["dtypes"] == [np.int64, np.int8, np.int64]
+            assert views["chunks"] == views["arrays"]
+
+    @pytest.mark.parametrize("chunk", range(1, 8))
+    def test_chunked_decode_equals_whole(self, traces, monkeypatch, chunk):
+        whole = [_views(trace) for trace in traces]
+        monkeypatch.setattr(heap_module, "_CHUNK", chunk)
+        assert [_views(trace) for trace in traces] == whole
