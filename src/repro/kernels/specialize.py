@@ -21,8 +21,8 @@ of incremented (the LRU timestamp of record ``i`` in a reign is
 
 The **shape signature** — the dispatch key — is::
 
-    (l2_ways, migration_enabled, four_way, store_kind, slots_shared,
-     l2_filtering, track_window_affinity, store_ways, telemetry)
+    (l2_ways, four_way, store_kind, slots_shared, l2_filtering,
+     track_window_affinity, store_ways, telemetry)
 
 ``store_ways`` is non-zero only for a finite affinity cache whose
 geometry *differs* from the L2s: those kernels carry a second
@@ -104,11 +104,6 @@ def chip_signature(chip, telemetry: bool = False) -> tuple:
     """The shape signature keying the kernel dispatch table;
     ``telemetry`` selects the variant that fills a :class:`KernelLog`."""
     first = chip.l2s.caches[0]
-    if not chip.config.migration_enabled:
-        return (
-            first.ways, False, False, "none", False, False, False, 0,
-            telemetry,
-        )
     controller = chip.controller
     cfg = controller.config
     store = controller.store
@@ -124,7 +119,6 @@ def chip_signature(chip, telemetry: bool = False) -> tuple:
         store_ways = 0
     return (
         first.ways,
-        True,
         cfg.num_subsets == 4,
         store_kind,
         slots_shared,
@@ -232,7 +226,7 @@ def _chip_blocker(chip):
     ):
         return "its L2s or migration engine are not the standard types"
     blocker = _probe_blocker(chip.probe, [engine, l2s], chip=chip)
-    if blocker is not None or not chip.config.migration_enabled:
+    if blocker is not None:
         return blocker
     controller = chip.controller
     blocker = _controller_blocker(controller, chip.probe)
@@ -759,8 +753,8 @@ else:
 
 
 def _build_source(sig: tuple) -> str:
-    (ways, migration, four_way, store_kind, slots_shared,
-     l2_filtering, track, st_ways, telemetry) = sig
+    (ways, four_way, store_kind, slots_shared, l2_filtering, track,
+     st_ways, telemetry) = sig
 
     cols_unpack = ", ".join(f"s{w}" for w in range(ways))
     if ways == 1:
@@ -780,15 +774,6 @@ def _build_source(sig: tuple) -> str:
         if oslot is not None:
             od[oslot] = False
             coh_updates += 1"""
-    if migration:
-        hit_tail = "if not c:\n    continue\nl2_miss = False"
-        miss_tail = "if not c:\n    continue\nl2_miss = True"
-    else:
-        hit_tail = "continue"
-        miss_tail = "continue"
-
-    loop_vars = "line, w, c" if migration else "line, w"
-    zip_args = "seq_line, seq_w, seq_c" if migration else "seq_line, seq_w"
 
     # Telemetry logs each miss and eviction by record index.
     miss_note = "\n    miss_log[i] = 1" if telemetry else ""
@@ -799,7 +784,9 @@ if slot is not None:
     if w:
         a_dirty[slot] = True
 {_indent(demote, 8)}
-{_indent(hit_tail, 4)}
+    if not c:
+        continue
+    l2_miss = False
 else:
     a_miss += 1{miss_note}
 {_indent(_victim_scan(ways), 4)}
@@ -847,7 +834,9 @@ else:
                     coh_updates += 1
     else:
         coh_l3 += 1
-{_indent(miss_tail, 4)}"""
+    if not c:
+        continue
+    l2_miss = True"""
 
     # --- sampled controller step --------------------------------------
     # Slot columns the store's write-miss path probes by record index:
@@ -859,29 +848,23 @@ else:
         st_col_names = [f"s{w}" for w in range(ways)]
     else:
         st_col_names = [f"t{w}" for w in range(st_ways)]
-    if migration:
-        ctrl_locals, ctrl_body, ctrl_flush = _controller_source(
-            four_way, store_kind, st_col_names, st_ways, l2_filtering,
-            track, _migration_flush(telemetry), telemetry,
-        )
-        ctrl_locals = "controller = chip.controller\n" + ctrl_locals
-    else:
-        ctrl_locals = ctrl_body = ctrl_flush = ""
+    ctrl_locals, ctrl_body, ctrl_flush = _controller_source(
+        four_way, store_kind, st_col_names, st_ways, l2_filtering,
+        track, _migration_flush(telemetry), telemetry,
+    )
+    ctrl_locals = "controller = chip.controller\n" + ctrl_locals
     if telemetry:
         log_locals = [
             "miss_log = logs.l2_miss",
             "ev_append = logs.evictions.append",
+            "roll_append = logs.rollovers.append",
+            "flip_append = logs.flips.append",
+            "move_append = logs.migrations.append",
         ]
-        if migration:
-            log_locals += [
-                "roll_append = logs.rollovers.append",
-                "flip_append = logs.flips.append",
-                "move_append = logs.migrations.append",
-            ]
         ctrl_locals = "\n".join(log_locals + [ctrl_locals])
 
     loop = f"""i = -1
-for {loop_vars} in zip({zip_args}):
+for line, w, c in zip(seq_line, seq_w, seq_c):
     i += 1
 {_indent(l2_body, 4)}
 {_indent(ctrl_body, 4)}"""
@@ -1268,23 +1251,20 @@ def _slot_cols(record, num_sets: int, ways: int, memo):
 
 
 def _precompute(record, chip, sig):
-    ways, migration, four_way, st_ways = sig[0], sig[1], sig[2], sig[7]
+    ways, four_way, st_ways = sig[0], sig[1], sig[6]
     first = chip.l2s.caches[0]
     num_sets = first.num_sets
     rec_line, w_b, full_counts = _record_base(record)
     memo = _precomp_memo(record)
     cols = _slot_cols(record, num_sets, ways, memo)
-    if migration:
-        sampling = chip.controller.config.sampling
-        sampling_key = (sampling.modulus, sampling.sampled_residues)
-        ckey = ("ctrl", sampling_key, four_way)
-        c_b = memo.get(ckey)
-        if c_b is None:
-            c_b = memo[ckey] = _control_codes(
-                record.lines, record.kinds != 2, sampling, four_way
-            ).tobytes()
-    else:
-        c_b = None
+    sampling = chip.controller.config.sampling
+    sampling_key = (sampling.modulus, sampling.sampled_residues)
+    ckey = ("ctrl", sampling_key, four_way)
+    c_b = memo.get(ckey)
+    if c_b is None:
+        c_b = memo[ckey] = _control_codes(
+            record.lines, record.kinds != 2, sampling, four_way
+        ).tobytes()
     if st_ways:
         store_sets = chip.controller.store._num_sets
         st_cols = _slot_cols(record, store_sets, st_ways, memo)
@@ -1344,13 +1324,10 @@ def replay_chip_specialized(chip, record):
     rec_line, cols, w_b, c_b, kind_counts, st_cols = _precompute(
         record, chip, sig
     )
-    n = len(rec_line)
-    if sig[1]:  # migration on: the controller's reference counts
-        x_refs = c_b.count(1)
-        sampled = x_refs + (c_b.count(2) if sig[2] else 0)
-        ctrl_counts = (n - kind_counts[2], sampled, x_refs)
-    else:
-        ctrl_counts = (0, 0, 0)
+    # the controller's reference counts
+    x_refs = c_b.count(1)
+    sampled = x_refs + (c_b.count(2) if sig[1] else 0)
+    ctrl_counts = (len(rec_line) - kind_counts[2], sampled, x_refs)
     args = (
         chip, rec_line, w_b, c_b, cols, st_cols, record.accesses,
         record.max_instruction, kind_counts, ctrl_counts,

@@ -48,12 +48,10 @@ class ChipConfig:
     controller: "ControllerConfig | None" = field(
         default_factory=ControllerConfig.four_core
     )
-    migration_enabled: bool = True
 
     def __post_init__(self) -> None:
         if (
-            self.migration_enabled
-            and self.controller is not None
+            self.controller is not None
             and self.num_cores != self.controller.num_subsets
         ):
             raise ValueError(
@@ -138,10 +136,7 @@ class MultiCoreChip:
             else None
         )
         if controller is not None:
-            if (
-                self.config.migration_enabled
-                and controller.num_subsets != self.config.num_cores
-            ):
+            if controller.num_subsets != self.config.num_cores:
                 raise ValueError(
                     f"controller splits {controller.num_subsets} ways, "
                     f"chip has {self.config.num_cores} cores"
@@ -220,8 +215,6 @@ class MultiCoreChip:
 
     def _controller_step(self, line: int, l2_miss: bool) -> None:
         self.stats.l1_miss_requests += 1
-        if not self.config.migration_enabled:
-            return
         self.controller.observe(line, l2_miss=l2_miss)
         target = self.controller.current_subset()
         if self.engine.migrate_to(target):
@@ -257,9 +250,9 @@ class MultiCoreChip:
         chip's generated kernel, skipping the L1 stage; ``ChipStats``
         match running the original trace.  A chip the kernels cannot
         replay exactly — L2 prefetchers, an LRU R-window, a
-        non-standard component such as a ``HierarchicalController``
-        with migration on, or a probe other than the ``SimProbe`` the
-        constructor attached — gets a ``ValueError`` naming the blocker
+        non-standard component such as a ``HierarchicalController``,
+        or a probe other than the ``SimProbe`` the constructor
+        attached — gets a ``ValueError`` naming the blocker
         before any state changes; :meth:`run` simulates it."""
         from repro.kernels.specialize import replay_chip_specialized
 

@@ -442,7 +442,7 @@ class SimProbe:
         transitions = []
         if moves:
             # Every record but a store that hit the DL1 was a controller
-            # reference (only a chip migrating has a controller to read).
+            # reference.
             references = chip.controller.stats.references - (
                 len(kinds) - whole[2]
             )

@@ -29,14 +29,9 @@ from repro.olden.bisort import bisort
 from repro.olden.em3d import em3d
 from repro.olden.health import health
 from repro.olden.mst import mst
-from repro.olden.perimeter import perimeter
-from repro.olden.treeadd import treeadd
 
 #: the five benchmarks the paper evaluates (Tables 1-2, Figure 5)
 OLDEN_BENCHMARKS = ("bh", "bisort", "em3d", "health", "mst")
-
-#: extra Olden programs implemented beyond the paper's set
-OLDEN_EXTENSIONS = ("perimeter", "treeadd")
 
 
 def olden_benchmark(
@@ -47,8 +42,7 @@ def olden_benchmark(
     ``scale`` multiplies the default problem size (1.0 = this package's
     defaults, which are themselves scaled down from the paper's inputs).
     ``seed`` re-derives each benchmark's input-generation seed (``None``
-    keeps the calibrated defaults; ``treeadd`` and ``perimeter`` are
-    deterministic and ignore it).
+    keeps the calibrated defaults).
 
     The benchmark's heap objects are freed before this returns: they
     form reference cycles, which would otherwise live until the cycle
@@ -78,21 +72,14 @@ def _run(name: str, scale: float, seed: "int | None") -> RecordedTrace:
         )
     if name == "mst":
         return mst(num_vertices=max(64, int(512 * scale)), seed=derive(317))
-    if name == "treeadd":
-        target = max(256, int((1 << 14) * scale))
-        return treeadd(levels=target.bit_length())
-    if name == "perimeter":
-        return perimeter(levels=7 if scale >= 0.5 else 6)
     raise KeyError(
-        f"unknown Olden benchmark {name!r}; "
-        f"known: {OLDEN_BENCHMARKS + OLDEN_EXTENSIONS}"
+        f"unknown Olden benchmark {name!r}; known: {OLDEN_BENCHMARKS}"
     )
 
 
 __all__ = [
     "HeapObject",
     "OLDEN_BENCHMARKS",
-    "OLDEN_EXTENSIONS",
     "RecordedTrace",
     "TracedHeap",
     "bh",
@@ -101,6 +88,4 @@ __all__ = [
     "health",
     "mst",
     "olden_benchmark",
-    "perimeter",
-    "treeadd",
 ]

@@ -327,16 +327,25 @@ class ResultCache:
         )
 
     def clear(self, stale_only: bool = False) -> int:
-        """Delete artifacts; returns how many were removed."""
+        """Delete every generation, or with ``stale_only`` every one but
+        the current, which also keeps the quarantine for inspection;
+        returns how many payload artifacts were removed."""
         removed = 0
         if not self.root.is_dir():
             return removed
         for generation in sorted(self.root.iterdir()):
             if not generation.is_dir():
                 continue
-            if stale_only and generation.name == self.code_version:
+            if stale_only and generation.name in (
+                self.code_version,
+                QUARANTINE_DIR,
+            ):
                 continue
-            removed += sum(1 for _ in generation.glob("*.json"))
+            removed += sum(
+                1
+                for path in generation.glob("*.json")
+                if self._is_payload(generation, path)
+            )
             shutil.rmtree(generation)
         return removed
 

@@ -50,8 +50,12 @@ OK, CACHED, FAILED, INTERRUPTED = "ok", "cached", "failed", "interrupted"
 
 #: seconds between worker liveness/timeout checks
 POLL_INTERVAL = 0.05
+#: base delay before a crash retry, seconds
+RETRY_BACKOFF = 0.1
 #: ceiling on the crash-retry backoff, seconds
 RETRY_BACKOFF_CAP = 5.0
+#: SIGTERM→SIGKILL escalation window for an overdue worker, seconds
+KILL_GRACE = 5.0
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,6 @@ class RuntimeConfig:
     use_cache: bool = True
     start_method: str = "fork" if os.name == "posix" else "spawn"
     profile_dir: "str | None" = None  #: dump per-job cProfile stats here
-    retry_backoff: float = 0.1  #: base delay before a crash retry, seconds
-    kill_grace: float = 5.0  #: SIGTERM→SIGKILL escalation window, seconds
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -74,28 +76,19 @@ class RuntimeConfig:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.retry_backoff < 0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-        if self.kill_grace < 0:
-            raise ValueError(f"kill_grace must be >= 0, got {self.kill_grace}")
 
-    def retry_delay(self, job_hash: str, attempt: int) -> float:
-        """Backoff before relaunching a crashed job's next attempt.
 
-        Exponential in the attempt number, capped, with deterministic
-        jitter derived from the job hash — retries of *different* jobs
-        spread out (no thundering herd after a correlated crash) while
-        the same job retries identically across runs.
-        """
-        if self.retry_backoff <= 0:
-            return 0.0
-        base = min(
-            RETRY_BACKOFF_CAP, self.retry_backoff * (2 ** (attempt - 1))
-        )
-        jitter = random.Random(f"{job_hash}/{attempt}").uniform(0.5, 1.0)
-        return base * jitter
+def retry_delay(job_hash: str, attempt: int) -> float:
+    """Backoff before relaunching a crashed job's next attempt.
+
+    Exponential in the attempt number, capped, with deterministic
+    jitter derived from the job hash — retries of *different* jobs
+    spread out (no thundering herd after a correlated crash) while the
+    same job retries identically across runs.
+    """
+    base = min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * (2 ** (attempt - 1)))
+    jitter = random.Random(f"{job_hash}/{attempt}").uniform(0.5, 1.0)
+    return base * jitter
 
 
 @dataclass(frozen=True)
@@ -573,7 +566,7 @@ class ExperimentRuntime:
                     attempt=slot.attempt,
                     error=f"worker died (exit code {exit_code})",
                 )
-                not_before = time.monotonic() + self.config.retry_delay(
+                not_before = time.monotonic() + retry_delay(
                     job.hash, slot.attempt
                 )
                 pending.append((slot.index, slot.attempt + 1, not_before))
@@ -590,7 +583,7 @@ class ExperimentRuntime:
 
     def _kill(self, slot: _Running) -> None:
         """Reap one worker, escalating politely: close the pipe,
-        SIGTERM, wait ``kill_grace``, then SIGKILL a worker that
+        SIGTERM, wait :data:`KILL_GRACE`, then SIGKILL a worker that
         ignored the termination (stuck in native code, masked
         signals) — a hung worker can slow a sweep down, never wedge
         it."""
@@ -598,7 +591,7 @@ class ExperimentRuntime:
         process = slot.process
         if process.is_alive():
             process.terminate()
-            process.join(timeout=self.config.kill_grace)
+            process.join(timeout=KILL_GRACE)
             if process.is_alive():
                 health_counter("fault.worker.kill_escalated").inc()
                 process.kill()

@@ -31,7 +31,6 @@ from repro.traces.synthetic import (
     UniformRandom,
     behavior_trace,
 )
-from repro.traces.file_format import FileTrace, load_trace, save_trace
 from repro.traces.filters import L1FilterConfig, L1Filter, FilteredReference
 from repro.traces.spec_models import (
     SpecModel,
@@ -44,7 +43,6 @@ __all__ = [
     "Access",
     "AccessKind",
     "Circular",
-    "FileTrace",
     "FilteredReference",
     "HalfRandom",
     "InterleavedStreams",
@@ -62,9 +60,7 @@ __all__ = [
     "UniformRandom",
     "behavior_trace",
     "line_address",
-    "load_trace",
     "measure_trace",
-    "save_trace",
     "spec_model",
     "spec_model_names",
 ]

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.caches.fully_assoc import FullyAssociativeCache
 from repro.caches.lru_stack import seeded_depths
-from repro.caches.set_assoc import SetAssociativeCache
 from repro.traces.trace import Access, AccessKind
 
 
@@ -41,39 +40,33 @@ class FilteredReference(NamedTuple):
 
 @dataclass(frozen=True)
 class L1FilterConfig:
-    """Geometry of the filtering L1s (defaults = paper section 4.1)."""
+    """Sizes of the filtering L1s (defaults = paper section 4.1)."""
 
     line_size: int = 64
     il1_bytes: int = 16 * 1024
     dl1_bytes: int = 16 * 1024
-    ways: int = 0  #: 0 = fully-associative (the section 4.1 setting)
-    store_allocate: bool = True
-    """Whether stores allocate in the DL1.  Section 4.1 does "not
-    distinguish between loads and stores", i.e. stores behave as loads;
-    set ``False`` for the section 4.2 write-through/non-write-allocate
-    behaviour."""
 
 
 class L1Filter:
-    """Filter a raw access trace through IL1 + DL1, yielding L1 misses."""
+    """Filter a raw access trace through IL1 + DL1, yielding L1 misses.
+
+    Both L1s are fully associative LRU caches, and stores allocate in
+    the DL1: section 4.1 does "not distinguish between loads and
+    stores"."""
 
     def __init__(self, config: "L1FilterConfig | None" = None) -> None:
         self.config = config or L1FilterConfig()
-        self.il1 = self._make_cache(self.config.il1_bytes)
-        self.dl1 = self._make_cache(self.config.dl1_bytes)
+        line_size = self.config.line_size
+        self.il1 = FullyAssociativeCache.from_bytes(
+            self.config.il1_bytes, line_size
+        )
+        self.dl1 = FullyAssociativeCache.from_bytes(
+            self.config.dl1_bytes, line_size
+        )
         self.accesses = 0
         self.il1_misses = 0
         self.dl1_misses = 0
         self.instructions = 0
-
-    def _make_cache(self, capacity_bytes: int):
-        if self.config.ways == 0:
-            return FullyAssociativeCache.from_bytes(
-                capacity_bytes, self.config.line_size
-            )
-        return SetAssociativeCache.from_bytes(
-            capacity_bytes, self.config.line_size, self.config.ways
-        )
 
     @property
     def l1_misses(self) -> int:
@@ -95,10 +88,7 @@ class L1Filter:
                 self.dl1_misses += 1
                 return FilteredReference(line, access.instruction, kind)
         else:
-            hit = self.dl1.access(
-                line, write=True, allocate=self.config.store_allocate
-            )
-            if not hit:
+            if not self.dl1.access(line, write=True):
                 self.dl1_misses += 1
                 return FilteredReference(line, access.instruction, kind)
         return None
@@ -124,9 +114,7 @@ class ArrayL1Filter:
     for the DL1 — is infinite or exceeds the cache's lines.  Each chunk
     of :data:`_L1_CHUNK` references is seeded with the lines the cache
     holds when the chunk starts (its most recently used lines, least
-    recent first), which is all the depth test can see.  Any other
-    configuration raises: a set-associative or non-allocating L1 has no
-    such form.
+    recent first), which is all the depth test can see.
 
     The counters match :class:`L1Filter`'s, and consecutive
     :meth:`filter` calls continue one trace.
@@ -134,11 +122,6 @@ class ArrayL1Filter:
 
     def __init__(self, config: "L1FilterConfig | None" = None) -> None:
         self.config = config or L1FilterConfig()
-        if self.config.ways != 0 or not self.config.store_allocate:
-            raise ValueError(
-                "ArrayL1Filter models the section 4.1 L1s only: fully "
-                "associative (ways=0) with store allocation"
-            )
         line_size = self.config.line_size
         self._capacity = (
             FullyAssociativeCache.from_bytes(

@@ -10,6 +10,7 @@ traceback, never a silently wrong answer.
 import pytest
 
 from repro import faults
+from repro.runtime import scheduler
 from repro.runtime.events import EventBus
 from repro.runtime.health import reset_health
 from repro.runtime.scheduler import ExperimentRuntime, RuntimeConfig
@@ -36,14 +37,15 @@ def arm():
 
 
 @pytest.fixture
-def quiet_runtime(tmp_path):
-    """Factory for runtimes with a private cache and silent event bus."""
+def quiet_runtime(tmp_path, monkeypatch):
+    """Factory for runtimes with a private cache and silent event bus;
+    crash retries back off from 0.01 s."""
     from repro.runtime.cache import ResultCache
 
+    monkeypatch.setattr(scheduler, "RETRY_BACKOFF", 0.01)
     built = []
 
     def factory(cache_dir=None, **config_kwargs):
-        config_kwargs.setdefault("retry_backoff", 0.01)
         runtime = ExperimentRuntime(
             config=RuntimeConfig(**config_kwargs),
             cache=ResultCache(root=cache_dir or tmp_path / "cache"),

@@ -35,7 +35,6 @@ from repro.kernels.l1filter import (
 from repro.runtime.cache import QUARANTINE_DIR, ResultCache
 from repro.runtime.health import health_snapshot
 from repro.olden.heap import RecordedTrace
-from repro.traces.file_format import save_trace_arrays
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
@@ -240,7 +239,14 @@ class TestOldenTraceMemo:
     ):
         # The layout memos had before they held the recording words.
         path, original = memo
-        save_trace_arrays(path, *original)
+        addresses, kinds, instructions = original
+        np.savez(
+            path,
+            version=np.int64(1),
+            addresses=np.asarray(addresses, dtype=np.int64),
+            kinds=np.asarray(kinds, dtype=np.int8),
+            instructions=np.asarray(instructions, dtype=np.int64),
+        )
         self.assert_same(workload(WORKLOAD, scale=SCALE).arrays(), original)
         assert health_snapshot()["recovery.trace_memo.regenerated"] == 1
         assert "corrupt trace memo" in capsys.readouterr().err

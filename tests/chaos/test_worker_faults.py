@@ -7,6 +7,7 @@ exception is a clean typed FAILED outcome.  Nothing wedges the sweep.
 """
 
 from repro.faults import FaultSpec, InjectedFault
+from repro.runtime import scheduler
 from repro.runtime.health import health_snapshot
 from repro.runtime.job import Job
 from repro.runtime.scheduler import FAILED, OK
@@ -82,10 +83,11 @@ class TestWorkerHang:
         assert "timeout" in outcome.error
         assert health_snapshot()["fault.worker.timeout"] == 1
 
-    def test_sigterm_immune_worker_is_sigkill_escalated(self, quiet_runtime):
-        runtime = quiet_runtime(
-            jobs=2, timeout=0.5, retries=0, kill_grace=0.2
-        )
+    def test_sigterm_immune_worker_is_sigkill_escalated(
+        self, quiet_runtime, monkeypatch
+    ):
+        monkeypatch.setattr(scheduler, "KILL_GRACE", 0.2)
+        runtime = quiet_runtime(jobs=2, timeout=0.5, retries=0)
         job = Job.create(STUBBORN, label="stubborn", seconds=60.0)
         outcome = runtime.run_one(job)
         assert outcome.status == FAILED

@@ -76,7 +76,6 @@ PROBE_SHAPES = {
         caches=SMALL_CACHES,
         controller=replace(_FOUR_CORE, exact_window_affinity=False),
     ),
-    "migration_off": ChipConfig(caches=SMALL_CACHES, migration_enabled=False),
 }
 
 

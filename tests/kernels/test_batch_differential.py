@@ -11,7 +11,7 @@ the replaying model's il1/dl1 stay untouched while its ``ChipStats``
 (including the L1 miss counters) must still match exactly.  The fixed
 cases pin the configurations the fast path must refuse (prefetchers,
 which ``run()`` serves) or handle structurally (probes, 2-way
-controller, migration disabled, fully-associative L1s).
+controller, fully-associative L1s).
 """
 
 from dataclasses import replace
@@ -96,17 +96,6 @@ class TestChipDifferential:
                 l2_filtering=True,
             ),
         )
-        seed, batched, filtered = run_three_ways(
-            lambda: MultiCoreChip(config), accesses, arrays
-        )
-        assert chip_state(batched) == chip_state(seed)
-        assert without_l1(chip_state(filtered)) == without_l1(chip_state(seed))
-
-    @given(steps=steps_strategy)
-    @settings(max_examples=15, deadline=None)
-    def test_migration_disabled(self, steps):
-        accesses, arrays = make_trace(steps)
-        config = ChipConfig(migration_enabled=False)
         seed, batched, filtered = run_three_ways(
             lambda: MultiCoreChip(config), accesses, arrays
         )

@@ -11,8 +11,7 @@ probes the kernels take (and that probe-free models keep the plain
 kernel), that other probes are refused and left to ``run()``, the
 per-access path that serves every model (the generic path below), that
 telemetry leaves the simulated state alone, that the reference clock
-carries on across calls, that a chip with migration off needs no
-migration controller, and that Table 2's obs artifacts are
+carries on across calls, and that Table 2's obs artifacts are
 byte-identical to the per-access model's on real workloads.
 """
 
@@ -26,7 +25,6 @@ from repro.obs import SimProbe, save_report
 from tests.kernels.helpers import (
     PROBE_SHAPES,
     SMALL_CACHES,
-    assert_probe_reports_match,
     assert_refused,
     chip_state,
     eventful_trace,
@@ -143,26 +141,6 @@ def test_probe_clock_carries_on_across_calls(kind, path):
     model.run_arrays(*(array[half:] for array in arrays))
     assert probe.now == len(arrays[0])
     assert probe_report(probe) == probe_report(whole)
-
-
-def test_migration_off_kernel_reads_no_controller():
-    # With migration off the chip never consults its controller, so the
-    # kernel takes the chip whatever its controller's type, and feeding
-    # the log to the probe must not read the controller either.
-    from repro.core.multiway import HierarchicalConfig, HierarchicalController
-
-    config = ChipConfig(caches=SMALL_CACHES, migration_enabled=False)
-    arrays = eventful_trace(4)
-    assert_probe_reports_match(
-        lambda probe: MultiCoreChip(
-            config,
-            controller=HierarchicalController(HierarchicalConfig(depth=2)),
-            probe=probe,
-        ),
-        arrays,
-        build_l1_filter(*arrays, config=SMALL_CACHES),
-        {"sample_interval": 7},
-    )
 
 
 def _table2_artifacts(directory, name, replay):

@@ -9,8 +9,14 @@ from repro.traces.synthetic import Circular, behavior_trace
 from repro.traces.trace import Access, AccessKind
 
 
-def small_chip(migration_enabled=True, num_cores=4, **controller_kw) -> MultiCoreChip:
-    """A chip with tiny caches so capacity effects appear fast."""
+#: tiny caches, so capacity effects appear fast
+SMALL_CACHES = CoreCacheConfig(
+    il1_bytes=1024, dl1_bytes=1024, l1_ways=4, l2_bytes=8 * 1024, l2_ways=4
+)
+
+
+def small_chip(num_cores=4, **controller_kw) -> MultiCoreChip:
+    """A chip of :data:`SMALL_CACHES` cores."""
     controller = ControllerConfig(
         num_subsets=num_cores,
         filter_bits=12,
@@ -21,16 +27,7 @@ def small_chip(migration_enabled=True, num_cores=4, **controller_kw) -> MultiCor
     )
     return MultiCoreChip(
         ChipConfig(
-            num_cores=num_cores,
-            caches=CoreCacheConfig(
-                il1_bytes=1024,
-                dl1_bytes=1024,
-                l1_ways=4,
-                l2_bytes=8 * 1024,
-                l2_ways=4,
-            ),
-            controller=controller,
-            migration_enabled=migration_enabled,
+            num_cores=num_cores, caches=SMALL_CACHES, controller=controller
         )
     )
 
@@ -39,10 +36,6 @@ class TestConfig:
     def test_cores_must_match_controller(self):
         with pytest.raises(ValueError):
             ChipConfig(num_cores=2)  # default controller is 4-way
-
-    def test_migration_disabled_skips_check(self):
-        chip_config = ChipConfig(num_cores=2, migration_enabled=False)
-        assert chip_config.num_cores == 2
 
 
 class TestBasicAccounting:
@@ -80,30 +73,6 @@ class TestBasicAccounting:
 
 
 class TestMigrationBehaviour:
-    def test_no_migrations_when_disabled(self):
-        chip = small_chip(migration_enabled=False)
-        for access in behavior_trace(Circular(1000), 50_000):
-            chip.access(access)
-        assert chip.stats.migrations == 0
-        assert chip.active_core == 0
-
-    def test_disabled_chip_matches_single_core_hierarchy(self):
-        """With migrations off, the chip must reproduce the single-core
-        baseline exactly (same caches, same policy)."""
-        config = CoreCacheConfig(
-            il1_bytes=1024, dl1_bytes=1024, l1_ways=4, l2_bytes=8 * 1024
-        )
-        chip = MultiCoreChip(
-            ChipConfig(num_cores=4, caches=config, migration_enabled=False)
-        )
-        single = SingleCoreHierarchy(config)
-        trace = list(behavior_trace(Circular(500), 20_000))
-        for access in trace:
-            chip.access(access)
-            single.access(access)
-        assert chip.stats.l2_misses == single.stats.l2_misses
-        assert chip.stats.l1_misses == single.stats.l1_misses
-
     def test_migrations_happen_on_splittable_set(self):
         chip = small_chip()
         # 64 KB circular working set >> 8 KB L2, << 32 KB aggregate.
@@ -115,7 +84,7 @@ class TestMigrationBehaviour:
         """The headline effect at miniature scale: 4 small L2s +
         migration beat one small L2 on a circular set that fits the
         aggregate but not one cache."""
-        baseline = small_chip(migration_enabled=False)
+        baseline = SingleCoreHierarchy(SMALL_CACHES)
         migrating = small_chip()
         trace = list(behavior_trace(Circular(400), 300_000))  # 25 KB set
         for access in trace:
@@ -140,7 +109,7 @@ class TestTwoCoreConfiguration:
     def test_two_way_chip_works(self):
         """The paper: 'it works also on 2-core configurations'."""
         chip = small_chip(num_cores=2)
-        baseline = small_chip(num_cores=2, migration_enabled=False)
+        baseline = SingleCoreHierarchy(SMALL_CACHES)
         trace = list(behavior_trace(Circular(220), 150_000))  # ~14 KB set
         for access in trace:
             chip.access(access)

@@ -3,7 +3,11 @@
 import json
 
 from repro.runtime import Job, ResultCache, code_fingerprint
-from repro.runtime.cache import CACHE_DIR_ENV, default_cache_root
+from repro.runtime.cache import (
+    CACHE_DIR_ENV,
+    QUARANTINE_DIR,
+    default_cache_root,
+)
 
 ECHO = "tests.runtime.helper_jobs:echo_job"
 
@@ -84,6 +88,26 @@ class TestMaintenance:
         assert new.get(job(value=1)) == {"value": 1}
         assert new.clear() == 1
         assert new.get(job(value=1)) is None
+
+    def test_clear_stale_only_keeps_the_quarantine(self, tmp_path):
+        old = ResultCache(root=tmp_path, code_version="aaaa")
+        old.put(job(value=1), {"value": 1})
+        (old.generation_dir / ".tmp-crashed-writer.json").write_text(
+            "{ partial", encoding="utf-8"
+        )
+        new = ResultCache(root=tmp_path, code_version="bbbb")
+        new.put(job(value=1), {"value": 1}).write_text(
+            "{ truncated", encoding="utf-8"
+        )
+        assert new.get(job(value=1)) is None  # quarantined
+        quarantined = tmp_path / QUARANTINE_DIR / (
+            f"bbbb-{job(value=1).hash}.json.corrupt"
+        )
+        assert quarantined.is_file()
+        # One payload removed: the staging file is not an artifact.
+        assert new.clear(stale_only=True) == 1
+        assert not old.generation_dir.exists()
+        assert quarantined.is_file()
 
     def test_clear_missing_root_is_noop(self, tmp_path):
         assert ResultCache(root=tmp_path / "nope").clear() == 0

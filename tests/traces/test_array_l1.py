@@ -86,12 +86,3 @@ def test_default_is_section_41_geometry():
     engine = ArrayL1Filter()
     assert engine._capacity == (256, 256)
 
-
-@pytest.mark.parametrize(
-    "config",
-    [L1FilterConfig(ways=4), L1FilterConfig(store_allocate=False)],
-    ids=["set-associative", "no-store-allocate"],
-)
-def test_refuses_other_l1s(config):
-    with pytest.raises(ValueError):
-        ArrayL1Filter(config)

@@ -1,6 +1,6 @@
 """L1 front-end filters."""
 
-from repro.traces.filters import L1Filter, L1FilterConfig
+from repro.traces.filters import L1Filter
 from repro.traces.trace import Access, AccessKind
 
 
@@ -53,23 +53,14 @@ class TestFiltering:
 
 class TestStorePolicy:
     def test_section41_stores_allocate(self):
-        """Default (section 4.1): stores behave as loads."""
-        f = L1Filter(L1FilterConfig(store_allocate=True))
+        """Section 4.1: stores behave as loads."""
+        f = L1Filter()
         trace = [
             Access(0, AccessKind.STORE, 0),
             Access(0, AccessKind.LOAD, 1),
         ]
         out = list(f.filter(trace))
         assert len(out) == 1  # the load hits the allocated line
-
-    def test_section42_stores_do_not_allocate(self):
-        f = L1Filter(L1FilterConfig(store_allocate=False))
-        trace = [
-            Access(0, AccessKind.STORE, 0),
-            Access(0, AccessKind.LOAD, 1),
-        ]
-        out = list(f.filter(trace))
-        assert len(out) == 2  # store missed without allocating
 
     def test_store_miss_reference_is_marked_write(self):
         f = L1Filter()
@@ -78,12 +69,6 @@ class TestStorePolicy:
 
 
 class TestSetAssociativeOption:
-    def test_ways_option_builds_set_assoc(self):
-        from repro.caches.set_assoc import SetAssociativeCache
-
-        f = L1Filter(L1FilterConfig(ways=4))
-        assert isinstance(f.dl1, SetAssociativeCache)
-
     def test_fully_assoc_default(self):
         from repro.caches.fully_assoc import FullyAssociativeCache
 
