@@ -15,7 +15,11 @@ Both passes replay the workload's shared
 :class:`~repro.kernels.l1filter.L1FilterRecord` (the L1 stage is
 simulated once per trace and geometry, cached on disk), which is
 bit-identical to feeding the raw trace through ``chip.run`` — see
-``docs/performance.md``.
+``docs/performance.md``.  A job whose record is not on disk yet builds
+it as the trace streams and replays it batch by batch, each batch
+through the baseline and then the chip
+(:func:`~repro.kernels.l1filter.l1_filter_batches`), so it never holds
+the whole record.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Sequence
 from repro.caches.hierarchy import SingleCoreHierarchy
 from repro.experiments.report import ratio_cell, render_rows, section
 from repro.experiments.workloads import WORKLOAD_NAMES
-from repro.kernels.l1filter import ensure_l1_filter
+from repro.kernels.l1filter import l1_filter_batches
 from repro.multicore.chip import ChipConfig, MultiCoreChip
 from repro.multicore.migration import break_even_pmig
 from repro.runtime import Job, payloads
@@ -96,7 +100,6 @@ def run_table2_for(
     """
     from repro.obs import trace_context
 
-    record, _cached = ensure_l1_filter(name, scale=scale, seed=seed)
     baseline_probe = chip_probe = None
     if obs_dir is not None:
         from repro.obs import SimProbe
@@ -104,11 +107,15 @@ def run_table2_for(
         baseline_probe = SimProbe(name="baseline")
         chip_probe = SimProbe(name="chip")
     baseline = SingleCoreHierarchy(probe=baseline_probe)
-    with trace_context.phase("replay.baseline", workload=name):
-        baseline.run_filtered(record)
     chip = MultiCoreChip(ChipConfig(), probe=chip_probe)
-    with trace_context.phase("replay.chip", workload=name):
-        chip.run_filtered(record)
+    # Consecutive replays compose, so a batch at a time through each
+    # model ends where the whole record through each would.
+    for record in l1_filter_batches(name, scale=scale, seed=seed):
+        with trace_context.phase("replay.baseline", workload=name):
+            baseline.run_filtered(record)
+        with trace_context.phase("replay.chip", workload=name):
+            chip.run_filtered(record)
+        del record  # before the next batch is built
     if obs_dir is not None:
         from pathlib import Path
 

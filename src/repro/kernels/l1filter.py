@@ -21,7 +21,12 @@ work, and this module factors it out:
   computes it once per ``(trace, L1 geometry, code version)``;
 * :func:`ensure_l1_filter` / :func:`l1_filter_job` are the cache-aware
   entry points sweep jobs call; a build streams
-  :meth:`~repro.experiments.workloads.WorkloadSpec.array_chunks`.
+  :meth:`~repro.experiments.workloads.WorkloadSpec.array_chunks`;
+* :func:`l1_filter_batches` is the entry point of one Table 2 job: the
+  sidecar's whole record, or else the record in replay batches of
+  :data:`_BATCH` records, taken from one L1 pair as the trace streams
+  through it and staged to disk as they go, so the job never holds the
+  whole record.
 
 Record kinds (the ``kinds`` array):
 
@@ -47,6 +52,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -59,7 +65,7 @@ from repro.caches.set_assoc import SetAssociativeCache
 from repro.runtime.cache import QUARANTINE_DIR, ResultCache
 from repro.runtime.health import health_counter
 from repro.runtime.job import Job
-from repro.traces.file_format import CORRUPT_NPZ_ERRORS, save_npz
+from repro.traces.file_format import CORRUPT_NPZ_ERRORS, StagedArray, save_npz
 
 #: miss-stream record kinds
 FETCH_MISS = 0
@@ -73,8 +79,14 @@ REQUEST_KINDS = (FETCH_MISS, LOAD_MISS, STORE_L1_MISS)
 _RECORD_VERSION = 1
 #: trace references per chunk of :func:`l1_miss_stream`
 _CHUNK = 1 << 16
+#: L2-bound records per replay batch of :func:`l1_filter_batches`: each
+#: replay call rebuilds the chip's line-to-slot dicts (about 12 ms for
+#: the 4-core chip), so a batch must be long enough to hide that
+_BATCH = 1 << 17
 #: :func:`_filter_set_major`'s kind for a reference that hits its L1
 _HIT = 255
+#: events per slice of :func:`_filter_set_major`'s ``OrderedDict`` walk
+_EVENT_SLICE = 1 << 12
 
 
 def _l1_view(cache):
@@ -109,13 +121,17 @@ def l1_miss_stream(
     """
     stream = _MissStream(il1, dl1, line_size)
     stream.extend(addresses, kinds)
-    return stream.arrays()
+    return stream.take()
 
 
 class _MissStream:
     """The L2-bound records of one trace fed through one L1 pair piece
     by piece, its arrays grown in place (``array.frombytes`` per chunk,
-    wrapped by ``np.frombuffer`` at the end), never joined."""
+    wrapped by ``np.frombuffer`` when taken), never joined.
+
+    :meth:`take` hands out the records fed since the previous take,
+    their indices counted from the first reference fed since then
+    (:attr:`span` references ago), so the trace can leave in batches."""
 
     def __init__(self, il1, dl1, line_size: int) -> None:
         self._caches = []
@@ -128,13 +144,17 @@ class _MissStream:
                 )
             self._caches.append((cache, view, miss_kind))
         self._line_size = line_size
-        self.references = 0  #: trace references fed so far
-        self._indices = array("q")
-        self._lines = array("q")
-        self._kinds = array("B")
+        self.span = 0  #: trace references fed since the last take
+        self._buffers = (array("q"), array("q"), array("B"))
+
+    @property
+    def pending(self) -> int:
+        """Records fed since the last take."""
+        return len(self._buffers[2])
 
     def extend(self, addresses: np.ndarray, kinds: np.ndarray) -> None:
         """Feed the trace's next ``addresses``/``kinds``."""
+        indices, record_lines, record_kinds = self._buffers
         for start in range(0, len(addresses), _CHUNK):
             lines = addresses[start : start + _CHUNK] // self._line_size
             chunk_kinds = kinds[start : start + _CHUNK]
@@ -160,19 +180,22 @@ class _MissStream:
                 stats.writebacks += writebacks
                 cache.last_eviction = last
             keep = np.flatnonzero(record != _HIT)
-            first = self.references + start
-            self._indices.frombytes((keep + first).tobytes())
-            self._lines.frombytes(lines[keep].tobytes())
-            self._kinds.frombytes(record[keep].tobytes())
-        self.references += len(addresses)
+            record_lines.frombytes(memoryview(lines[keep]).cast("B"))
+            record_kinds.frombytes(memoryview(record[keep]).cast("B"))
+            keep += self.span + start
+            indices.frombytes(memoryview(keep).cast("B"))
+        self.span += len(addresses)
 
-    def arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """``(indices, lines, record_kinds)`` over the grown buffers; the
-        stream takes no more pieces after this."""
+    def take(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(indices, lines, record_kinds)`` fed since the last take,
+        over the grown buffers, which the stream then lets go."""
+        indices, lines, kinds = self._buffers
+        self._buffers = (array("q"), array("q"), array("B"))
+        self.span = 0
         return (
-            np.frombuffer(self._indices, dtype=np.int64),
-            np.frombuffer(self._lines, dtype=np.int64),
-            np.frombuffer(self._kinds, dtype=np.uint8),
+            np.frombuffer(indices, dtype=np.int64),
+            np.frombuffer(lines, dtype=np.int64),
+            np.frombuffer(kinds, dtype=np.uint8),
         )
 
 
@@ -211,77 +234,95 @@ def _filter_set_major(view, lines, stores, miss_kind):
     lines = lines[order]
     stores = stores[order]
     # One line maps to one set: equal set-major neighbours form a run.
+    # Positions and run numbers are below n, a chunk's length: int32.
     head = np.empty(n, dtype=bool)
     head[0] = True
     np.not_equal(lines[1:], lines[:-1], out=head[1:])
-    run = np.cumsum(head) - 1
+    run = np.cumsum(head, dtype=np.int32)
+    run -= 1
     runs = int(run[-1]) + 1
     loads = np.flatnonzero(~stores)
     load_run = run[loads]
     first = np.empty(len(loads), dtype=bool)
     first[:1] = True
     np.not_equal(load_run[1:], load_run[:-1], out=first[1:])
-    first_load = np.full(runs, n)  # n: the run has no load
-    first_load[load_run[first]] = loads[first]
+    first_loads = loads[first]  # each run's first load
+    del loads, first
+    first_load = np.full(runs, n, dtype=np.int32)  # n: the run has no load
+    first_load[run[first_loads]] = first_loads
+    del load_run
     at = np.flatnonzero(stores)
     store_run = run[at]
     final = np.empty(len(at), dtype=bool)
     final[-1:] = True
     np.not_equal(store_run[1:], store_run[:-1], out=final[:-1])
-    last_store = np.full(runs, -1)  # -1: the run has no store
+    last_store = np.full(runs, -1, dtype=np.int32)  # -1: the run has no store
     last_store[store_run[final]] = at[final]
+    del final
     event = head.copy()
-    event[loads[first]] = True
+    event[first_loads] = True
+    del first_loads
     events = np.flatnonzero(event)
-    event_lines = lines[events]
     # 2: a store; 1: a load whose line a later store of its run dirties;
     # 0: any other load.
-    flags = np.where(stores[events], 2, last_store[run[events]] > events)
+    flags = (last_store[run[events]] > events).view(np.uint8)
+    flags[stores[events]] = 2
+    del last_store
     # ``last_eviction`` is that of the chunk's final reference, the last
     # of its set: only an event there can have evicted.
     tail = int(np.argmax(order))
     tail = int(np.searchsorted(events, tail)) if event[tail] else -1
+    del event
     missed = bytearray(len(events))
     evictions = writebacks = 0
     last_eviction = None
     move = OrderedDict.move_to_end
     pop = OrderedDict.popitem
-    for j, set_index, line, flag in zip(
-        count(),
-        (event_lines & mask).tolist(),
-        event_lines.tolist(),
-        flags.tolist(),
-    ):
-        cache_set = sets[set_index]
-        if line in cache_set:
-            move(cache_set, line)
-            if flag:
-                cache_set[line] = True
-        else:
-            missed[j] = 1
-            if flag != 2:  # a store miss does not allocate
-                if len(cache_set) >= ways:
-                    victim, victim_dirty = pop(cache_set, False)
-                    evictions += 1
-                    if victim_dirty:
-                        writebacks += 1
-                    if j == tail:
-                        last_eviction = EvictedLine(victim, victim_dirty)
-                cache_set[line] = flag == 1
+    # The events go through the ``OrderedDict`` logic a slice at a time,
+    # so their Python ints never outnumber one slice.
+    for begin in range(0, len(events), _EVENT_SLICE):
+        end = begin + _EVENT_SLICE
+        event_lines = lines[events[begin:end]]
+        for j, set_index, line, flag in zip(
+            count(begin),
+            (event_lines & mask).tolist(),
+            event_lines.tolist(),
+            flags[begin:end].tolist(),
+        ):
+            cache_set = sets[set_index]
+            if line in cache_set:
+                move(cache_set, line)
+                if flag:
+                    cache_set[line] = True
+            else:
+                missed[j] = 1
+                if flag != 2:  # a store miss does not allocate
+                    if len(cache_set) >= ways:
+                        victim, victim_dirty = pop(cache_set, False)
+                        evictions += 1
+                        if victim_dirty:
+                            writebacks += 1
+                        if j == tail:
+                            last_eviction = EvictedLine(victim, victim_dirty)
+                    cache_set[line] = flag == 1
+    del lines, flags, event_lines
     miss = np.zeros(n, dtype=bool)
     miss[events] = np.frombuffer(missed, dtype=bool)
+    del events, missed
     # A store misses from a head store that missed until the run's first
     # load allocates the line.
     heads = np.flatnonzero(head)
-    absent = (miss[heads] & stores[heads])[run]
-    store_miss = stores & absent & (np.arange(n) < first_load[run])
-    load_miss = miss & ~stores
-    kinds = np.where(
-        stores,
-        np.where(store_miss, STORE_L1_MISS, STORE_L1_HIT),
-        np.where(load_miss, miss_kind, _HIT),
-    ).astype(np.uint8)
-    misses = int(np.count_nonzero(load_miss) + np.count_nonzero(store_miss))
+    absent = miss[heads] & stores[heads]
+    del heads, head
+    store_miss = absent[store_run] & (at < first_load[store_run])
+    del absent, first_load, store_run
+    load_miss = miss
+    load_miss &= ~stores
+    kinds = np.full(n, _HIT, dtype=np.uint8)
+    kinds[load_miss] = miss_kind
+    kinds[at] = STORE_L1_HIT
+    kinds[at[store_miss]] = STORE_L1_MISS
+    misses = int(np.count_nonzero(load_miss)) + int(np.count_nonzero(store_miss))
     in_order = np.empty(n, dtype=np.uint8)
     in_order[order] = kinds
     return in_order, misses, evictions, writebacks, last_eviction
@@ -344,39 +385,20 @@ class L1FilterRecord:
 
     def save(self, path: "str | os.PathLike[str]") -> Path:
         """Atomically persist as npz (same idiom as the result cache)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            dir=str(path.parent), prefix=".tmp-", suffix=".npz", delete=False
+        return _save_sidecar(
+            path, self.header(), self.indices, self.lines, self.kinds
         )
-        try:
-            with handle:
-                # Stored, not deflated: deflating took about as long as
-                # building the record, and the zip CRC-32 still guards
-                # every member on load (docs/performance.md, "Cold path").
-                save_npz(
-                    handle,
-                    version=np.int64(_RECORD_VERSION),
-                    line_size=np.int64(self.line_size),
-                    il1_bytes=np.int64(self.il1_bytes),
-                    dl1_bytes=np.int64(self.dl1_bytes),
-                    l1_ways=np.int64(self.l1_ways),
-                    accesses=np.int64(self.accesses),
-                    max_instruction=np.int64(self.max_instruction),
-                    indices=self.indices,
-                    lines=self.lines,
-                    kinds=self.kinds,
-                )
-            faults.corrupt_file("sidecar.save.bytes", handle.name)
-            faults.fire("sidecar.save")
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-        return path
+
+    def header(self) -> "dict[str, int]":
+        """The scalar fields a sidecar stores before the arrays."""
+        return {
+            "line_size": self.line_size,
+            "il1_bytes": self.il1_bytes,
+            "dl1_bytes": self.dl1_bytes,
+            "l1_ways": self.l1_ways,
+            "accesses": self.accesses,
+            "max_instruction": self.max_instruction,
+        }
 
     @classmethod
     def load(cls, path: "str | os.PathLike[str]") -> "L1FilterRecord":
@@ -406,30 +428,98 @@ class L1FilterRecord:
             )
 
 
+def _save_sidecar(path, header, indices, lines, kinds) -> Path:
+    """The one sidecar writer: ``header``'s fields and the three arrays
+    (arrays, or :class:`~repro.traces.file_format.StagedArray` files)
+    as an npz staged beside ``path`` and renamed onto it."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle = tempfile.NamedTemporaryFile(
+        dir=str(path.parent), prefix=".tmp-", suffix=".npz", delete=False
+    )
+    try:
+        with handle:
+            # Stored, not deflated: deflating took about as long as
+            # building the record, and the zip CRC-32 still guards every
+            # member on load (docs/performance.md, "Cold path").
+            save_npz(
+                handle,
+                version=np.int64(_RECORD_VERSION),
+                **{key: np.int64(value) for key, value in header.items()},
+                indices=indices,
+                lines=lines,
+                kinds=kinds,
+            )
+        faults.corrupt_file("sidecar.save.bytes", handle.name)
+        faults.fire("sidecar.save")
+        os.replace(handle.name, path)
+    except BaseException:
+        _unlink_quietly(handle.name)
+        raise
+    return path
+
+
+def _unlink_quietly(path) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _filtered(il1, dl1, config: CoreCacheConfig, chunks, batch):
+    """Records of a trace, given as consecutive ``(addresses, kinds,
+    instructions)`` numpy chunks, run through ``il1``/``dl1``.
+
+    Yields a record each time :data:`_CHUNK` references leave at least
+    ``batch`` records, and one of whatever references remain; with
+    ``batch=None``, one record of the whole trace.  Each record covers
+    the references since the previous one: its indices count from the
+    first of them, and ``accesses`` and ``max_instruction`` are theirs,
+    so the records replayed in turn end where the whole record ends.
+    """
+    stream = _MissStream(il1, dl1, config.line_size)
+    top = -1  # highest instruction since the last record
+
+    def record() -> L1FilterRecord:
+        accesses = stream.span
+        indices, lines, kinds = stream.take()
+        return L1FilterRecord(
+            line_size=config.line_size,
+            il1_bytes=config.il1_bytes,
+            dl1_bytes=config.dl1_bytes,
+            l1_ways=config.l1_ways,
+            accesses=accesses,
+            max_instruction=top,
+            indices=indices,
+            lines=lines,
+            kinds=kinds,
+        )
+
+    for chunk in chunks:
+        addresses, kinds, instructions = chunk
+        del chunk
+        for start in range(0, len(addresses), _CHUNK):
+            end = start + _CHUNK
+            stream.extend(addresses[start:end], kinds[start:end])
+            top = max(top, int(instructions[start:end].max()))
+            if end >= len(addresses):
+                # All fed: the replays of a batch need not share memory
+                # with a chunk the stream is done with.
+                del addresses, kinds, instructions
+            if batch is not None and stream.pending >= batch:
+                yield record()
+                top = -1
+    if batch is None or stream.span:
+        yield record()
+
+
 def filter_chunks(il1, dl1, config: CoreCacheConfig, chunks) -> L1FilterRecord:
     """Run a trace, given as consecutive ``(addresses, kinds,
     instructions)`` numpy chunks, through ``il1``/``dl1`` and package
     the miss stream as a record of ``config``'s L1 geometry; the two
     caches end up exactly as after per-access simulation.  Holds the
     record and one chunk, never the whole trace."""
-    stream = _MissStream(il1, dl1, config.line_size)
-    max_instruction = -1
-    for addresses, kinds, instructions in chunks:
-        stream.extend(addresses, kinds)
-        if len(instructions):
-            max_instruction = max(max_instruction, int(instructions.max()))
-    indices, lines, record_kinds = stream.arrays()
-    return L1FilterRecord(
-        line_size=config.line_size,
-        il1_bytes=config.il1_bytes,
-        dl1_bytes=config.dl1_bytes,
-        l1_ways=config.l1_ways,
-        accesses=stream.references,
-        max_instruction=max_instruction,
-        indices=indices,
-        lines=lines,
-        kinds=record_kinds,
-    )
+    return next(_filtered(il1, dl1, config, chunks, None))
 
 
 def build_l1_filter_from_chunks(
@@ -486,15 +576,24 @@ def _sidecar_path(cache: ResultCache, job: Job) -> Path:
     return cache.generation_dir / f"{job.hash}.l1f.npz"
 
 
-def _record_payload(record: L1FilterRecord) -> "dict[str, object]":
+def _record_payload(
+    header: "dict[str, int]", kind_counts: "list[int]"
+) -> "dict[str, object]":
+    """The l1filter job's payload: a record's
+    :meth:`~L1FilterRecord.header` and its count of each record kind."""
+    fetch, load, _store_hit, store_miss = kind_counts
     return {
-        "accesses": record.accesses,
-        "records": record.records,
-        "il1_misses": record.il1_misses,
-        "dl1_misses": record.dl1_misses,
-        "max_instruction": record.max_instruction,
-        "references": record.accesses,
+        "accesses": header["accesses"],
+        "records": sum(kind_counts),
+        "il1_misses": fetch,
+        "dl1_misses": load + store_miss,
+        "max_instruction": header["max_instruction"],
+        "references": header["accesses"],
     }
+
+
+def _kind_counts(kinds: np.ndarray) -> "list[int]":
+    return np.bincount(kinds, minlength=4).tolist()
 
 
 def ensure_l1_filter(
@@ -516,38 +615,198 @@ def ensure_l1_filter(
     cache = cache or ResultCache()
     job = l1_filter_job_for(name, scale=scale, seed=seed)
     sidecar = _sidecar_path(cache, job)
-    # A missing sidecar is built, not quarantined: ``CORRUPT_NPZ_ERRORS``
-    # includes the ``OSError`` a load of it would raise.
-    if sidecar.exists():
-        try:
-            with trace_context.phase("l1filter.load", workload=name):
-                return L1FilterRecord.load(sidecar), True
-        except CORRUPT_NPZ_ERRORS as exc:
-            # Corrupt or stale sidecar (torn write survived a crash, bit
-            # rot, old record version): quarantine it next to corrupt
-            # cache artifacts, count the fault, rebuild below.  Because
-            # saves are atomic this is never hit by a concurrent
-            # *in-progress* write — only by bytes that were bad on disk.
-            _quarantine_sidecar(cache, sidecar, exc)
-            health_counter("recovery.sidecar.rebuilt").inc()
+    record = _load_sidecar(cache, sidecar, name)
+    if record is not None:
+        return record, True
     spec = workload(name, scale=scale, seed=seed)
     # The phase covers trace generation too: the chunks are generated
     # (or decoded from an Olden trace's words) as the build takes them.
     with trace_context.phase("l1filter.build", workload=name):
         record = build_l1_filter_from_chunks(spec.array_chunks())
+    _publish(
+        cache,
+        job,
+        lambda: record.save(sidecar),
+        _record_payload(record.header(), _kind_counts(record.kinds)),
+    )
+    return record, False
+
+
+def l1_filter_batches(
+    name: str,
+    scale: float = 1.0,
+    seed: "int | None" = None,
+    cache: "ResultCache | None" = None,
+) -> "Iterator[L1FilterRecord]":
+    """One workload's L1-filter record, for one replay of each model.
+
+    Yields the sidecar's whole record when it loads.  Otherwise the
+    trace streams (:meth:`~repro.experiments.workloads.WorkloadSpec.
+    array_chunks`) through one L1 pair, and the record leaves in
+    batches of at least :data:`_BATCH` records (:func:`_filtered`):
+    replayed in turn, they end where the whole record ends.  Each batch
+    is staged on disk as it goes (:class:`_StagedRecord`), and after the
+    last one the sidecar, byte for byte what
+    :meth:`L1FilterRecord.save` writes of the whole record, and then the
+    runtime-cache payload are published as :func:`ensure_l1_filter`
+    publishes them.  The generator drops each batch before it takes the
+    next, so a caller that does too never holds the whole record.
+    """
+    from repro.experiments.workloads import workload
+
+    cache = cache or ResultCache()
+    job = l1_filter_job_for(name, scale=scale, seed=seed)
+    sidecar = _sidecar_path(cache, job)
+    record = _load_sidecar(cache, sidecar, name)
+    if record is not None:
+        yield record
+        return
+    config = CoreCacheConfig()
+    batches = _filtered(
+        config.make_l1(config.il1_bytes),
+        config.make_l1(config.dl1_bytes),
+        config,
+        workload(name, scale=scale, seed=seed).array_chunks(),
+        _BATCH,
+    )
+    staged = _StagedRecord(sidecar, config)
     try:
-        record.save(sidecar)
+        while True:
+            # Each batch's phase covers the trace generation it takes.
+            with trace_context.phase("l1filter.build", workload=name):
+                batch = next(batches, None)
+            if batch is None:
+                break
+            staged.append(batch)
+            yield batch
+            del batch
+        with trace_context.phase("l1filter.save", workload=name):
+            _publish(
+                cache,
+                job,
+                staged.save,
+                _record_payload(staged.header, staged.kind_counts),
+            )
+    finally:
+        staged.discard()
+
+
+class _StagedRecord:
+    """A record taken in batches, kept as its totals and its three
+    arrays, each appended to a ``.tmp-`` file beside its sidecar (the
+    indices counted from the trace's start), from which :meth:`save`
+    writes the sidecar of the whole record.  A failure to stage is kept
+    and raised by :meth:`save`, so the replays go on regardless."""
+
+    _MEMBERS = (("indices", np.int64), ("lines", np.int64), ("kinds", np.uint8))
+
+    def __init__(self, sidecar: Path, config: CoreCacheConfig) -> None:
+        self._sidecar = sidecar
+        self.header = {
+            "line_size": config.line_size,
+            "il1_bytes": config.il1_bytes,
+            "dl1_bytes": config.dl1_bytes,
+            "l1_ways": config.l1_ways,
+            "accesses": 0,
+            "max_instruction": -1,
+        }
+        self.kind_counts = [0, 0, 0, 0]
+        self._records = 0
+        self._files = []
+        self._error: "OSError | None" = None
+        try:
+            sidecar.parent.mkdir(parents=True, exist_ok=True)
+            for key, _dtype in self._MEMBERS:
+                self._files.append(
+                    tempfile.NamedTemporaryFile(
+                        dir=str(sidecar.parent),
+                        prefix=".tmp-",
+                        suffix=f".{key}",
+                        delete=False,
+                    )
+                )
+        except OSError as exc:
+            self._error = exc
+
+    def append(self, batch: L1FilterRecord) -> None:
+        header = self.header
+        if self._error is None:
+            arrays = (batch.indices + header["accesses"], batch.lines, batch.kinds)
+            try:
+                for handle, values in zip(self._files, arrays):
+                    handle.write(memoryview(values).cast("B"))
+            except OSError as exc:
+                self._error = exc
+        header["accesses"] += batch.accesses
+        header["max_instruction"] = max(
+            header["max_instruction"], batch.max_instruction
+        )
+        self.kind_counts = [
+            total + count
+            for total, count in zip(self.kind_counts, _kind_counts(batch.kinds))
+        ]
+        self._records += batch.records
+
+    def save(self) -> Path:
+        if self._error is not None:
+            raise self._error
+        for handle in self._files:
+            handle.close()
+        return _save_sidecar(
+            self._sidecar,
+            self.header,
+            *(
+                StagedArray(handle.name, dtype, self._records)
+                for handle, (_key, dtype) in zip(self._files, self._MEMBERS)
+            ),
+        )
+
+    def discard(self) -> None:
+        """Remove the staging files."""
+        for handle in self._files:
+            handle.close()
+            _unlink_quietly(handle.name)
+
+
+def _load_sidecar(
+    cache: ResultCache, sidecar: Path, name: str
+) -> "L1FilterRecord | None":
+    """The record in ``sidecar``, or ``None`` when there is none or it
+    does not load."""
+    # A missing sidecar is built, not quarantined: ``CORRUPT_NPZ_ERRORS``
+    # includes the ``OSError`` a load of it would raise.
+    if not sidecar.exists():
+        return None
+    try:
+        with trace_context.phase("l1filter.load", workload=name):
+            return L1FilterRecord.load(sidecar)
+    except CORRUPT_NPZ_ERRORS as exc:
+        # Corrupt or stale sidecar (torn write survived a crash, bit
+        # rot, old record version): quarantine it next to corrupt
+        # cache artifacts, count the fault; the caller rebuilds.
+        # Because saves are atomic this is never hit by a concurrent
+        # *in-progress* write — only by bytes that were bad on disk.
+        _quarantine_sidecar(cache, sidecar, exc)
+        health_counter("recovery.sidecar.rebuilt").inc()
+        return None
+
+
+def _publish(cache: ResultCache, job: Job, save, payload) -> None:
+    """Write a built record's sidecar with ``save()``, then put the
+    job's ``payload`` in the result cache.  A sidecar that cannot be
+    written (read-only or full cache dir) is skipped, like a cache
+    write: the job computes through."""
+    try:
+        save()
     except OSError as exc:
-        # Read-only/full cache dir: compute-through, like the cache.
         health_counter("fault.sidecar.write_failed").inc()
         print(
             f"[l1filter] sidecar write failed ({exc}); "
-            "serving the in-memory record",
+            "the record is not kept",
             file=sys.stderr,
         )
     else:
-        cache.put(job, _record_payload(record))
-    return record, False
+        cache.put(job, payload)
 
 
 def _quarantine_sidecar(
@@ -582,4 +841,4 @@ def l1_filter_job(
     payload caching is disabled, because it *is* the job's product).
     """
     record, _cached = ensure_l1_filter(name, scale=scale, seed=seed)
-    return _record_payload(record)
+    return _record_payload(record.header(), _kind_counts(record.kinds))

@@ -1200,8 +1200,10 @@ def process_many(mechanism, lines) -> "list[int]":
 # slots and 4 otherwise; everything is built a chunk of records at a
 # time, so no whole-record int64 temporary is ever held.
 
-#: records per chunk when building the memo's arrays
-_MEMO_CHUNK = 1 << 16
+#: records per chunk when building the memo's arrays; the temporaries
+#: of one (about 100 B a record) sit beside the L1 stage of a streamed
+#: Table 2 job, so they are kept small
+_MEMO_CHUNK = 1 << 14
 
 
 def _record_base(record):

@@ -89,6 +89,8 @@ class CacheStatus:
     stale_entries: int  #: artifacts from other code versions
     stale_bytes: int
     by_function: "dict[str, int]"  #: current entries per job fn
+    quarantined_files: int = 0  #: corrupt files kept for inspection
+    quarantined_bytes: int = 0
 
 
 class ResultCache:
@@ -288,9 +290,20 @@ class ResultCache:
     def status(self) -> CacheStatus:
         """Artifact counts and on-disk bytes per side (current code
         version vs older ones); bytes cover every file of a generation,
-        sidecars, trace memos and staging files included."""
+        sidecars, trace memos and staging files included.  The
+        quarantine's files are counted apart."""
         current_entries = current_bytes = stale_entries = stale_bytes = 0
+        quarantined_files = quarantined_bytes = 0
         by_function: "dict[str, int]" = {}
+        quarantine = self.root / QUARANTINE_DIR
+        if quarantine.is_dir():
+            for path in quarantine.iterdir():
+                try:
+                    if path.is_file():
+                        quarantined_bytes += path.stat().st_size
+                        quarantined_files += 1
+                except OSError:
+                    continue  # concurrently pruned
         for generation in self._generations():
             current = generation.name == self.code_version
             for path in sorted(generation.rglob("*")):
@@ -324,6 +337,8 @@ class ResultCache:
             stale_entries=stale_entries,
             stale_bytes=stale_bytes,
             by_function=by_function,
+            quarantined_files=quarantined_files,
+            quarantined_bytes=quarantined_bytes,
         )
 
     def clear(self, stale_only: bool = False) -> int:

@@ -41,6 +41,11 @@ def _cmd_status(args: argparse.Namespace) -> int:
         f"stale:         {status.stale_entries} artifacts, "
         f"{_format_bytes(status.stale_bytes)} (older code versions)"
     )
+    print(
+        f"quarantined:   {status.quarantined_files} files, "
+        f"{_format_bytes(status.quarantined_bytes)} (corrupt, kept for "
+        "inspection)"
+    )
     if status.by_function:
         print("by job function:")
         for fn, count in sorted(status.by_function.items()):

@@ -196,6 +196,7 @@ class SpecModel:
         components = cfg.components
         blocks = [_element_blocks(c.behavior, self.length) for c in components]
         component_kinds = np.array([int(c.kind) for c in components], np.int8)
+        pick_type = np.min_scalar_type(len(components) - 1)
         length = self.length
         mean_gap = cfg.instructions_per_access
         # An integral mean gap leaves the fractional accumulator of
@@ -203,27 +204,34 @@ class SpecModel:
         fractional = not float(mean_gap).is_integer()
         gap_accumulator = 0.0
         instruction = 0
-        chunk = 65536  # accesses()'s draw size
-        for start in range(0, length, chunk):
-            take = min(chunk, length - start)
-            picks = rng.choice(len(components), size=take, p=self._probabilities)
-            store_draws = rng.random(take)
-            jitter = rng.integers(-1, 2, size=take)
+
+        def make(take: int) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+            # The draws of accesses(), each narrowed at once to what it
+            # decides.  A chunk is made by a call, so the generator
+            # keeps no reference to one it has handed out.
+            nonlocal gap_accumulator, instruction
+            picks = rng.choice(
+                len(components), size=take, p=self._probabilities
+            ).astype(pick_type)
+            store_hits = rng.random(take) < cfg.store_fraction
+            jitter = rng.integers(-1, 2, size=take).astype(np.int8)
 
             elements = np.empty(take, dtype=np.int64)
             counts = np.bincount(picks, minlength=len(components))
             for which, count in enumerate(counts.tolist()):
                 if count:
-                    elements[picks == which] = (
-                        blocks[which](count) + self._bases[which]
-                    )
+                    block = blocks[which](count)
+                    block += self._bases[which]
+                    elements[picks == which] = block
+                    del block
+            elements *= 64
 
-            chunk_kinds = component_kinds[picks]
-            stores = (chunk_kinds == AccessKind.LOAD) & (
-                store_draws < cfg.store_fraction
-            )
-            chunk_kinds[stores] = AccessKind.STORE
+            kinds = component_kinds[picks]
+            del picks
+            store_hits &= kinds == AccessKind.LOAD
+            kinds[store_hits] = AccessKind.STORE
 
+            gaps = jitter.astype(np.int64)
             if fractional:
                 wholes = []
                 for _ in range(take):
@@ -231,16 +239,21 @@ class SpecModel:
                     whole = int(gap_accumulator)
                     wholes.append(whole)
                     gap_accumulator -= whole
-                whole_gaps = np.array(wholes, dtype=np.int64)
+                gaps += np.array(wholes, dtype=np.int64)
             else:
-                whole_gaps = int(mean_gap)
-            gaps = np.maximum(1, whole_gaps + jitter)
-            offsets = np.cumsum(gaps)
-            chunk_instructions = np.empty(take, dtype=np.int64)
-            chunk_instructions[0] = instruction
-            chunk_instructions[1:] = instruction + offsets[:-1]
-            instruction += int(offsets[-1])
-            yield elements * 64, chunk_kinds, chunk_instructions
+                gaps += int(mean_gap)
+            np.maximum(gaps, 1, out=gaps)
+            np.cumsum(gaps, out=gaps)  # each reference's offset past the next
+            instructions = np.empty(take, dtype=np.int64)
+            instructions[0] = 0
+            instructions[1:] = gaps[:-1]
+            instructions += instruction
+            instruction += int(gaps[-1])
+            return elements, kinds, instructions
+
+        chunk = 65536  # accesses()'s draw size
+        for start in range(0, length, chunk):
+            yield make(min(chunk, length - start))
 
 
 def _element_blocks(behavior, length: int) -> "Callable[[int], np.ndarray]":
@@ -263,7 +276,11 @@ def _element_blocks(behavior, length: int) -> "Callable[[int], np.ndarray]":
 
         def take(count: int) -> np.ndarray:
             nonlocal position
-            index = (position + step * np.arange(count, dtype=np.int64)) % lines
+            # (position + step * arange(count)) % lines, in place
+            index = np.arange(count, dtype=np.int64)
+            index *= step
+            index += position
+            index %= lines
             position = (position + step * count) % lines
             return index if order is None else order[index]
 

@@ -8,7 +8,7 @@ compute-through — the run's results are never lost or wrong.
 import errno
 
 from repro.faults import FaultSpec
-from repro.runtime.cache import QUARANTINE_DIR, ResultCache
+from repro.runtime.cache import QUARANTINE_DIR
 from repro.runtime.health import health_snapshot
 from repro.runtime.job import Job
 from repro.runtime.scheduler import CACHED, OK

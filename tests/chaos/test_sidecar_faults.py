@@ -27,11 +27,7 @@ import pytest
 from repro import faults
 from repro.experiments.workloads import olden_trace_path, workload
 from repro.faults import FaultPlan, FaultSpec
-from repro.kernels.l1filter import (
-    L1FilterRecord,
-    ensure_l1_filter,
-    l1_filter_job_for,
-)
+from repro.kernels.l1filter import ensure_l1_filter, l1_filter_job_for
 from repro.runtime.cache import QUARANTINE_DIR, ResultCache
 from repro.runtime.health import health_snapshot
 from repro.olden.heap import RecordedTrace
@@ -344,3 +340,126 @@ class TestCrashMidPublish:
         )
         assert not cached
         assert record.records > 0
+
+
+STREAM_SCRIPT = (
+    "from repro.kernels import l1filter\n"
+    "from repro.experiments.table2 import run_table2_for\n"
+    "l1filter._BATCH = l1filter._CHUNK = 1024\n"
+    f"print(run_table2_for({WORKLOAD!r}, scale={SCALE}))\n"
+)
+
+
+class TestStreamedSidecar:
+    """A cold Table 2 job writes its sidecar from the stream: the same
+    fault sites, the same recovery, the same bytes."""
+
+    @pytest.fixture
+    def reference(self, tmp_path_factory):
+        """The row and sidecar bytes of an undisturbed job."""
+        from repro.experiments.table2 import run_table2_for
+
+        root = tmp_path_factory.mktemp("reference")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CACHE_DIR", str(root))
+            row = run_table2_for(WORKLOAD, scale=SCALE)
+        (sidecar,) = root.rglob("*.l1f.npz")
+        return row, sidecar.read_bytes()
+
+    @staticmethod
+    def leftovers(cache_root):
+        """Files under the cache but the Olden trace memo."""
+        return [
+            path
+            for path in cache_root.rglob("*")
+            if path.is_file() and path.parent.name != "traces"
+        ]
+
+    def test_torn_streamed_sidecar_is_rebuilt_identically(
+        self, arm, reference, tmp_path, monkeypatch
+    ):
+        from repro.experiments.table2 import run_table2_for
+        from repro.kernels import l1filter
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(l1filter, "_BATCH", 1024)
+        monkeypatch.setattr(l1filter, "_CHUNK", 1024)
+        arm(FaultSpec(site="sidecar.save.bytes", action="truncate", arg=64))
+        assert run_table2_for(WORKLOAD, scale=SCALE) == reference[0]
+        faults.uninstall()
+        # The torn sidecar is quarantined and the job streams again.
+        assert run_table2_for(WORKLOAD, scale=SCALE) == reference[0]
+        health = health_snapshot()
+        assert health["fault.sidecar.corrupt"] == 1
+        assert health["recovery.sidecar.rebuilt"] == 1
+        (sidecar,) = tmp_path.rglob("*.l1f.npz")
+        assert sidecar.read_bytes() == reference[1]
+
+    def test_crash_at_publish_leaves_only_staging_files(
+        self, reference, tmp_path
+    ):
+        from repro.experiments.table2 import run_table2_for
+
+        cache_root = tmp_path / "cache"
+        plan = FaultPlan.of(FaultSpec(site="sidecar.save", action="crash"))
+        result = subprocess.run(
+            [sys.executable, "-c", STREAM_SCRIPT],
+            env=child_env(cache_root, plan),
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == faults.CRASH_EXIT_CODE
+        staged = self.leftovers(cache_root)
+        assert staged
+        assert all(path.name.startswith(".tmp-") for path in staged)
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro.runtime", "clear-cache",
+                "--cache-dir", str(cache_root),
+            ],
+            env=child_env(cache_root),
+            cwd=REPO_ROOT,
+            capture_output=True,
+            check=True,
+        )
+        assert self.leftovers(cache_root) == []
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CACHE_DIR", str(cache_root))
+            assert run_table2_for(WORKLOAD, scale=SCALE) == reference[0]
+        (sidecar,) = cache_root.rglob("*.l1f.npz")
+        assert sidecar.read_bytes() == reference[1]
+
+    def test_fault_mid_stream_publishes_nothing(
+        self, reference, tmp_path, monkeypatch
+    ):
+        from repro.experiments.table2 import run_table2_for
+        from repro.kernels import l1filter
+        from repro.multicore.chip import MultiCoreChip
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(l1filter, "_BATCH", 1024)
+        monkeypatch.setattr(l1filter, "_CHUNK", 1024)
+        replay = MultiCoreChip.run_filtered
+        calls = []
+
+        def failing(chip, record):
+            calls.append(record.records)
+            if len(calls) == 2:
+                raise faults.InjectedFault("injected fault mid-stream")
+            return replay(chip, record)
+
+        monkeypatch.setattr(MultiCoreChip, "run_filtered", failing)
+        with pytest.raises(faults.InjectedFault):
+            run_table2_for(WORKLOAD, scale=SCALE)
+        assert len(calls) == 2
+        assert not list(tmp_path.rglob("*.l1f.npz"))
+        assert all(p.name.startswith(".tmp-") for p in self.leftovers(tmp_path))
+
+        monkeypatch.setattr(MultiCoreChip, "run_filtered", replay)
+        assert run_table2_for(WORKLOAD, scale=SCALE) == reference[0]
+        (sidecar,) = tmp_path.rglob("*.l1f.npz")
+        assert sidecar.read_bytes() == reference[1]
+        job = l1_filter_job_for(WORKLOAD, scale=SCALE)
+        assert ResultCache(root=tmp_path).get(job)["accesses"] > 0

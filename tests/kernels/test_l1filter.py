@@ -122,6 +122,30 @@ class TestBuildFootprint:
         assert peak <= 24 * references
 
 
+class TestChunkFootprint:
+    def test_one_chunk_of_temporaries(self):
+        # One 65,536-reference 179.art chunk (every reference a load or
+        # a store) through the DL1: the set-major walk used to peak at
+        # about 160 B a reference, its events' Python ints and int64
+        # temporaries all alive at once.  It walks the events in slices
+        # and frees each temporary once used; the bound includes the
+        # 17 B a record of the grown record.
+        from repro.experiments.workloads import workload
+
+        addresses, kinds, _ = next(
+            workload("179.art", scale=0.016384).array_chunks()
+        )
+        config = CoreCacheConfig()
+        stream = l1filter._MissStream(
+            config.make_l1(config.il1_bytes),
+            config.make_l1(config.dl1_bytes),
+            config.line_size,
+        )
+        _, peak = _traced_peak(lambda: stream.extend(addresses, kinds))
+        assert stream.pending > 0.99 * len(addresses)
+        assert peak <= 100 * len(addresses)
+
+
 class TestColdBuildFootprint:
     """A cold ``ensure_l1_filter`` holds the trace's recording words (an
     Olden workload), the record, and one chunk: never the whole decoded

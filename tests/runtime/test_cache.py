@@ -79,6 +79,23 @@ class TestMaintenance:
         assert status.by_function == {ECHO: 2}
         assert status.current_bytes > 0
 
+    def test_status_counts_the_quarantine(self, tmp_path, capsys):
+        from repro.runtime.cli import main
+
+        quarantine = tmp_path / QUARANTINE_DIR
+        quarantine.mkdir()
+        (quarantine / "aaaa-y.json.corrupt").write_bytes(b"x" * 5000)
+        status = ResultCache(root=tmp_path, code_version="bbbb").status()
+        assert (status.current_entries, status.current_bytes) == (0, 0)
+        assert (status.quarantined_files, status.quarantined_bytes) == (
+            1,
+            5000,
+        )
+        assert main(["status", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "current:       0 artifacts, 0 B" in out
+        assert "quarantined:   1 files, 4.9 KiB" in out
+
     def test_clear_stale_only(self, tmp_path):
         old = ResultCache(root=tmp_path, code_version="aaaa")
         old.put(job(value=1), {"value": 1})

@@ -120,3 +120,29 @@ def test_workload_array_chunks_concatenate_to_arrays(name):
     """SPEC chunks come from the generator, Olden ones are slices."""
     spec = workload(name, scale=0.05)
     assert_same_trace(concatenated(list(spec.array_chunks())), spec.arrays())
+
+
+def test_array_chunks_temporaries_are_bounded():
+    # One 65,536-reference chunk is 17 B a reference.  Making it used to
+    # peak at about 85 B a reference and kept every draw alive while
+    # the consumer had the chunk; now each draw is narrowed at once and
+    # the generator keeps nothing of a chunk it has handed out.
+    import tracemalloc
+
+    model = spec_model("179.art")
+    model.length = 1 << 17
+    references = 1 << 16
+    tracemalloc.start()
+    try:
+        chunks = model.array_chunks()
+        before = tracemalloc.get_traced_memory()[0]
+        chunk = next(chunks)
+        assert len(chunk[0]) == references
+        peak = tracemalloc.get_traced_memory()[1] - before
+        del chunk
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * references
+    # The uniform-random component's pending draws (8 B each) remain.
+    assert held <= 10 * references
