@@ -13,7 +13,6 @@ sizes and checks the splittability classification the paper reports:
 
 from conftest import run_once
 
-from repro.analysis.splittability import profile_gap
 from repro.experiments.figures45 import render_figures45, run_figures45
 
 SPLITTABLE = ("179.art", "188.ammp", "181.mcf", "256.bzip2", "em3d", "health")

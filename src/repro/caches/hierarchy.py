@@ -17,7 +17,7 @@ L3 misses and explicitly equates L2-to-L2 misses with L3 hits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.caches.fully_assoc import FullyAssociativeCache

@@ -18,7 +18,7 @@ lines, odd hashes feed mechanism ``X`` and even hashes feed ``Y[±1]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet
 
 

@@ -136,9 +136,9 @@ def main(argv: "list[str] | None" = None) -> int:
         "--population",
         action="store_true",
         help="run the variant population sweep instead of the paper "
-        "experiments: every chip variant replays one shared L1-filter "
-        "record per workload (loaded once, inherited by forked "
-        "workers; see docs/performance.md)",
+        "experiments: per workload, the l1filter job simulates the L1s "
+        "once and leaves the record's sidecar, then one job per chip "
+        "variant reads and replays it (see docs/performance.md)",
     )
     parser.add_argument(
         "--timeout",

@@ -23,7 +23,7 @@ method inherit the active plan without any extra plumbing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: environment variable carrying the active plan (JSON)
 FAULTS_ENV = "REPRO_FAULTS"

@@ -26,10 +26,11 @@ Layers:
   R-window, a non-standard component, or a probe other than the
   ``SimProbe`` its constructor attached) is refused with a
   ``ValueError``; ``run()``, the per-access specification, serves it.
-* :mod:`repro.kernels.sweep` — population sweeps: one record per
-  workload, replayed through every variant.
 
-See ``docs/performance.md`` for the architecture and measured numbers.
+The package holds only kernels: the variant sweep that replays one
+record through every chip variant is
+:func:`repro.experiments.variants.run_population`.  See
+``docs/performance.md`` for the architecture and measured numbers.
 """
 
 from repro.kernels.arrays import skew_slot_matrix, trace_to_arrays

@@ -597,22 +597,20 @@ def _kind_counts(kinds: np.ndarray) -> "list[int]":
 
 
 def ensure_l1_filter(
-    name: str,
-    scale: float = 1.0,
-    seed: "int | None" = None,
-    cache: "ResultCache | None" = None,
+    name: str, scale: float = 1.0, seed: "int | None" = None
 ) -> "tuple[L1FilterRecord, bool]":
     """Load or build the L1-filter record for one workload.
 
     Returns ``(record, cached)`` — ``cached`` is ``True`` when the
     record came from the on-disk sidecar (i.e. the L1 stage was *not*
     re-simulated).  On a build, both the sidecar and the runtime-cache
-    JSON payload are persisted (best effort), so subsequent sweep
-    variants and re-submitted jobs hit the cache.
+    JSON payload are persisted (best effort) under the default cache
+    root (``$REPRO_CACHE_DIR``, else ``.repro-cache``), so subsequent
+    sweep variants and re-submitted jobs hit the cache.
     """
     from repro.experiments.workloads import workload
 
-    cache = cache or ResultCache()
+    cache = ResultCache()
     job = l1_filter_job_for(name, scale=scale, seed=seed)
     sidecar = _sidecar_path(cache, job)
     record = _load_sidecar(cache, sidecar, name)
@@ -633,10 +631,7 @@ def ensure_l1_filter(
 
 
 def l1_filter_batches(
-    name: str,
-    scale: float = 1.0,
-    seed: "int | None" = None,
-    cache: "ResultCache | None" = None,
+    name: str, scale: float = 1.0, seed: "int | None" = None
 ) -> "Iterator[L1FilterRecord]":
     """One workload's L1-filter record, for one replay of each model.
 
@@ -654,7 +649,7 @@ def l1_filter_batches(
     """
     from repro.experiments.workloads import workload
 
-    cache = cache or ResultCache()
+    cache = ResultCache()
     job = l1_filter_job_for(name, scale=scale, seed=seed)
     sidecar = _sidecar_path(cache, job)
     record = _load_sidecar(cache, sidecar, name)

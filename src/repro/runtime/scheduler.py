@@ -56,6 +56,8 @@ RETRY_BACKOFF = 0.1
 RETRY_BACKOFF_CAP = 5.0
 #: SIGTERM→SIGKILL escalation window for an overdue worker, seconds
 KILL_GRACE = 5.0
+#: how worker processes start: fork on POSIX, spawn elsewhere
+START_METHOD = "fork" if os.name == "posix" else "spawn"
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,6 @@ class RuntimeConfig:
     timeout: "float | None" = None  #: per-job wall-clock limit, seconds
     retries: int = 1  #: extra attempts after a worker *crash*
     use_cache: bool = True
-    start_method: str = "fork" if os.name == "posix" else "spawn"
     profile_dir: "str | None" = None  #: dump per-job cProfile stats here
 
     def __post_init__(self) -> None:
@@ -294,14 +295,6 @@ class ExperimentRuntime:
             )
         )
 
-    def serves(self, job: Job) -> bool:
-        """Whether :meth:`map` would answer ``job`` without running it:
-        the rule of :meth:`_cached_outcome`, checked without reading
-        the cached artifact (one that turns out corrupt still runs)."""
-        if self.checkpoint is not None and self.checkpoint.get(job) is not None:
-            return True
-        return self.config.use_cache and job in self.cache
-
     def _cached_outcome(self, job: Job) -> "JobOutcome | None":
         # The sweep checkpoint is consulted first: it works even with
         # the cache disabled, which is what bounds a killed driver's
@@ -398,7 +391,7 @@ class ExperimentRuntime:
     # -- parallel mode --------------------------------------------------
 
     def _run_parallel(self, jobs: "Sequence[Job]") -> "list[JobOutcome]":
-        context = multiprocessing.get_context(self.config.start_method)
+        context = multiprocessing.get_context(START_METHOD)
         outcomes: "list[JobOutcome | None]" = [None] * len(jobs)
         # (index, attempt, not_before): retried jobs carry a backoff
         # deadline; fresh jobs are launchable immediately.

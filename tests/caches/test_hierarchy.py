@@ -1,7 +1,5 @@
 """Single-core IL1/DL1/L2 hierarchy."""
 
-import pytest
-
 from repro.caches.hierarchy import CoreCacheConfig, SingleCoreHierarchy
 from repro.traces.trace import Access, AccessKind
 

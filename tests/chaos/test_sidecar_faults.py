@@ -94,6 +94,14 @@ def member_compression(path):
         return {info.filename: info.compress_type for info in archive.infolist()}
 
 
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """A private cache root, the default one ``ensure_l1_filter`` uses."""
+    root = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    return ResultCache(root=root)
+
+
 BUILD_SCRIPT = (
     "from repro.kernels.l1filter import ensure_l1_filter\n"
     f"record, cached = ensure_l1_filter({WORKLOAD!r}, scale={SCALE})\n"
@@ -103,18 +111,17 @@ BUILD_SCRIPT = (
 
 class TestCorruptSidecar:
     def test_torn_sidecar_is_quarantined_and_rebuilt_identically(
-        self, arm, tmp_path, capsys
+        self, arm, cache, capsys
     ):
-        cache = ResultCache(root=tmp_path / "cache")
         # Publish a *corrupted* sidecar: the truncation happens to the
         # staged bytes right before the atomic rename, so the torn
         # record is what lands on disk.
         arm(FaultSpec(site="sidecar.save.bytes", action="truncate", arg=64))
-        first, cached = ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
+        first, cached = ensure_l1_filter(WORKLOAD, scale=SCALE)
         assert not cached
         faults.uninstall()
 
-        second, cached = ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
+        second, cached = ensure_l1_filter(WORKLOAD, scale=SCALE)
         assert not cached  # the torn sidecar was not trusted
         assert record_fingerprint(second) == record_fingerprint(first)
         health = health_snapshot()
@@ -125,17 +132,17 @@ class TestCorruptSidecar:
         assert "corrupt sidecar" in capsys.readouterr().err
 
         # The rebuild republished a good record: now it serves.
-        third, cached = ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
+        third, cached = ensure_l1_filter(WORKLOAD, scale=SCALE)
         assert cached
         assert record_fingerprint(third) == record_fingerprint(first)
 
     def test_sidecar_write_failure_serves_in_memory_record(
-        self, tmp_path, capsys
+        self, tmp_path, monkeypatch, capsys
     ):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("unusable cache root")
-        cache = ResultCache(root=blocker)
-        record, cached = ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker))
+        record, cached = ensure_l1_filter(WORKLOAD, scale=SCALE)
         assert not cached
         assert record.records > 0
         assert health_snapshot()["fault.sidecar.write_failed"] == 1
@@ -143,17 +150,15 @@ class TestCorruptSidecar:
 
 
 class TestStoredSidecar:
-    def test_sidecar_members_are_stored(self, tmp_path):
-        cache = ResultCache(root=tmp_path / "cache")
-        ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
+    def test_sidecar_members_are_stored(self, cache):
+        ensure_l1_filter(WORKLOAD, scale=SCALE)
         (sidecar,) = cache.root.rglob("*.l1f.npz")
         compression = member_compression(sidecar)
         assert "indices.npy" in compression
         assert set(compression.values()) == {zipfile.ZIP_STORED}
 
-    def test_flip_in_each_array_is_quarantined_and_rebuilt(self, tmp_path):
-        cache = ResultCache(root=tmp_path / "cache")
-        original, _ = ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
+    def test_flip_in_each_array_is_quarantined_and_rebuilt(self, cache):
+        original, _ = ensure_l1_filter(WORKLOAD, scale=SCALE)
         (sidecar,) = cache.root.rglob("*.l1f.npz")
         pristine = sidecar.read_bytes()
         members = sorted(member_compression(sidecar))
@@ -161,7 +166,7 @@ class TestStoredSidecar:
         for count, member in enumerate(members, start=1):
             sidecar.write_bytes(pristine)
             flip_data_bit(sidecar, member, rng)
-            record, cached = ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
+            record, cached = ensure_l1_filter(WORKLOAD, scale=SCALE)
             assert not cached, member
             assert record_fingerprint(record) == record_fingerprint(original)
             health = health_snapshot()
@@ -170,19 +175,18 @@ class TestStoredSidecar:
         # Every flip was quarantined under the sidecar's one name.
         assert len(list((cache.root / QUARANTINE_DIR).glob("*.corrupt"))) == 1
         # The last rebuild published a good record.
-        record, cached = ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
+        record, cached = ensure_l1_filter(WORKLOAD, scale=SCALE)
         assert cached
         assert record_fingerprint(record) == record_fingerprint(original)
 
-    def test_deflated_sidecar_still_loads(self, tmp_path):
-        cache = ResultCache(root=tmp_path / "cache")
-        original, _ = ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
+    def test_deflated_sidecar_still_loads(self, cache):
+        original, _ = ensure_l1_filter(WORKLOAD, scale=SCALE)
         (sidecar,) = cache.root.rglob("*.l1f.npz")
         with np.load(sidecar) as data:
             members = {key: data[key] for key in data.files}
         np.savez_compressed(sidecar, **members)
         assert zipfile.ZIP_DEFLATED in member_compression(sidecar).values()
-        record, cached = ensure_l1_filter(WORKLOAD, scale=SCALE, cache=cache)
+        record, cached = ensure_l1_filter(WORKLOAD, scale=SCALE)
         assert cached
         assert record_fingerprint(record) == record_fingerprint(original)
         assert "fault.sidecar.corrupt" not in health_snapshot()
@@ -266,9 +270,10 @@ class TestOldenTraceMemo:
 
 class TestCrashMidPublish:
     def test_crash_between_stage_and_publish_leaves_no_sidecar(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         cache_root = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_root))
         plan = FaultPlan.of(FaultSpec(site="sidecar.save", action="crash"))
         result = subprocess.run(
             [sys.executable, "-c", BUILD_SCRIPT],
@@ -299,14 +304,15 @@ class TestCrashMidPublish:
         )
         assert result.stdout.startswith("built")
         assert sidecar.is_file()
-        local, cached = ensure_l1_filter(
-            WORKLOAD, scale=SCALE, cache=ResultCache(root=cache_root)
-        )
+        local, cached = ensure_l1_filter(WORKLOAD, scale=SCALE)
         assert cached
         assert local.records > 0
 
-    def test_sigterm_during_publish_window_leaves_no_sidecar(self, tmp_path):
+    def test_sigterm_during_publish_window_leaves_no_sidecar(
+        self, tmp_path, monkeypatch
+    ):
         cache_root = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_root))
         # Hang at the publish seam (tmp staged, rename not yet done),
         # then SIGTERM the builder — the kill lands inside the window.
         plan = FaultPlan.of(
@@ -335,9 +341,7 @@ class TestCrashMidPublish:
         assert list(cache_root.rglob("*.l1f.npz")) == []
 
         # The interrupted build never published; a clean retry does.
-        record, cached = ensure_l1_filter(
-            WORKLOAD, scale=SCALE, cache=ResultCache(root=cache_root)
-        )
+        record, cached = ensure_l1_filter(WORKLOAD, scale=SCALE)
         assert not cached
         assert record.records > 0
 

@@ -1,7 +1,5 @@
 """Report rendering helpers."""
 
-import math
-
 from repro.experiments.report import ascii_curve, ratio_cell, render_rows, section
 
 

@@ -138,9 +138,9 @@ class TestPopulationCli:
             line.split("|")[0].strip() for line in out.splitlines() if "|" in line
         ]
         assert first_column == ["variant", "baseline", "migration", "no-l2-filter"]
-        # the coordinator loaded the record once; both forked workers
-        # inherited it for all three variant jobs
-        assert "record loads: 1 (sources: 3× inherited" in out
+        # the l1filter job built the record once; each of the three
+        # forked variant jobs read its sidecar
+        assert "record loads: 4 (sources: 3× sidecar" in out
 
     def test_population_refuses_only(self):
         with pytest.raises(SystemExit) as excinfo:

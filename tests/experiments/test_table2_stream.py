@@ -108,7 +108,7 @@ def test_streamed_job_equals_whole_record(
     with mock.patch.object(l1filter, "_BATCH", batch), mock.patch.object(
         l1filter, "_CHUNK", chunk
     ):
-        for record in l1_filter_batches(name, scale=scale, cache=cache):
+        for record in l1_filter_batches(name, scale=scale):
             batches += 1
             for model in streamed:
                 model.run_filtered(record)
@@ -251,8 +251,8 @@ def test_stream_footprint_is_flat(tmp_path, monkeypatch):
     signature = specialize.chip_signature(chip)
 
     def streamed(scale):
-        cache = ResultCache(root=tmp_path / str(scale))
-        for batch in l1_filter_batches("179.art", scale=scale, cache=cache):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / str(scale)))
+        for batch in l1_filter_batches("179.art", scale=scale):
             specialize._precompute(batch, chip, signature)
 
     def whole(scale):

@@ -3,7 +3,8 @@
 :func:`~repro.experiments.variants.run_population` is the only sweep
 (``run_all --population`` and ``perfbench``'s ``sweep-warm`` call it);
 these tests pin its end-to-end contract through a runtime and without
-one.  Record resolution and row identity are ``test_population.py``'s.
+one.  Where each job finds its record, and row identity, are
+``test_population.py``'s.
 """
 
 import pytest
@@ -21,7 +22,10 @@ def runtime(tmp_path, monkeypatch):
     )
 
 
-def test_three_variant_sweep_simulates_l1_once(runtime, monkeypatch):
+def test_three_variant_sweep_simulates_l1_once(
+    runtime, tmp_path, monkeypatch
+):
+    import repro.experiments.variants as variants
     import repro.kernels.l1filter as l1filter
     from repro.experiments.variants import VARIANT_NAMES, run_population
 
@@ -34,17 +38,34 @@ def test_three_variant_sweep_simulates_l1_once(runtime, monkeypatch):
 
     # every L1-filter build, whole-trace or chunked, goes through it
     monkeypatch.setattr(l1filter, "build_l1_filter_from_chunks", counting_build)
+
+    def sidecar_identity():
+        (sidecar,) = tmp_path.rglob("*.l1f.npz")
+        stat = sidecar.stat()
+        return sidecar, stat.st_ino, stat.st_mtime_ns
+
+    seen = []
+    real_job = variants.population_job
+
+    def stat_then_run(**kwargs):
+        seen.append(sidecar_identity())
+        return real_job(**kwargs)
+
+    # the runtime resolves each variant job's function by name
+    monkeypatch.setattr(variants, "population_job", stat_then_run)
     result = run_population("mst", scale=0.05, runtime=runtime)
     rows = result.rows
     assert [row["variant"] for row in rows] == list(VARIANT_NAMES)
-    # the L1 stage ran exactly once, in the coordinator; the runtime
-    # executed one replay job per variant
+    # the L1 stage ran exactly once, in the l1filter job; the runtime
+    # then executed one replay job per variant
     assert len(builds) == 1
-    assert result.shared_record_loads == 1
-    assert runtime.stats.executed == len(VARIANT_NAMES)
+    assert result.shared_record_loads == 1 + len(VARIANT_NAMES)
+    assert runtime.stats.executed == 1 + len(VARIANT_NAMES)
     assert runtime.stats.cache_hits == 0
-    # every variant replayed the coordinator's record, not a fresh one
+    # every variant read the sidecar the l1filter job left, and left it
+    # as it was
     assert all(row["l1_filter_cached"] for row in rows)
+    assert seen == [sidecar_identity()] * len(VARIANT_NAMES)
     # migration variant equals baseline or better machinery: same L1
     # miss stream means identical l2_accesses everywhere
     assert len({row["l2_accesses"] for row in rows}) == 1
@@ -61,7 +82,8 @@ def test_warm_sweep_is_all_cache_hits(runtime, tmp_path):
     )
     rows = run_population("mst", scale=0.05, runtime=warm).rows
     assert warm.stats.executed == 0
-    assert warm.stats.cache_hits == len(VARIANT_NAMES)
+    # the l1filter job and every variant job
+    assert warm.stats.cache_hits == 1 + len(VARIANT_NAMES)
     assert all(row["l1_filter_cached"] for row in rows)
 
 
@@ -90,24 +112,29 @@ def test_fully_cached_population_reads_no_sidecar(runtime, tmp_path, monkeypatch
         return again, run_population("mst", scale=0.05, runtime=again)
 
     warm, result = rerun()
-    assert warm.stats.cache_hits == len(VARIANT_NAMES)
+    assert warm.stats.cache_hits == 1 + len(VARIANT_NAMES)
     assert loads == []
     assert result.shared_record_loads == 0
     assert result.record_sources == {"cached": len(VARIANT_NAMES)}
     assert result.rows == first.rows
-    # Jobs that run need the record: the coordinator reads the sidecar.
+    # Jobs that run read the sidecar for themselves: the l1filter job
+    # and every variant job.
     uncached, result = rerun(use_cache=False)
-    assert uncached.stats.executed == len(VARIANT_NAMES)
-    assert len(loads) == 1
-    assert result.shared_record_loads == 1
+    assert uncached.stats.executed == 1 + len(VARIANT_NAMES)
+    assert len(loads) == 1 + len(VARIANT_NAMES)
+    assert result.shared_record_loads == 1 + len(VARIANT_NAMES)
     assert result.rows == first.rows
 
 
 def test_corrupt_cached_row_reads_the_sidecar_itself(runtime, tmp_path):
-    # The coordinator trusts the cache and loads no record; the one job
-    # whose artifact turns out corrupt runs and reads the sidecar.
-    from repro.experiments.variants import VARIANT_NAMES, run_population
-    from repro.kernels.sweep import population_jobs
+    # The l1filter job and two variant jobs are served from the cache;
+    # the one job whose artifact turns out corrupt runs and reads the
+    # sidecar.
+    from repro.experiments.variants import (
+        VARIANT_NAMES,
+        population_jobs,
+        run_population,
+    )
 
     first = run_population("mst", scale=0.05, runtime=runtime)
     cache = ResultCache(root=tmp_path)
@@ -124,7 +151,7 @@ def test_corrupt_cached_row_reads_the_sidecar_itself(runtime, tmp_path):
     }
     # The rerun row says where its own record came from; its counters
     # are the cached row's.
-    where = ("record_source", "record_loads", "l1_filter_cached")
+    where = ("record_source", "l1_filter_cached")
 
     def counters(rows):
         return [
@@ -142,9 +169,31 @@ def test_serial_sweep_without_runtime(tmp_path, monkeypatch):
     result = run_population("mst", scale=0.05)
     rendered = render_population(result)
     assert "baseline" in rendered and "no-l2-filter" in rendered
-    # the coordinator built the record; every variant reused it
-    assert "record loads: 1 (sources: 3× inherited" in rendered
+    # the l1filter job built the record; every variant job read its
+    # sidecar
+    assert "record loads: 4 (sources: 3× sidecar" in rendered
     assert all(row["l1_filter_cached"] for row in result.rows)
+
+
+def test_sidecar_lives_under_the_cache_dir_not_the_runtime_root(
+    tmp_path, monkeypatch
+):
+    # A runtime rooted elsewhere keeps the payloads; the sidecar, like
+    # the Olden trace memo, lives under $REPRO_CACHE_DIR.
+    from repro.experiments.variants import VARIANT_NAMES, run_population
+
+    cache_dir, elsewhere = tmp_path / "cache-dir", tmp_path / "elsewhere"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+    runtime = ExperimentRuntime(
+        config=RuntimeConfig(jobs=1),
+        cache=ResultCache(root=elsewhere),
+        bus=EventBus([]),
+    )
+    result = run_population("mst", scale=0.05, runtime=runtime)
+    assert result.record_sources == {"sidecar": len(VARIANT_NAMES)}
+    assert len(list(cache_dir.rglob("*.l1f.npz"))) == 1
+    assert list(cache_dir.rglob("traces/olden-mst-*.npz"))
+    assert list(elsewhere.rglob("*.l1f.npz")) == []
 
 
 def test_unknown_variant_rejected():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.multicore.update_bus import RegisterUpdateReduction, UpdateBusModel
+from repro.multicore.update_bus import RegisterUpdateReduction
 
 
 class TestThresholdBroadcasting:

@@ -197,13 +197,13 @@ class TestPrune:
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         cache = ResultCache(root=tmp_path)
         generation = cache.generation_dir
-        ensure_l1_filter("mst", scale=0.02, cache=cache)
+        ensure_l1_filter("mst", scale=0.02)
         staging = generation / ".tmp-crashed-sidecar.npz"
         staging.write_bytes(b"partial")
         aged = [path for path in generation.rglob("*") if path.is_file()]
         assert list(generation.glob("*.l1f.npz"))
         assert list(generation.glob("traces/*.npz"))
-        ensure_l1_filter("mst", scale=0.03, cache=cache)
+        ensure_l1_filter("mst", scale=0.03)
         fresh = [
             path
             for path in generation.rglob("*")

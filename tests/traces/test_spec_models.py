@@ -4,7 +4,6 @@ import pytest
 
 from repro.traces.spec_models import (
     LINES_PER_MB,
-    SpecModel,
     spec_model,
     spec_model_names,
 )

@@ -1,7 +1,5 @@
 """Synthetic working-set behaviours."""
 
-import itertools
-
 import pytest
 
 from repro.traces.synthetic import (
