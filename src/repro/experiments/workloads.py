@@ -10,13 +10,16 @@ much smaller scales.
 Olden traces are memoised on disk because building one means actually
 running the benchmark: the first :meth:`WorkloadSpec.accesses`,
 :meth:`~WorkloadSpec.arrays` or :meth:`~WorkloadSpec.array_chunks` call
-for a (workload, scale, seed) runs it and writes its recording words
-(:class:`~repro.olden.heap.RecordedTrace`, 8 B a word) as an ``.npz``
-under the runtime cache dir, keyed by code version too; every later call,
-in any process, reads the words back and decodes them, a chunk at a time
-for ``array_chunks``.  A memo that does not load as words (bit rot, a
-torn file, an older layout) is regenerated and replaced.  Nothing keeps
-a trace in memory after the call that asked for it.
+for a (workload, scale, seed) runs it, its recording words spilling to
+a temporary file as it goes (:class:`~repro.olden.heap.RecordedTrace`,
+8 B a word), and copies them from that file into an ``.npz`` under the
+runtime cache dir, keyed by code version too; every later call, in any
+process, opens the memo, checks the words' CRC-32 once and decodes them
+in place.  Either way a trace is read from disk a chunk at a time, and
+only :meth:`~WorkloadSpec.arrays` materialises it whole.  A memo that
+does not load as words (bit rot, a torn file, an older layout) is
+regenerated and replaced.  Nothing keeps a trace after the call that
+asked for it.
 
 SPEC traces are not memoised: :meth:`SpecModel.arrays` generates them
 vectorised, a chunk at a time, faster than a memo could be written.
@@ -34,6 +37,12 @@ import numpy as np
 
 from repro.olden import OLDEN_BENCHMARKS, olden_benchmark
 from repro.olden.heap import RecordedTrace
+from repro.traces.file_format import (
+    CORRUPT_NPZ_ERRORS,
+    StagedArray,
+    save_npz,
+    staged_member,
+)
 from repro.traces.spec_models import spec_model, spec_model_names
 from repro.traces.trace import Access
 
@@ -80,10 +89,10 @@ class WorkloadSpec:
     def arrays(self):
         """The trace as ``(addresses, kinds, instructions)`` arrays.
 
-        Olden traces are decoded from their memoised words (generation
-        means actually running the benchmark); SPEC models generate their
-        arrays vectorised (:meth:`SpecModel.arrays`, equal to
-        materialising :meth:`accesses`).
+        Olden traces are decoded from their recording words on disk
+        (generation means actually running the benchmark); SPEC models
+        generate their arrays vectorised (:meth:`SpecModel.arrays`,
+        equal to materialising :meth:`accesses`).
         """
         if self.is_olden:
             return _olden_trace(self.name, self.scale, self.seed).arrays()
@@ -93,9 +102,9 @@ class WorkloadSpec:
         """The trace of :meth:`arrays` in consecutive chunks.
 
         SPEC models generate one chunk at a time
-        (:meth:`SpecModel.array_chunks`) and Olden traces decode one
-        from their words, so a consumer that goes chunk by chunk never
-        holds the whole decoded trace.
+        (:meth:`SpecModel.array_chunks`) and Olden traces read and
+        decode one from their words on disk, so a consumer that goes
+        chunk by chunk never holds the whole trace, decoded or not.
         """
         if self.is_olden:
             trace = _olden_trace(self.name, self.scale, self.seed)
@@ -114,7 +123,7 @@ class WorkloadSpec:
 
 def _olden_trace(name: str, scale: float, seed: "int | None") -> RecordedTrace:
     """The Olden trace from its memo, or else from a run of the
-    benchmark, whose words then become the memo."""
+    benchmark, whose spilled words are then copied into the memo."""
     path = olden_trace_path(name, scale, seed)
     trace = _load_olden_memo(path, name)
     if trace is None:
@@ -136,12 +145,10 @@ def olden_trace_path(name: str, scale: float, seed: "int | None" = None):
     return default_cache_root() / code_fingerprint() / "traces" / f"{stem}.npz"
 
 
-def _save_olden_memo(path, words: np.ndarray) -> None:
-    """Write the words memo atomically, stored, not deflated; a cache
-    dir that cannot be written is skipped (the memo is an optimisation,
-    not a need)."""
-    from repro.traces.file_format import save_npz
-
+def _save_olden_memo(path, words: StagedArray) -> None:
+    """Write the words memo atomically, stored, not deflated, copied
+    from the words' file; a cache dir that cannot be written is skipped
+    (the memo is an optimisation, not a need)."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         handle = tempfile.NamedTemporaryFile(
@@ -163,21 +170,23 @@ def _save_olden_memo(path, words: np.ndarray) -> None:
 
 def _load_olden_memo(path, name: str) -> "RecordedTrace | None":
     """The trace whose words are memoised at ``path``, or ``None`` if
-    there is no memo or it does not load as words."""
+    there is no memo or it does not load as words.
+
+    The words are read to their end once, which checks their CRC-32,
+    and then decoded in place through the one handle the trace keeps, so
+    a memo that another job replaces cannot change under it.
+    """
     from repro.runtime.health import health_counter
-    from repro.traces.file_format import CORRUPT_NPZ_ERRORS
 
     if not path.is_file():
         return None
     try:
-        with np.load(path) as data:
-            version = int(data["version"])
-            if version != _MEMO_VERSION:
-                raise ValueError(
-                    f"trace memo layout version {version}, "
-                    f"expected {_MEMO_VERSION}"
-                )
-            return RecordedTrace(name, data["words"])
+        handle = open(path, "rb")
+        try:
+            trace = RecordedTrace(name, _memo_words(handle))
+        except BaseException:
+            handle.close()
+            raise
     except CORRUPT_NPZ_ERRORS as exc:
         # Corrupt or stale memo (bit rot, a torn file, an older layout):
         # the caller regenerates the trace and replaces the memo.
@@ -188,6 +197,20 @@ def _load_olden_memo(path, name: str) -> "RecordedTrace | None":
             file=sys.stderr,
         )
         return None
+    if trace.words.file is not handle:
+        handle.close()  # a deflated memo was inflated into a file of its own
+    return trace
+
+
+def _memo_words(handle) -> StagedArray:
+    """The words of the memo open as ``handle``, checked."""
+    with np.load(handle) as data:
+        version = int(data["version"])
+    if version != _MEMO_VERSION:
+        raise ValueError(
+            f"trace memo layout version {version}, expected {_MEMO_VERSION}"
+        )
+    return staged_member(handle, "words")
 
 
 def workload(

@@ -77,6 +77,15 @@ STORE_L1_MISS = 3
 REQUEST_KINDS = (FETCH_MISS, LOAD_MISS, STORE_L1_MISS)
 
 _RECORD_VERSION = 1
+#: the scalar fields of a record, stored in its sidecar beside the arrays
+_HEADER = (
+    "line_size",
+    "il1_bytes",
+    "dl1_bytes",
+    "l1_ways",
+    "accesses",
+    "max_instruction",
+)
 #: trace references per chunk of :func:`l1_miss_stream`
 _CHUNK = 1 << 16
 #: L2-bound records per replay batch of :func:`l1_filter_batches`: each
@@ -391,14 +400,7 @@ class L1FilterRecord:
 
     def header(self) -> "dict[str, int]":
         """The scalar fields a sidecar stores before the arrays."""
-        return {
-            "line_size": self.line_size,
-            "il1_bytes": self.il1_bytes,
-            "dl1_bytes": self.dl1_bytes,
-            "l1_ways": self.l1_ways,
-            "accesses": self.accesses,
-            "max_instruction": self.max_instruction,
-        }
+        return {key: getattr(self, key) for key in _HEADER}
 
     @classmethod
     def load(cls, path: "str | os.PathLike[str]") -> "L1FilterRecord":
@@ -416,12 +418,7 @@ class L1FilterRecord:
             if not len(indices) == len(lines) == len(kinds):
                 raise ValueError("L1-filter record arrays disagree on length")
             return cls(
-                line_size=int(data["line_size"]),
-                il1_bytes=int(data["il1_bytes"]),
-                dl1_bytes=int(data["dl1_bytes"]),
-                l1_ways=int(data["l1_ways"]),
-                accesses=int(data["accesses"]),
-                max_instruction=int(data["max_instruction"]),
+                **{key: int(data[key]) for key in _HEADER},
                 indices=indices,
                 lines=lines,
                 kinds=kinds.astype(np.uint8),
@@ -746,12 +743,12 @@ class _StagedRecord:
         if self._error is not None:
             raise self._error
         for handle in self._files:
-            handle.close()
+            handle.flush()
         return _save_sidecar(
             self._sidecar,
             self.header,
             *(
-                StagedArray(handle.name, dtype, self._records)
+                StagedArray(handle, np.dtype(dtype), self._records)
                 for handle, (_key, dtype) in zip(self._files, self._MEMBERS)
             ),
         )

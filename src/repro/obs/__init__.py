@@ -33,7 +33,6 @@ producer side: ``python -m repro.experiments.run_all --obs <dir>``.
 
 from repro.obs.aggregate import (
     SweepArtifacts,
-    build_sweep_trace,
     collect_artifacts,
     sweep_summary,
     write_aggregate,
@@ -41,7 +40,6 @@ from repro.obs.aggregate import (
 from repro.obs.events import EventLog, SimEvent
 from repro.obs.export import (
     chrome_trace,
-    merge_trace_documents,
     save_report,
     summarize_reports,
 )
@@ -65,10 +63,8 @@ __all__ = [
     "SweepArtifacts",
     "TimeSeries",
     "TraceContext",
-    "build_sweep_trace",
     "chrome_trace",
     "collect_artifacts",
-    "merge_trace_documents",
     "mint_root",
     "save_report",
     "span_for_job",

@@ -7,16 +7,18 @@ appends its :class:`~repro.runtime.events.JobEvent` records to
 ``runtime.jsonl``, and kernel phase spans land in ``phases.jsonl``.
 This module merges them into:
 
-* **one Perfetto trace** (:func:`build_sweep_trace`): a ``scheduler``
-  process with a root ``sweep`` span per trace id, one thread row per
-  job carrying its queue-wait span, execute span, and kernel phase
-  spans (all causally linked by ``trace_id``/``span_id``/
-  ``parent_span_id`` from :mod:`repro.obs.trace_context`), plus each
-  run's simulator rows as separate processes: the run's own saved
-  ``*.trace.json``, read once and merged as it is by the pid-remapping
-  merge in :mod:`repro.obs.export` (the events in ``*.events.jsonl``
-  are never decoded to rebuild it; a run whose trace is missing or
-  torn is left out);
+* **one Perfetto trace** (``trace.json``): a ``scheduler`` process
+  with a root ``sweep`` span per trace id, one thread row per job
+  carrying its queue-wait span, execute span, and kernel phase spans
+  (all causally linked by ``trace_id``/``span_id``/``parent_span_id``
+  from :mod:`repro.obs.trace_context`), plus each run's simulator rows
+  as separate processes: the run's own saved ``*.trace.json``, merged
+  as it is by the pid-remapping merge in :mod:`repro.obs.export` (the
+  events in ``*.events.jsonl`` are never decoded to rebuild it).  The
+  run traces are read one at a time, each event serialized as soon as
+  its process id is remapped, and the merged document is streamed to
+  disk, so the aggregate never holds more than one parsed run trace; a
+  run whose trace is missing or torn is left out;
 * **one machine-readable summary** (:func:`sweep_summary`): per-stage
   latency HDR histograms (queue wait, execution, each kernel phase)
   and cache-hit / retry / failure counters, with a span-linkage check
@@ -30,11 +32,11 @@ keep their own reference clock (1 ref = 1 us).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from repro.obs.export import load_events_jsonl, merge_trace_documents
+from repro.obs.export import load_events_jsonl, write_merged_trace
 from repro.obs.metrics import Histogram
 from repro.obs.probe import ObsReport
 from repro.obs.trace_context import load_phases, load_phases_dropped
@@ -51,11 +53,11 @@ _TERMINAL = ("finished", "failed", "interrupted")
 @dataclass
 class SweepArtifacts:
     """Everything one ``--obs`` directory holds, as the aggregate needs
-    it: each run's saved Chrome trace document, the scheduler's run log,
-    the kernel phase spans and how many spans the buffer's cap
+    it: where each run saved its Chrome trace document, the scheduler's
+    run log, the kernel phase spans and how many spans the buffer's cap
     dropped."""
 
-    run_traces: "list[dict[str, object]]" = field(default_factory=list)
+    run_traces: "list[Path]" = field(default_factory=list)
     job_events: "list[JobEvent]" = field(default_factory=list)
     phases: "list[dict[str, object]]" = field(default_factory=list)
     phases_dropped: int = 0
@@ -141,18 +143,14 @@ def _load_report(metrics_path: Path) -> "ObsReport | None":
     )
 
 
-def load_run_traces(directory: "str | Path") -> "list[dict[str, object]]":
-    """The ``*.trace.json`` documents the instrumented runs saved in a
-    directory, in name order; a missing or torn one is left out."""
-    traces: "list[dict[str, object]]" = []
-    for path in sorted(Path(directory).glob("*.trace.json")):
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            continue
-        if isinstance(document, dict):
-            traces.append(document)
-    return traces
+def _run_trace(path: Path) -> "dict[str, object] | None":
+    """The Chrome trace document a run saved at ``path``, or ``None``
+    when it is missing or torn."""
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    return document if isinstance(document, dict) else None
 
 
 def load_runlog(path: "str | Path") -> "list[JobEvent]":
@@ -172,12 +170,12 @@ def load_runlog(path: "str | Path") -> "list[JobEvent]":
 
 
 def collect_artifacts(directory: "str | Path") -> SweepArtifacts:
-    """Gather the run traces, run log and phase spans of one ``--obs``
-    directory.  The merged outputs (``trace.json``,
-    ``sweep_summary.json``) are never read back."""
+    """Gather the run traces' paths (in name order), the run log and
+    the phase spans of one ``--obs`` directory.  The merged outputs
+    (``trace.json``, ``sweep_summary.json``) are never read back."""
     directory = Path(directory)
     return SweepArtifacts(
-        run_traces=load_run_traces(directory),
+        run_traces=sorted(directory.glob("*.trace.json")),
         job_events=load_runlog(directory / RUNLOG),
         phases=load_phases(directory / "phases.jsonl"),
         phases_dropped=load_phases_dropped(directory / "phases.jsonl"),
@@ -504,28 +502,35 @@ def scheduler_trace_events(
     return out
 
 
-def build_sweep_trace(artifacts: SweepArtifacts) -> "dict[str, object]":
-    """One Perfetto-loadable document for the whole artifact set."""
-    documents: "list[dict[str, object]]" = []
+def _trace_documents(
+    artifacts: SweepArtifacts, merged: "list[Path]"
+) -> "Iterator[dict[str, object]]":
+    """The documents of the merged trace, read one at a time: the
+    scheduler's, then each run trace that loads, whose path is appended
+    to ``merged``."""
     if artifacts.job_events or artifacts.phases:
-        documents.append({"traceEvents": scheduler_trace_events(artifacts)})
-    documents.extend(artifacts.run_traces)
-    return merge_trace_documents(documents)
+        yield {"traceEvents": scheduler_trace_events(artifacts)}
+    for path in artifacts.run_traces:
+        document = _run_trace(path)
+        if document is not None:
+            merged.append(path)
+            yield document
 
 
 def write_aggregate(directory: "str | Path") -> "dict[str, Path]":
     """Aggregate one ``--obs`` directory and write ``trace.json`` +
-    ``sweep_summary.json`` into it."""
+    ``sweep_summary.json`` into it.  A run trace that is missing or
+    torn is left out of both."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     artifacts = collect_artifacts(directory)
     trace_path = directory / "trace.json"
-    trace_path.write_text(
-        json.dumps(build_sweep_trace(artifacts)) + "\n", encoding="utf-8"
-    )
+    merged: "list[Path]" = []
+    write_merged_trace(_trace_documents(artifacts, merged), trace_path)
+    summary = sweep_summary(replace(artifacts, run_traces=merged))
     summary_path = directory / "sweep_summary.json"
     summary_path.write_text(
-        json.dumps(sweep_summary(artifacts), indent=2, sort_keys=True) + "\n",
+        json.dumps(summary, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     return {"trace": trace_path, "summary": summary_path}

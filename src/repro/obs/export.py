@@ -16,6 +16,7 @@ viewer is 1000 trace references.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -141,10 +142,11 @@ def chrome_trace(report: ObsReport, pid: int = 1) -> "dict[str, object]":
     }
 
 
-def merge_trace_documents(
-    documents: "Sequence[dict[str, object]]",
-) -> "dict[str, object]":
-    """Merge several trace documents into one; each input document's
+def write_merged_trace(
+    documents: "Iterable[dict[str, object]]", path: "str | Path"
+) -> None:
+    """Merge several trace documents into one written to ``path`` as
+    ``json.dumps`` writes it, plus a newline; each input document's
     process ids are remapped to a disjoint range so rows never collide.
 
     Inputs come from independent processes whose events interleave with
@@ -153,9 +155,27 @@ def merge_trace_documents(
     input order) and every timestamped event sorted by ``ts`` (stable,
     so same-timestamp events keep their input order), with negative
     timestamps clamped to 0.
+
+    Each event is serialized as soon as its document's process ids are
+    remapped, so a caller that reads the documents one at a time holds
+    one parsed document and the merged document's text, never all the
+    parsed documents.
     """
-    metadata: "list[dict[str, object]]" = []
-    timed: "list[dict[str, object]]" = []
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write('{"traceEvents": [')
+        for i, text in enumerate(_merged_events(documents)):
+            if i:
+                out.write(", ")
+            out.write(text)
+        out.write('], "displayTimeUnit": "ms"}\n')
+
+
+def _merged_events(documents: "Iterable[dict[str, object]]") -> "list[str]":
+    """Every event of ``documents`` in merged order (see
+    :func:`write_merged_trace`), each serialized once its process id is
+    remapped and its timestamp clamped."""
+    metadata: "list[str]" = []
+    timed: "list[tuple[float, str]]" = []
     next_pid = 1
     for document in documents:
         remap: "dict[object, int]" = {}
@@ -167,14 +187,14 @@ def merge_trace_documents(
                 next_pid += 1
             event["pid"] = remap[pid]
             if event.get("ph") == "M":
-                metadata.append(event)
+                metadata.append(json.dumps(event))
                 continue
             ts = event.get("ts")
             if isinstance(ts, (int, float)) and ts < 0:
                 event["ts"] = 0
-            timed.append(event)
-    timed.sort(key=_event_ts)
-    return {"traceEvents": metadata + timed, "displayTimeUnit": "ms"}
+            timed.append((_event_ts(event), json.dumps(event)))
+    timed.sort(key=itemgetter(0))  # stable: equal ts keep input order
+    return metadata + [text for _ts, text in timed]
 
 
 def _event_ts(event: "dict[str, object]") -> float:

@@ -3,19 +3,25 @@
 :class:`TracedHeap` is a bump allocator over a simulated address space.
 Benchmark code allocates :class:`HeapObject` records (named fields, 8
 bytes each) and reads/writes them through accessor methods.  While it
-runs, the heap records one ``int64`` word per event in an ``array``:
+runs, the heap records one ``int64`` word per event:
 
 * a field access appends ``address << 2 | store << 1 | pointer``;
 * an instruction charge of ``n`` (:meth:`TracedHeap.work`, an
   allocation) appends ``-(n + 1)``.
 
-:meth:`TracedHeap.finish` hands one copy of the words to a
-:class:`RecordedTrace`, a :class:`~repro.traces.trace.TraceSource` that
-keeps them as they are (8 B a word) and decodes them on demand,
-:data:`_CHUNK` words at a time, into ``(address, kind, instruction,
-pointer flag)`` values; it can be replayed any number of times.  The
-words are also what the on-disk Olden trace memo stores
-(:mod:`repro.experiments.workloads`).
+The words live on disk from the time they are recorded.  The heap keeps
+them in an ``array`` until :meth:`TracedHeap.work` or
+:meth:`~TracedHeap.allocate` finds :data:`_SPILL` or more there, then
+appends them to its spill file, an unlinked temporary in Python's temp
+dir (``$TMPDIR``; where that is a tmpfs, the spilled words stay in
+RAM), and empties the array in place.  :meth:`TracedHeap.finish` spills the rest and hands the
+file, copying nothing, to a :class:`RecordedTrace`, a
+:class:`~repro.traces.trace.TraceSource` that reads its words
+:data:`_CHUNK` at a time and decodes each chunk into ``(address, kind,
+instruction, pointer flag)`` values; it can be replayed any number of
+times, and closing or collecting it deletes the spill file.  The words
+are also what the on-disk Olden trace memo stores, and a trace reads a
+memo's words in place (:mod:`repro.experiments.workloads`).
 
 Objects of one field tuple share one layout (each field's word offset,
 kept by their heap), so an object holds its slots and one dict of field
@@ -31,11 +37,14 @@ with the counter before its own cost.
 
 from __future__ import annotations
 
+import tempfile
+import weakref
 from array import array
-from typing import Dict, Iterator, Sequence
+from typing import BinaryIO, Dict, Iterator, Sequence
 
 import numpy as np
 
+from repro.traces.file_format import StagedArray
 from repro.traces.trace import Access, AccessKind
 
 #: bytes per field; the benchmarks treat every field as one 64-bit word
@@ -52,6 +61,9 @@ _KINDS = tuple(AccessKind)  #: each access kind at its value
 #: recording words decoded per step of a :class:`RecordedTrace`
 _CHUNK = 1 << 16
 
+#: recording words a heap holds in memory before it spills them to disk
+_SPILL = 1 << 16
+
 
 def _costs(words: np.ndarray) -> np.ndarray:
     """The instructions each recording word charges."""
@@ -62,48 +74,64 @@ def _costs(words: np.ndarray) -> np.ndarray:
     )
 
 
-def _pieces(words: np.ndarray) -> "Iterator[np.ndarray]":
+def _tally(words: np.ndarray) -> "tuple[int, int]":
+    """The instructions ``words`` charge in all and the accesses they
+    record, counted :data:`_CHUNK` words at a time."""
+    charged = accesses = 0
     for start in range(0, len(words), _CHUNK):
-        yield words[start : start + _CHUNK]
-
-
-def _charged(words: np.ndarray) -> int:
-    """The instructions ``words`` charge in all."""
-    return sum(int(_costs(piece).sum()) for piece in _pieces(words))
+        piece = words[start : start + _CHUNK]
+        charged += int(_costs(piece).sum())
+        accesses += int(np.count_nonzero(piece >= 0))
+    return charged, accesses
 
 
 class RecordedTrace:
-    """A replayable trace recorded by a :class:`TracedHeap` run, held as
-    its recording words: a 1-D ``int64`` array whose clock starts at
-    instruction 0."""
+    """A replayable trace recorded by a :class:`TracedHeap` run, held on
+    disk as its recording words: a 1-D ``int64``
+    :class:`~repro.traces.file_format.StagedArray` whose clock starts at
+    instruction 0.  The trace owns the words' open file and closes it
+    when it is closed or collected."""
 
-    def __init__(self, name: str, words: np.ndarray) -> None:
-        if words.dtype != np.int64 or words.ndim != 1:
-            raise ValueError("recording words must be a 1-D int64 array")
+    def __init__(self, name: str, words: StagedArray) -> None:
+        if np.dtype(words.dtype) != np.int64:
+            raise ValueError("recording words must be int64")
         self.name = name
         self.words = words
-        self._length = sum(
-            int(np.count_nonzero(piece >= 0)) for piece in _pieces(words)
-        )
+        self._close = weakref.finalize(self, words.file.close)
+
+    def close(self) -> None:
+        """Close the words' file; a spill file is deleted with it."""
+        self._close()
 
     def __len__(self) -> int:
-        return self._length
+        return self._counts()[0]
 
     @property
     def instruction_count(self) -> int:
         """One past the last access's instruction stamp (0 if none)."""
-        if not self._length:
-            return 0
-        words = self.words
-        last = len(words) - 1 - int(np.argmax(words[::-1] >= 0))
-        return _charged(words[:last]) + 1
+        return self._counts()[1]
 
     @property
     def pointer_load_count(self) -> int:
-        return sum(
-            int(np.count_nonzero((piece >= 0) & ((piece & 1) == 1)))
-            for piece in _pieces(self.words)
-        )
+        return self._counts()[2]
+
+    def _counts(self) -> "tuple[int, int, int]":
+        """``(accesses, instruction count, pointer accesses)``, counted
+        in one decoding pass."""
+        accesses = pointers = end = 0
+        for addresses, _kinds, instructions, flags in self._decoded():
+            if len(addresses):
+                accesses += len(addresses)
+                pointers += int(np.count_nonzero(flags))
+                end = int(instructions[-1]) + 1
+        return accesses, end, pointers
+
+    def pieces(self) -> "Iterator[np.ndarray]":
+        """The recording words, :data:`_CHUNK` at a time, each read from
+        the file as it is asked for."""
+        # A generator of the trace's own, so the trace, whose collection
+        # closes the file, lives as long as the pieces are read.
+        yield from self.words.pieces(_CHUNK)
 
     def _decoded(self) -> "Iterator[tuple[np.ndarray, ...]]":
         """``(addresses, kinds, instructions, pointer flags)`` of each
@@ -111,7 +139,7 @@ class RecordedTrace:
         chunk to the next, and a chunk of charges alone yields empty
         arrays."""
         clock = 0
-        for piece in _pieces(self.words):
+        for piece in self.pieces():
             costs = _costs(piece)
             ends = np.cumsum(costs) + clock
             clock = int(ends[-1])
@@ -142,7 +170,7 @@ class RecordedTrace:
     def arrays(self):
         """``(addresses, kinds, instructions)`` of the whole trace as
         ``int64``/``int8``/``int64`` arrays, for the batched kernels."""
-        n = self._length
+        n = len(self)
         out = (
             np.empty(n, dtype=np.int64),
             np.empty(n, dtype=np.int8),
@@ -159,7 +187,7 @@ class RecordedTrace:
     def pointer_flags(self) -> np.ndarray:
         """One ``bool`` per access: whether it is a pointer access (see
         :meth:`accesses_with_pointer_flags`)."""
-        flags = np.empty(self._length, dtype=bool)
+        flags = np.empty(len(self), dtype=bool)
         at = 0
         for _addresses, _kinds, _instructions, chunk in self._decoded():
             flags[at : at + len(chunk)] = chunk
@@ -244,6 +272,12 @@ class TracedHeap:
         #: field tuple -> each field's word offset, ``index *
         #: FIELD_BYTES << 2``, shared by every object of those fields
         self._layouts: "Dict[tuple, Dict[str, int]]" = {}
+        #: the recording's spilled words, and the instructions and
+        #: accesses they hold
+        self._spill_file: "BinaryIO | None" = None
+        self._spilled = 0
+        self._spilled_charge = 0
+        self._spilled_accesses = 0
 
     def _layout(self, fields: "Sequence[str]") -> "Dict[str, int]":
         key = fields if type(fields) is tuple else tuple(fields)
@@ -266,6 +300,8 @@ class TracedHeap:
         obj = HeapObject(self, address, fields)
         self._brk = address + obj.size_bytes
         self._record(-1 - _ALLOCATE_COST)
+        if len(self._words) >= _SPILL:
+            self._spill()
         return obj
 
     def allocate_array(self, length: int, name: str = "slot") -> HeapObject:
@@ -277,29 +313,49 @@ class TracedHeap:
         if instructions < 0:
             raise ValueError("instructions must be non-negative")
         self._record(-1 - instructions)
+        if len(self._words) >= _SPILL:
+            self._spill()
+
+    def _spill(self) -> None:
+        """Append the buffer to the spill file and empty it in place."""
+        if self._spill_file is None:
+            self._spill_file = tempfile.TemporaryFile(prefix=".tmp-")
+        words = np.frombuffer(self._words, dtype=np.int64)
+        charged, accesses = _tally(words)
+        self._spilled_charge += charged
+        self._spilled_accesses += accesses
+        self._spill_file.write(words)
+        self._spilled += len(words)
+        # Every HeapObject holds the buffer through its bound append, so
+        # it is emptied in place, and no view of it may be alive then.
+        del words
+        del self._words[:]
 
     @property
     def instruction(self) -> int:
         """The dynamic instruction counter: everything charged so far."""
-        return _charged(np.frombuffer(self._words, dtype=np.int64))
+        words = np.frombuffer(self._words, dtype=np.int64)
+        return self._spilled_charge + _tally(words)[0]
 
     @property
     def recorded_accesses(self) -> int:
         words = np.frombuffer(self._words, dtype=np.int64)
-        return int(np.count_nonzero(words >= 0))
+        return self._spilled_accesses + _tally(words)[1]
 
     def finish(self) -> RecordedTrace:
-        """Move the recorded accesses into a replayable trace: one copy
-        of the words.
+        """Move the recorded accesses into a replayable trace: the rest
+        of the buffer is spilled, and the trace takes the spill file as
+        it is, with no copy of the words.
 
         The heap keeps its instruction counter; accesses recorded after
         this call go to the next ``finish``.
         """
-        words = np.frombuffer(self._words, dtype=np.int64).copy()
-        clock = _charged(words)
-        # Every HeapObject holds the buffer through its bound append, so
-        # it is emptied in place (no view of it may be alive), and the
-        # clock so far becomes the next recording's first charge.
-        del self._words[:]
+        self._spill()
+        words = StagedArray(self._spill_file, np.dtype(np.int64), self._spilled)
+        words.file.flush()
+        clock = self._spilled_charge
+        self._spill_file = None
+        self._spilled = self._spilled_charge = self._spilled_accesses = 0
+        # The clock so far becomes the next recording's first charge.
         self._record(-1 - clock)
         return RecordedTrace(self.name, words)

@@ -18,6 +18,7 @@ import signal
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import zipfile
 
@@ -31,6 +32,7 @@ from repro.kernels.l1filter import ensure_l1_filter, l1_filter_job_for
 from repro.runtime.cache import QUARANTINE_DIR, ResultCache
 from repro.runtime.health import health_snapshot
 from repro.olden.heap import RecordedTrace
+from repro.traces.file_format import StagedArray
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
@@ -193,10 +195,15 @@ class TestStoredSidecar:
 
 
 def memo_arrays(path):
-    """The trace a words memo holds, decoded."""
+    """The trace a words memo holds, read by ``np.load`` and decoded."""
     with np.load(path) as data:
         assert int(data["version"]) == 2
-        return RecordedTrace(WORKLOAD, data["words"]).arrays()
+        words = data["words"]
+    spill = tempfile.TemporaryFile()
+    spill.write(words)
+    spill.flush()
+    trace = RecordedTrace(WORKLOAD, StagedArray(spill, words.dtype, len(words)))
+    return trace.arrays()
 
 
 class TestOldenTraceMemo:

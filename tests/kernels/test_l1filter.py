@@ -1,5 +1,6 @@
 """L1-filter records: build, persistence, cache reuse, trace memoisation."""
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -220,6 +221,56 @@ class TestEnsureL1Filter:
 
 
 class TestOldenTraceMemo:
+    def test_memo_is_save_npz_of_the_spilled_words(self, tmp_path, monkeypatch):
+        # Recorded through many spills, copied from the spill file into
+        # the memo: byte for byte save_npz of the words themselves.
+        import repro.olden.heap as heap_module
+        from repro.experiments.workloads import olden_trace_path, workload
+        from repro.olden import olden_benchmark
+        from repro.traces.file_format import save_npz
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(heap_module, "_SPILL", 1000)
+        workload("mst", scale=0.05).arrays()
+        path = olden_trace_path("mst", 0.05, None)
+        with np.load(path) as data:
+            words = data["words"]
+        recorded = np.concatenate(list(olden_benchmark("mst", 0.05).pieces()))
+        assert np.array_equal(words, recorded)
+        expected = io.BytesIO()
+        save_npz(expected, version=np.int64(2), words=words)
+        assert path.read_bytes() == expected.getvalue()
+
+    def test_memo_decodes_a_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # A memo's words are checked, then read where they lie in the
+        # file a chunk at a time: the decode holds one chunk's words and
+        # its temporaries, and one copy block while the CRC is checked,
+        # never all the words (8 B each).
+        import repro.experiments.workloads as workloads
+        import repro.olden.heap as heap_module
+        from repro.traces import file_format
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec = workloads.workload("health", scale=0.2)
+        spilled = [np.concatenate(c) for c in zip(*spec.array_chunks())]
+        monkeypatch.setattr(workloads, "olden_benchmark", None)  # memo only
+        monkeypatch.setattr(heap_module, "_CHUNK", 4096)
+        monkeypatch.setattr(file_format, "_COPY_BLOCK", 1 << 16)
+        budget = 24 * 8 * heap_module._CHUNK + 4 * file_format._COPY_BLOCK
+        memo = workloads.olden_trace_path("health", 0.2, None)
+        assert memo.stat().st_size > 3 * budget
+        tracemalloc.start()
+        try:
+            chunks = sum(1 for _chunk in spec.array_chunks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks > 100
+        assert peak < budget
+        decoded = [np.concatenate(c) for c in zip(*spec.array_chunks())]
+        for got, want in zip(decoded, spilled):
+            assert np.array_equal(got, want)
+
     def test_memoised_arrays_match_stream(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         from repro.experiments.workloads import olden_trace_path, workload
@@ -273,3 +324,33 @@ class TestOldenTraceMemo:
         path.write_bytes(b"garbage")
         second = workload("mst", scale=0.05).arrays()
         assert np.array_equal(first[0], second[0])
+
+
+class TestWithoutPread:
+    def test_staged_files_are_read_by_seek(self, tmp_path, monkeypatch):
+        # Where os has no pread (Windows), a staged array is read by a
+        # seek and a read: the spilled trace, the memo published from
+        # it, the trace decoded from that memo and the sidecar of a
+        # streamed build come out as they do through pread.
+        import os
+
+        import repro.olden.heap as heap_module
+        from repro.experiments.workloads import workload
+        from repro.olden import olden_benchmark
+
+        monkeypatch.setattr(heap_module, "_SPILL", 1000)
+        expected = olden_benchmark("mst", 0.05).arrays()
+        monkeypatch.delattr(os, "pread")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spilled = workload("mst", scale=0.05).arrays()  # publishes the memo
+        memoised = workload("mst", scale=0.05).arrays()
+        for got in (spilled, memoised):
+            for array, want in zip(got, expected):
+                assert np.array_equal(array, want)
+        for _batch in l1filter.l1_filter_batches("mst", scale=0.05):
+            pass
+        (sidecar,) = tmp_path.rglob("*.l1f.npz")
+        whole = l1filter.build_l1_filter_from_chunks(
+            workload("mst", scale=0.05).array_chunks()
+        ).save(tmp_path / "whole.npz")
+        assert sidecar.read_bytes() == whole.read_bytes()

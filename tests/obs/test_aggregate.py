@@ -20,7 +20,7 @@ from repro.obs.aggregate import (
     sweep_summary,
     write_aggregate,
 )
-from repro.obs.export import chrome_trace, merge_trace_documents
+from repro.obs.export import chrome_trace, write_merged_trace
 from repro.runtime import (
     EventBus,
     ExperimentRuntime,
@@ -357,12 +357,14 @@ class TestCollectAndWrite:
         self._save_runs(tmp_path)
         paths = write_aggregate(tmp_path)
         scheduler = scheduler_trace_events(collect_artifacts(tmp_path))
-        rebuilt = merge_trace_documents(
+        rebuilt = tmp_path / "rebuilt.json"
+        write_merged_trace(
             [{"traceEvents": scheduler}]
-            + [chrome_trace(report) for report in load_reports_from(tmp_path)]
+            + [chrome_trace(report) for report in load_reports_from(tmp_path)],
+            rebuilt,
         )
         merged = json.loads(paths["trace"].read_text(encoding="utf-8"))
-        assert merged == json.loads(json.dumps(rebuilt))
+        assert merged == json.loads(rebuilt.read_text(encoding="utf-8"))
         kinds = {
             e["name"] for e in merged["traceEvents"] if e.get("cat") == "sim"
         }

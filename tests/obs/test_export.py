@@ -8,11 +8,11 @@ from repro.obs.export import (
     chrome_trace,
     execution_spans,
     load_events_jsonl,
-    merge_trace_documents,
     safe_stem,
     save_report,
     summarize_reports,
     write_events_jsonl,
+    write_merged_trace,
 )
 from repro.obs.probe import ObsReport
 
@@ -24,6 +24,13 @@ def _commit(t, frm, to, seq=0):
         seq=seq,
         args={"from_core": frm, "to_core": to},
     )
+
+
+def _merged(documents, tmp_path):
+    """The merged trace document of ``documents``, as written."""
+    path = tmp_path / "merged.trace.json"
+    write_merged_trace(documents, path)
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _report(events=(), meta=None, metrics=None):
@@ -94,14 +101,14 @@ class TestChromeTrace:
         process = document["traceEvents"][0]
         assert process["args"]["name"] == "w/chip"
 
-    def test_merge_remaps_pids_disjointly(self):
+    def test_merge_remaps_pids_disjointly(self, tmp_path):
         d1 = chrome_trace(_report(), pid=1)
         d2 = chrome_trace(_report(), pid=1)
-        merged = merge_trace_documents([d1, d2])
+        merged = _merged([d1, d2], tmp_path)
         pids = {e["pid"] for e in merged["traceEvents"]}
         assert len(pids) == 2
 
-    def test_merge_orders_metadata_first_then_sorted_ts(self):
+    def test_merge_orders_metadata_first_then_sorted_ts(self, tmp_path):
         # Two run logs whose events interleave non-monotonically once
         # concatenated: the merged document must put every metadata
         # event first and every timed event in ts order, or strict
@@ -119,7 +126,7 @@ class TestChromeTrace:
                 {"name": "process_name", "ph": "M", "pid": 1, "args": {}},
             ]
         }
-        merged = merge_trace_documents([d1, d2])["traceEvents"]
+        merged = _merged([d1, d2], tmp_path)["traceEvents"]
         phs = [e["ph"] for e in merged]
         assert phs == sorted(phs, key=lambda p: p != "M")  # M block first
         timed = [e["ts"] for e in merged if e["ph"] != "M"]
@@ -130,7 +137,7 @@ class TestChromeTrace:
             "late",
         ]
 
-    def test_merge_clamps_negative_ts_and_keeps_stable_order(self):
+    def test_merge_clamps_negative_ts_and_keeps_stable_order(self, tmp_path):
         doc = {
             "traceEvents": [
                 {"name": "a", "ph": "X", "pid": 1, "ts": -50, "dur": 1},
@@ -138,7 +145,7 @@ class TestChromeTrace:
                 {"name": "c", "ph": "i", "s": "t", "pid": 1, "ts": 0},
             ]
         }
-        merged = merge_trace_documents([doc])["traceEvents"]
+        merged = _merged([doc], tmp_path)["traceEvents"]
         assert all(e["ts"] >= 0 for e in merged)
         # All three collapse to ts=0; the stable sort keeps input order.
         assert [e["name"] for e in merged] == ["a", "b", "c"]

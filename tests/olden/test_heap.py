@@ -126,8 +126,44 @@ class TestRecordedTrace:
         assert [a.instruction for a in second.accesses()] == [clock]
         assert [a.kind for a in second.accesses()] == [AccessKind.LOAD]
 
+    def test_closing_a_trace_closes_its_spill_file(self):
+        heap = TracedHeap("t")
+        heap.allocate(["x"]).set("x", 1)
+        trace = heap.finish()
+        spill = trace.words.file
+        assert list(trace.accesses())
+        trace.close()
+        assert spill.closed
+        again = heap.finish()
+        spill = again.words.file
+        del again  # collected: closed too
+        assert spill.closed
+
 
 class TestRecordingFootprint:
+    def test_finish_copies_no_words(self, monkeypatch):
+        # Words recorded by loads and stores alone stay in the buffer
+        # until finish(), which writes them to the spill file as they
+        # are: a copy of them would cost 8 B a word.  Counting what they
+        # hold takes temporaries of one chunk.
+        monkeypatch.setattr(heap_module, "_CHUNK", 1024)
+        heap = TracedHeap("t")
+        node = heap.allocate(["next", "value"])
+        node.set("next", node)
+        accesses = 1 << 18
+        for _ in range(accesses // 2):
+            node.get("next")
+            node.set("value", None)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = heap.finish()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == accesses + 1
+        assert peak < 8 * accesses / 4
+
     def test_one_word_per_access(self):
         # One int64 word per access, plus the array's growth slack of
         # at most 1/16; an address, a kind, an instruction and a pointer
@@ -201,24 +237,44 @@ def _views(trace):
     }
 
 
+def _two_recordings(heap):
+    """Two recordings of one heap: the second's words start with the
+    clock the first left."""
+    rng = random.Random(11)
+    _run_program(heap, rng, 400)
+    first = heap.finish()
+    _run_program(heap, rng, 300)
+    heap.work(9)  # trailing charges after the last access
+    return first, heap.finish()
+
+
+class _WatchedHeap(TracedHeap):
+    """A heap that keeps the most words its buffer held after any
+    charge or allocation."""
+
+    held = 0
+
+    def work(self, instructions):
+        super().work(instructions)
+        self.held = max(self.held, len(self._words))
+
+    def allocate(self, fields, align=8):
+        obj = super().allocate(fields, align)
+        self.held = max(self.held, len(self._words))
+        return obj
+
+
 class TestChunkedDecode:
     @pytest.fixture(scope="class")
     def traces(self):
-        """Two recordings of one heap: the second's words start with
-        the clock the first left."""
-        rng = random.Random(11)
-        heap = TracedHeap("t")
-        _run_program(heap, rng, 400)
-        first = heap.finish()
-        _run_program(heap, rng, 300)
-        heap.work(9)  # trailing charges after the last access
-        return first, heap.finish()
+        """Two recordings, each kept in the buffer until ``finish()``."""
+        return _two_recordings(TracedHeap("t"))
 
     def test_whole_decode_is_the_recording_format(self, traces):
         for trace in traces:
             views = _views(trace)
-            assert len(trace.words) < heap_module._CHUNK  # one chunk
-            pairs = _decode_per_word(trace.words)
+            (words,) = trace.pieces()  # one chunk
+            pairs = _decode_per_word(words)
             assert views["pairs"] == pairs
             assert views["accesses"] == [access for access, _ in pairs]
             assert views["len"] == len(pairs)
@@ -232,3 +288,19 @@ class TestChunkedDecode:
         whole = [_views(trace) for trace in traces]
         monkeypatch.setattr(heap_module, "_CHUNK", chunk)
         assert [_views(trace) for trace in traces] == whole
+
+    @pytest.mark.parametrize("spill", [1, 5])
+    @pytest.mark.parametrize("chunk", range(1, 8))
+    def test_spilled_words_decode_as_kept_ones(
+        self, traces, monkeypatch, spill, chunk
+    ):
+        whole = [_views(trace) for trace in traces]
+        monkeypatch.setattr(heap_module, "_SPILL", spill)
+        heap = _WatchedHeap("t")
+        spilled = _two_recordings(heap)
+        # No more than _SPILL words once a charge or allocation returns,
+        # so at any time no more than that plus the accesses since.
+        assert heap.held < spill
+        monkeypatch.setattr(heap_module, "_CHUNK", chunk)
+        assert [_views(trace) for trace in spilled] == whole
+
