@@ -15,11 +15,12 @@ Both passes replay the workload's shared
 :class:`~repro.kernels.l1filter.L1FilterRecord` (the L1 stage is
 simulated once per trace and geometry, cached on disk), which is
 bit-identical to feeding the raw trace through ``chip.run`` — see
-``docs/performance.md``.  A job whose record is not on disk yet builds
-it as the trace streams and replays it batch by batch, each batch
-through the baseline and then the chip
-(:func:`~repro.kernels.l1filter.l1_filter_batches`), so it never holds
-the whole record.
+``docs/performance.md``.  The job replays the record batch by batch,
+each batch through the baseline and then the chip
+(:func:`~repro.kernels.l1filter.l1_filter_batches`): a record on disk
+is checked once and read a slice at a time, and one that is not there
+yet is built as the trace streams, so the job never holds the whole
+record.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ the same compact :class:`~repro.kernels.l1filter.L1FilterRecord`
 :func:`run_population` is the sweep, two rounds of ordinary jobs: the
 workload's l1filter job (:func:`~repro.kernels.l1filter.l1_filter_job_for`)
 simulates the L1s once and leaves the record's sidecar, then one
-:func:`population_job` per variant reads that sidecar and replays it.
-Both rounds run through the runtime when there is one, else in
-process; no record is loaded outside a job.
+:func:`population_job` per variant reads that sidecar and replays it,
+a slice of :data:`~repro.kernels.l1filter._BATCH` records at a time,
+so no job holds the whole record.  Both rounds run through the runtime
+when there is one, else in process; no record is loaded outside a job.
 :func:`make_variant` builds each variant's model; :func:`render_population`
 prints the rows with the record footer.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.experiments.report import render_rows, section
-from repro.kernels.l1filter import ensure_l1_filter, l1_filter_job_for
+from repro.kernels.l1filter import l1_filter_job_for, record_batches
 from repro.runtime import Job, execute_job, payloads
 from repro.runtime.scheduler import CACHED
 
@@ -58,14 +59,20 @@ def population_job(
 ) -> "dict[str, object]":
     """Runtime job: replay one variant over the workload's record.
 
-    The payload carries the variant's L2 counters and what
-    :func:`~repro.kernels.l1filter.ensure_l1_filter` did in this job:
-    ``l1_filter_cached`` when it read the sidecar, and
+    The record arrives in batches (:func:`~repro.kernels.l1filter.
+    record_batches`): slices of the sidecar, or a build's batches when
+    there is none, so the job never holds the whole record.  The
+    payload carries the variant's L2 counters and where this job found
+    the record: ``l1_filter_cached`` when it read the sidecar, and
     ``record_source``, ``"sidecar"`` or ``"built"``.
     """
-    record, cached = ensure_l1_filter(name, scale=scale, seed=seed)
     model = make_variant(variant)
-    model.run_filtered(record)
+    cached = False
+    references = 0
+    for record, cached in record_batches(name, scale=scale, seed=seed):
+        model.run_filtered(record)
+        references += record.accesses
+        del record  # before the next one is read or built
     stats = model.stats
     return {
         "workload": name,
@@ -77,7 +84,7 @@ def population_job(
         "instructions": stats.instructions,
         "l1_filter_cached": cached,
         "record_source": "sidecar" if cached else "built",
-        "references": record.accesses,
+        "references": references,
     }
 
 
@@ -103,9 +110,9 @@ class PopulationResult:
     """Outcome of one :func:`run_population` call."""
 
     rows: "list[dict[str, object]]"
-    #: records the jobs that ran materialised, each a sidecar read or
-    #: an L1 build: the l1filter job's and one per variant job; 0 when
-    #: the runtime served every job
+    #: records the jobs that ran materialised, each a sidecar read (one,
+    #: however many slices it hands out) or an L1 build: the l1filter
+    #: job's and one per variant job; 0 when the runtime served every job
     shared_record_loads: int
     wall_seconds: float
     #: rows by where their job found the record, ``"sidecar"`` or

@@ -17,16 +17,20 @@ work, and this module factors it out:
   :func:`build_l1_filter_from_chunks` does it with fresh L1s, and
   :func:`build_l1_filter` is its one-chunk case;
 * :class:`L1FilterRecord` packages the miss stream as numpy arrays,
-  with npz persistence under the :mod:`repro.runtime` cache so a sweep
-  computes it once per ``(trace, L1 geometry, code version)``;
-* :func:`ensure_l1_filter` / :func:`l1_filter_job` are the cache-aware
-  entry points sweep jobs call; a build streams
-  :meth:`~repro.experiments.workloads.WorkloadSpec.array_chunks`;
-* :func:`l1_filter_batches` is the entry point of one Table 2 job: the
-  sidecar's whole record, or else the record in replay batches of
-  :data:`_BATCH` records, taken from one L1 pair as the trace streams
-  through it and staged to disk as they go, so the job never holds the
-  whole record.
+  with npz persistence (a *sidecar*) under the :mod:`repro.runtime`
+  cache so a sweep computes it once per ``(trace, L1 geometry, code
+  version)``; :func:`_read_sidecar` is the one reader, which checks
+  the whole file once and then reads the record in place, whole
+  (:meth:`L1FilterRecord.load`) or a slice at a time;
+* :func:`record_batches` is the entry point of every job — a Table 2
+  job through :func:`l1_filter_batches`, each population variant and
+  the l1filter job itself (:func:`l1_filter_job`): the sidecar's record
+  in slices of :data:`_BATCH` records, or else the record in replay
+  batches of at least that many, taken from one L1 pair as the trace
+  streams through it and staged to disk as they go, so no job holds
+  the whole record;
+* :func:`ensure_l1_filter` loads or builds the whole record, for
+  callers that want it in one piece.
 
 Record kinds (the ``kinds`` array):
 
@@ -49,6 +53,7 @@ import sys
 import tempfile
 from array import array
 from collections import OrderedDict
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
@@ -65,7 +70,12 @@ from repro.caches.set_assoc import SetAssociativeCache
 from repro.runtime.cache import QUARANTINE_DIR, ResultCache
 from repro.runtime.health import health_counter
 from repro.runtime.job import Job
-from repro.traces.file_format import CORRUPT_NPZ_ERRORS, StagedArray, save_npz
+from repro.traces.file_format import (
+    CORRUPT_NPZ_ERRORS,
+    StagedArray,
+    save_npz,
+    staged_member,
+)
 
 #: miss-stream record kinds
 FETCH_MISS = 0
@@ -404,25 +414,107 @@ class L1FilterRecord:
 
     @classmethod
     def load(cls, path: "str | os.PathLike[str]") -> "L1FilterRecord":
-        with np.load(path) as data:
+        """The whole record in the sidecar at ``path``, checked
+        (:func:`_read_sidecar`)."""
+        with _read_sidecar(path) as sidecar:
+            return sidecar.whole()
+
+
+@dataclass(frozen=True)
+class _Sidecar:
+    """A checked sidecar: its header and its three arrays, each read
+    where it lies in the open file (:func:`_read_sidecar`)."""
+
+    header: "dict[str, int]"
+    indices: StagedArray
+    lines: StagedArray
+    kinds: StagedArray
+
+    def slices(self, batch: int) -> "Iterator[L1FilterRecord]":
+        """The record in slices of ``batch`` records, each read as it
+        is asked for; replayed in turn, they end where the whole record
+        ends.
+
+        Slice ``k`` covers records ``[a, b)`` and the trace references
+        from ``S_k`` (0 for the first slice, else the trace index of
+        record ``a``) up to ``S_k+1`` (the header's ``accesses`` after
+        the last slice): its indices count from ``S_k`` and its
+        ``accesses`` is ``S_k+1 - S_k``.  The sidecar keeps only the
+        whole record's ``max_instruction``, so the last slice carries
+        it and the others ``-1``.  A record with no records is one
+        empty slice.
+        """
+        records = self.indices.length
+        start = 0  # S_k
+        for a in range(0, max(records, 1), batch):
+            b = min(a + batch, records)
+            last = b == records
+            end = (
+                self.header["accesses"]
+                if last
+                else int(self.indices.read(b, b + 1)[0])
+            )
+            # Built in the yield, so this frame keeps no array of a
+            # slice while the next one is read.
+            yield L1FilterRecord(
+                **{
+                    **self.header,
+                    "accesses": end - start,
+                    "max_instruction": (
+                        self.header["max_instruction"] if last else -1
+                    ),
+                },
+                indices=self._indices(a, b, start),
+                lines=self.lines.read(a, b),
+                kinds=self.kinds.read(a, b).astype(np.uint8, copy=False),
+            )
+            start = end
+
+    def _indices(self, a: int, b: int, start: int) -> np.ndarray:
+        """Records ``[a, b)``'s indices, counted from reference
+        ``start``."""
+        indices = self.indices.read(a, b)
+        return indices - start if start else indices
+
+    def whole(self) -> "L1FilterRecord":
+        """The record in one piece."""
+        return next(self.slices(max(self.indices.length, 1)))
+
+
+@contextmanager
+def _read_sidecar(path: "str | os.PathLike[str]") -> "Iterator[_Sidecar]":
+    """The sidecar at ``path``, checked, and open for the ``with`` block.
+
+    The one sidecar reader.  Before it hands the sidecar out it checks
+    the record version, that the three arrays agree on length, and the
+    CRC-32 of every member, reading each to its end once
+    (:func:`~repro.traces.file_format.staged_member`), so a flipped bit
+    or a torn tail anywhere in the file raises one of
+    :data:`~repro.traces.file_format.CORRUPT_NPZ_ERRORS` here, before
+    any of it is replayed.  The file, and any member inflated from a
+    deflated sidecar, is closed when the block ends, also when a check
+    fails.
+    """
+    with open(path, "rb") as file, ExitStack() as inflated:
+        with np.load(file) as data:
             version = int(data["version"])
             if version != _RECORD_VERSION:
                 raise ValueError(
                     f"unsupported L1-filter record version {version} "
                     f"(expected {_RECORD_VERSION})"
                 )
-            indices, lines, kinds = data["indices"], data["lines"], data["kinds"]
-            # A member's CRC-32 is checked only when it is read to the
-            # end, so a damaged .npy header that shortens one array
-            # would load unnoticed; the three arrays must agree.
-            if not len(indices) == len(lines) == len(kinds):
-                raise ValueError("L1-filter record arrays disagree on length")
-            return cls(
-                **{key: int(data[key]) for key in _HEADER},
-                indices=indices,
-                lines=lines,
-                kinds=kinds.astype(np.uint8),
-            )
+            header = {key: int(data[key]) for key in _HEADER}
+        members = []
+        for key in ("indices", "lines", "kinds"):
+            member = staged_member(file, key)
+            if member.file is not file:
+                inflated.callback(member.file.close)
+            members.append(member)
+        # A damaged .npy header could shorten one array and still
+        # check; the three arrays must agree.
+        if len({member.length for member in members}) != 1:
+            raise ValueError("L1-filter record arrays disagree on length")
+        yield _Sidecar(header, *members)
 
 
 def _save_sidecar(path, header, indices, lines, kinds) -> Path:
@@ -593,26 +685,51 @@ def _kind_counts(kinds: np.ndarray) -> "list[int]":
     return np.bincount(kinds, minlength=4).tolist()
 
 
+class _Tally:
+    """What the payload needs of a record, summed over its batches or
+    slices: replayed in turn, they add up to the whole record."""
+
+    def __init__(self) -> None:
+        self.header = {"accesses": 0, "max_instruction": -1}
+        self.kind_counts = [0, 0, 0, 0]
+
+    def add(self, batch: L1FilterRecord) -> None:
+        header = self.header
+        header["accesses"] += batch.accesses
+        header["max_instruction"] = max(
+            header["max_instruction"], batch.max_instruction
+        )
+        self.kind_counts = [
+            total + count
+            for total, count in zip(self.kind_counts, _kind_counts(batch.kinds))
+        ]
+
+    def payload(self) -> "dict[str, object]":
+        return _record_payload(self.header, self.kind_counts)
+
+
 def ensure_l1_filter(
     name: str, scale: float = 1.0, seed: "int | None" = None
 ) -> "tuple[L1FilterRecord, bool]":
-    """Load or build the L1-filter record for one workload.
+    """Load or build the whole L1-filter record for one workload.
 
     Returns ``(record, cached)`` — ``cached`` is ``True`` when the
     record came from the on-disk sidecar (i.e. the L1 stage was *not*
     re-simulated).  On a build, both the sidecar and the runtime-cache
     JSON payload are persisted (best effort) under the default cache
     root (``$REPRO_CACHE_DIR``, else ``.repro-cache``), so subsequent
-    sweep variants and re-submitted jobs hit the cache.
+    sweep variants and re-submitted jobs hit the cache.  The jobs read
+    the record in batches instead (:func:`record_batches`).
     """
     from repro.experiments.workloads import workload
 
     cache = ResultCache()
     job = l1_filter_job_for(name, scale=scale, seed=seed)
     sidecar = _sidecar_path(cache, job)
-    record = _load_sidecar(cache, sidecar, name)
-    if record is not None:
-        return record, True
+    with ExitStack() as stack:
+        found = _found_sidecar(cache, sidecar, name, stack)
+        if found is not None:
+            return found.whole(), True
     spec = workload(name, scale=scale, seed=seed)
     # The phase covers trace generation too: the chunks are generated
     # (or decoded from an Olden trace's words) as the build takes them.
@@ -630,29 +747,47 @@ def ensure_l1_filter(
 def l1_filter_batches(
     name: str, scale: float = 1.0, seed: "int | None" = None
 ) -> "Iterator[L1FilterRecord]":
-    """One workload's L1-filter record, for one replay of each model.
+    """One workload's L1-filter record in replay batches: the batches
+    of :func:`record_batches` without their source."""
+    for batch, _cached in record_batches(name, scale=scale, seed=seed):
+        yield batch
+        del batch  # before the next one is read or built
 
-    Yields the sidecar's whole record when it loads.  Otherwise the
-    trace streams (:meth:`~repro.experiments.workloads.WorkloadSpec.
-    array_chunks`) through one L1 pair, and the record leaves in
-    batches of at least :data:`_BATCH` records (:func:`_filtered`):
-    replayed in turn, they end where the whole record ends.  Each batch
+
+def record_batches(
+    name: str, scale: float = 1.0, seed: "int | None" = None
+) -> "Iterator[tuple[L1FilterRecord, bool]]":
+    """One workload's L1-filter record, for one replay of each model,
+    as ``(batch, cached)`` pairs: ``cached`` is ``True`` when the batch
+    came from the sidecar.
+
+    A sidecar that checks (:func:`_read_sidecar`, one CRC pass) is
+    handed out in slices of :data:`_BATCH` records, each read in place
+    from the file as it is asked for (:meth:`_Sidecar.slices`); one
+    that does not is quarantined first.  Otherwise the trace streams
+    (:meth:`~repro.experiments.workloads.WorkloadSpec.array_chunks`)
+    through one L1 pair, and the record leaves in batches of at least
+    :data:`_BATCH` records (:func:`_filtered`).  Either way, replayed in
+    turn, the batches end where the whole record ends.  A built batch
     is staged on disk as it goes (:class:`_StagedRecord`), and after the
-    last one the sidecar, byte for byte what
-    :meth:`L1FilterRecord.save` writes of the whole record, and then the
-    runtime-cache payload are published as :func:`ensure_l1_filter`
-    publishes them.  The generator drops each batch before it takes the
-    next, so a caller that does too never holds the whole record.
+    last one the sidecar, byte for byte what :meth:`L1FilterRecord.save`
+    writes of the whole record, and then the runtime-cache payload are
+    published as :func:`ensure_l1_filter` publishes them.  The
+    generator drops each batch before it takes the next, so a caller
+    that does too never holds the whole record.
     """
     from repro.experiments.workloads import workload
 
     cache = ResultCache()
     job = l1_filter_job_for(name, scale=scale, seed=seed)
     sidecar = _sidecar_path(cache, job)
-    record = _load_sidecar(cache, sidecar, name)
-    if record is not None:
-        yield record
-        return
+    with ExitStack() as stack:
+        found = _found_sidecar(cache, sidecar, name, stack)
+        if found is not None:
+            for batch in found.slices(_BATCH):
+                yield batch, True
+                del batch
+            return
     config = CoreCacheConfig()
     batches = _filtered(
         config.make_l1(config.il1_bytes),
@@ -670,40 +805,28 @@ def l1_filter_batches(
             if batch is None:
                 break
             staged.append(batch)
-            yield batch
+            yield batch, False
             del batch
         with trace_context.phase("l1filter.save", workload=name):
-            _publish(
-                cache,
-                job,
-                staged.save,
-                _record_payload(staged.header, staged.kind_counts),
-            )
+            _publish(cache, job, staged.save, staged.tally.payload())
     finally:
         staged.discard()
 
 
 class _StagedRecord:
-    """A record taken in batches, kept as its totals and its three
-    arrays, each appended to a ``.tmp-`` file beside its sidecar (the
-    indices counted from the trace's start), from which :meth:`save`
-    writes the sidecar of the whole record.  A failure to stage is kept
-    and raised by :meth:`save`, so the replays go on regardless."""
+    """A record taken in batches, kept as its :class:`_Tally` and its
+    three arrays, each appended to a ``.tmp-`` file beside its sidecar
+    (the indices counted from the trace's start), from which
+    :meth:`save` writes the sidecar of the whole record.  A failure to
+    stage is kept and raised by :meth:`save`, so the replays go on
+    regardless."""
 
     _MEMBERS = (("indices", np.int64), ("lines", np.int64), ("kinds", np.uint8))
 
     def __init__(self, sidecar: Path, config: CoreCacheConfig) -> None:
         self._sidecar = sidecar
-        self.header = {
-            "line_size": config.line_size,
-            "il1_bytes": config.il1_bytes,
-            "dl1_bytes": config.dl1_bytes,
-            "l1_ways": config.l1_ways,
-            "accesses": 0,
-            "max_instruction": -1,
-        }
-        self.kind_counts = [0, 0, 0, 0]
-        self._records = 0
+        self._config = config
+        self.tally = _Tally()
         self._files = []
         self._error: "OSError | None" = None
         try:
@@ -721,34 +844,37 @@ class _StagedRecord:
             self._error = exc
 
     def append(self, batch: L1FilterRecord) -> None:
-        header = self.header
         if self._error is None:
-            arrays = (batch.indices + header["accesses"], batch.lines, batch.kinds)
+            arrays = (
+                batch.indices + self.tally.header["accesses"],
+                batch.lines,
+                batch.kinds,
+            )
             try:
                 for handle, values in zip(self._files, arrays):
                     handle.write(memoryview(values).cast("B"))
             except OSError as exc:
                 self._error = exc
-        header["accesses"] += batch.accesses
-        header["max_instruction"] = max(
-            header["max_instruction"], batch.max_instruction
-        )
-        self.kind_counts = [
-            total + count
-            for total, count in zip(self.kind_counts, _kind_counts(batch.kinds))
-        ]
-        self._records += batch.records
+        self.tally.add(batch)
 
     def save(self) -> Path:
         if self._error is not None:
             raise self._error
         for handle in self._files:
             handle.flush()
+        config = self._config
+        records = sum(self.tally.kind_counts)
         return _save_sidecar(
             self._sidecar,
-            self.header,
+            {
+                "line_size": config.line_size,
+                "il1_bytes": config.il1_bytes,
+                "dl1_bytes": config.dl1_bytes,
+                "l1_ways": config.l1_ways,
+                **self.tally.header,
+            },
             *(
-                StagedArray(handle, np.dtype(dtype), self._records)
+                StagedArray(handle, np.dtype(dtype), records)
                 for handle, (_key, dtype) in zip(self._files, self._MEMBERS)
             ),
         )
@@ -760,18 +886,18 @@ class _StagedRecord:
             _unlink_quietly(handle.name)
 
 
-def _load_sidecar(
-    cache: ResultCache, sidecar: Path, name: str
-) -> "L1FilterRecord | None":
-    """The record in ``sidecar``, or ``None`` when there is none or it
-    does not load."""
+def _found_sidecar(
+    cache: ResultCache, sidecar: Path, name: str, stack: ExitStack
+) -> "_Sidecar | None":
+    """The checked sidecar at ``sidecar``, open until ``stack`` closes,
+    or ``None`` when there is none or it does not check."""
     # A missing sidecar is built, not quarantined: ``CORRUPT_NPZ_ERRORS``
-    # includes the ``OSError`` a load of it would raise.
+    # includes the ``OSError`` a read of it would raise.
     if not sidecar.exists():
         return None
     try:
         with trace_context.phase("l1filter.load", workload=name):
-            return L1FilterRecord.load(sidecar)
+            return stack.enter_context(_read_sidecar(sidecar))
     except CORRUPT_NPZ_ERRORS as exc:
         # Corrupt or stale sidecar (torn write survived a crash, bit
         # rot, old record version): quarantine it next to corrupt
@@ -831,6 +957,11 @@ def l1_filter_job(
     The payload summarises the record; the miss stream itself is the
     npz sidecar (an artifact, like obs traces — it is written even when
     payload caching is disabled, because it *is* the job's product).
+    The record is built or read in batches (:func:`l1_filter_batches`),
+    never whole.
     """
-    record, _cached = ensure_l1_filter(name, scale=scale, seed=seed)
-    return _record_payload(record.header(), _kind_counts(record.kinds))
+    tally = _Tally()
+    for batch in l1_filter_batches(name, scale=scale, seed=seed):
+        tally.add(batch)
+        del batch  # before the next one is read or built
+    return tally.payload()

@@ -169,30 +169,24 @@ class RecordedTrace:
 
     def arrays(self):
         """``(addresses, kinds, instructions)`` of the whole trace as
-        ``int64``/``int8``/``int64`` arrays, for the batched kernels."""
-        n = len(self)
-        out = (
-            np.empty(n, dtype=np.int64),
-            np.empty(n, dtype=np.int8),
-            np.empty(n, dtype=np.int64),
-        )
-        at = 0
+        ``int64``/``int8``/``int64`` arrays, for the batched kernels,
+        decoded in one pass."""
+        columns = (array("q"), array("b"), array("q"))
         for chunk in self.array_chunks():
-            end = at + len(chunk[0])
-            for whole, part in zip(out, chunk):
-                whole[at:end] = part
-            at = end
-        return out
+            for column, part in zip(columns, chunk):
+                column.frombytes(memoryview(part).cast("B"))
+        return tuple(
+            np.frombuffer(column, dtype=dtype)
+            for column, dtype in zip(columns, (np.int64, np.int8, np.int64))
+        )
 
     def pointer_flags(self) -> np.ndarray:
         """One ``bool`` per access: whether it is a pointer access (see
-        :meth:`accesses_with_pointer_flags`)."""
-        flags = np.empty(len(self), dtype=bool)
-        at = 0
+        :meth:`accesses_with_pointer_flags`), decoded in one pass."""
+        flags = array("b")
         for _addresses, _kinds, _instructions, chunk in self._decoded():
-            flags[at : at + len(chunk)] = chunk
-            at += len(chunk)
-        return flags
+            flags.frombytes(memoryview(chunk).cast("B"))
+        return np.frombuffer(flags, dtype=bool)
 
     def accesses_with_pointer_flags(self) -> "Iterator[tuple[Access, bool]]":
         """Yield ``(access, is_pointer_access)`` pairs.

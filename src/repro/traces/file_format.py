@@ -18,7 +18,9 @@ same bytes a whole record's :func:`save_npz` would, and an Olden run
 spills its recording words that way (:mod:`repro.olden.heap`).
 :func:`staged_member` goes the other way: it checks one member of an
 ``.npz`` and hands it out as a :class:`StagedArray`, so a reader takes
-the array a piece at a time and never loads it whole.
+the array a piece at a time and never loads it whole; the Olden trace
+memos are decoded that way, and the L1-filter sidecars replayed a slice
+at a time.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ CORRUPT_NPZ_ERRORS = (
 #: bytes per block when a staged member is copied into an archive
 _COPY_BLOCK = 1 << 20
 
+#: bytes per block when :func:`staged_member` reads a member to check
+#: its CRC-32: the pass runs beside a job's replays, so its blocks are
+#: kept small (``np.load`` reads in 256-KB blocks)
+_CHECK_BLOCK = 1 << 16
+
 #: a zip local file header: signature, then 26 bytes whose last four
 #: are the lengths of the name and the extra field that follow it
 _LOCAL_HEADER = struct.Struct("<4s22xHH")
@@ -75,13 +82,17 @@ class StagedArray:
     def pieces(self, items: int) -> "Iterator[np.ndarray]":
         """The array, ``items`` at a time, each piece read from the
         file as it is asked for."""
-        dtype = np.dtype(self.dtype)
         for start in range(0, self.length, items):
-            size = min(items, self.length - start) * dtype.itemsize
-            data = _read_at(self.file, size, self.offset + start * dtype.itemsize)
-            if len(data) != size:
-                raise ValueError(f"staged array ends before item {start}")
-            yield np.frombuffer(data, dtype=dtype)
+            yield self.read(start, min(start + items, self.length))
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Items ``[start, stop)``, read from the file (read-only)."""
+        dtype = np.dtype(self.dtype)
+        size = (stop - start) * dtype.itemsize
+        data = _read_at(self.file, size, self.offset + start * dtype.itemsize)
+        if len(data) != size:
+            raise ValueError(f"staged array ends before item {stop}")
+        return np.frombuffer(data, dtype=dtype)
 
 
 def _read_at(file: BinaryIO, size: int, offset: int) -> bytes:
@@ -149,7 +160,7 @@ def staged_member(file: BinaryIO, key: str) -> StagedArray:
                     raise ValueError(f"{key}.npy is not a one-dimensional array")
                 start = member.tell()
                 size = 0
-                for block in iter(lambda: member.read(_COPY_BLOCK), b""):
+                for block in iter(lambda: member.read(_CHECK_BLOCK), b""):
                     size += len(block)
                     if inflated is not None:
                         inflated.write(block)

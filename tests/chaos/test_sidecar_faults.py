@@ -12,6 +12,7 @@ so any flipped bit in an array's data fails the member's CRC-32 when it
 is read; files written deflated by earlier versions still load.
 """
 
+import gc
 import os
 import random
 import signal
@@ -20,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 import zipfile
 
 import numpy as np
@@ -66,9 +68,10 @@ def child_env(cache_root, plan=None):
     return env
 
 
-def flip_data_bit(path, member, rng):
+def flip_data_bit(path, member, rng, skip=0):
     """Flip one bit of ``member``'s array data where it lies in the
-    file: past the zip local header and the ``.npy`` header."""
+    file: past the zip local header, the ``.npy`` header and the first
+    ``skip`` bytes of the data."""
     with zipfile.ZipFile(path) as archive:
         info = archive.getinfo(member)
         payload = archive.read(member)
@@ -82,8 +85,8 @@ def flip_data_bit(path, member, rng):
         fh.seek(info.header_offset)
         name_length, extra_length = struct.unpack("<HH", fh.read(30)[26:30])
         data_start = info.header_offset + 30 + name_length + extra_length
-        offset = data_start + npy_header + rng.randrange(
-            info.compress_size - npy_header
+        offset = data_start + npy_header + skip + rng.randrange(
+            info.compress_size - npy_header - skip
         )
         fh.seek(offset)
         byte = fh.read(1)[0]
@@ -474,3 +477,138 @@ class TestStreamedSidecar:
         assert sidecar.read_bytes() == reference[1]
         job = l1_filter_job_for(WORKLOAD, scale=SCALE)
         assert ResultCache(root=tmp_path).get(job)["accesses"] > 0
+
+
+class TestSlicedSidecar:
+    """A job that finds its sidecar reads it a slice at a time, after
+    one pass that checks every member to its end: damage anywhere, past
+    the first slice too, is quarantined and rebuilt before any slice is
+    replayed, and counted once."""
+
+    BATCH = 1024
+
+    @pytest.fixture
+    def sliced(self, cache, monkeypatch):
+        """The reference rows of a Table 2 job and a variant job (the
+        first builds the sidecar, the second reads it), the sidecar's
+        path and bytes, the records of each slice handed out from now
+        on, and the record's length."""
+        from repro.kernels import l1filter
+
+        monkeypatch.setattr(l1filter, "_BATCH", self.BATCH)
+        table2, variant = self.run_jobs()
+        assert variant["record_source"] == "sidecar"
+        (sidecar,) = cache.root.rglob("*.l1f.npz")
+        handed = []
+        slices = l1filter._Sidecar.slices
+
+        def counted(self, batch):
+            for piece in slices(self, batch):
+                handed.append(piece.records)
+                yield piece
+
+        monkeypatch.setattr(l1filter._Sidecar, "slices", counted)
+        records = l1filter.L1FilterRecord.load(sidecar).records
+        assert records > 2 * self.BATCH
+        return (table2, variant), sidecar, sidecar.read_bytes(), handed, records
+
+    @staticmethod
+    def run_jobs():
+        from repro.experiments.table2 import run_table2_for
+        from repro.experiments.variants import population_job
+
+        return (
+            run_table2_for(WORKLOAD, scale=SCALE),
+            population_job(WORKLOAD, "migration", scale=SCALE),
+        )
+
+    @staticmethod
+    def built(row):
+        return {**row, "record_source": "built", "l1_filter_cached": False}
+
+    def test_flip_past_the_first_slice_is_quarantined_before_any_replay(
+        self, sliced, capsys
+    ):
+        (table2, variant), sidecar, pristine, handed, records = sliced
+        slices = [
+            min(self.BATCH, records - start)
+            for start in range(0, records, self.BATCH)
+        ]
+        rng = random.Random(29)
+        members = (("indices.npy", 8), ("lines.npy", 8), ("kinds.npy", 1))
+        for count, (member, itemsize) in enumerate(members, start=1):
+            sidecar.write_bytes(pristine)
+            flip_data_bit(sidecar, member, rng, skip=self.BATCH * itemsize)
+            handed.clear()
+            # The Table 2 job finds the flip before it replays a slice
+            # and rebuilds the sidecar; the variant job then reads the
+            # rebuilt one in slices.
+            assert self.run_jobs() == (table2, variant), member
+            assert handed == slices, member
+            assert sidecar.read_bytes() == pristine
+            health = health_snapshot()
+            assert health["fault.sidecar.corrupt"] == count, member
+            assert health["recovery.sidecar.rebuilt"] == count, member
+        assert capsys.readouterr().err.count("corrupt sidecar") == len(members)
+
+    def test_damaged_sidecar_is_never_sliced(self, sliced):
+        # A variant job that meets the damage first builds its record,
+        # as a Table 2 job does, and hands out no slice of the damage.
+        from repro.experiments.variants import population_job
+
+        (_table2, variant), sidecar, pristine, handed, _records = sliced
+        rng = random.Random(5)
+        damaged = []
+        for member, itemsize in (("lines.npy", 8), ("kinds.npy", 1)):
+            sidecar.write_bytes(pristine)
+            flip_data_bit(sidecar, member, rng, skip=self.BATCH * itemsize)
+            damaged.append(sidecar.read_bytes())
+        sidecar.write_bytes(pristine[: len(pristine) - 100])  # a torn tail
+        damaged.append(sidecar.read_bytes())
+        for count, data in enumerate(damaged, start=1):
+            sidecar.write_bytes(data)
+            handed.clear()
+            row = population_job(WORKLOAD, "migration", scale=SCALE)
+            assert handed == []
+            assert row == self.built(variant)
+            assert sidecar.read_bytes() == pristine
+            health = health_snapshot()
+            assert health["fault.sidecar.corrupt"] == count
+            assert health["recovery.sidecar.rebuilt"] == count
+
+
+def resource_warnings(job):
+    """The ``ResourceWarning``s ``job()`` leaves, an unclosed file's
+    among them, once the garbage is collected."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        job()
+        gc.collect()
+    return [str(w.message) for w in caught if w.category is ResourceWarning]
+
+
+class TestTornSidecarLeavesNoOpenFile:
+    """The reader opens the sidecar itself and closes it when a check
+    fails, so a torn sidecar leaves no open file behind."""
+
+    def test_whole_record(self, arm, cache):
+        arm(FaultSpec(site="sidecar.save.bytes", action="truncate", arg=64))
+        ensure_l1_filter(WORKLOAD, scale=SCALE)
+        faults.uninstall()
+        warned = resource_warnings(lambda: ensure_l1_filter(WORKLOAD, scale=SCALE))
+        assert warned == []
+        assert health_snapshot()["fault.sidecar.corrupt"] == 1
+
+    def test_sliced_record(self, arm, cache):
+        from repro.experiments.table2 import run_table2_for
+
+        arm(FaultSpec(site="sidecar.save.bytes", action="truncate", arg=64))
+        row = run_table2_for(WORKLOAD, scale=SCALE)
+        faults.uninstall()
+        rows = []
+        warned = resource_warnings(
+            lambda: rows.append(run_table2_for(WORKLOAD, scale=SCALE))
+        )
+        assert warned == []
+        assert rows == [row]
+        assert health_snapshot()["fault.sidecar.corrupt"] == 1

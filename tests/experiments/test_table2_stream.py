@@ -1,4 +1,4 @@
-"""The streamed cold Table 2 job against the whole record.
+"""The streamed Table 2 job against the whole record.
 
 A cold Table 2 job builds its L1-filter record as the trace streams
 through one L1 pair and replays it a batch at a time
@@ -6,6 +6,9 @@ through one L1 pair and replays it a batch at a time
 ``build_l1_filter_from_chunks`` and replayed once per model: the same
 row, deep model state and probe reports, the same sidecar bytes and
 l1filter payload, and a footprint that does not grow with the trace.
+A warm job reads the sidecar a slice at a time, held here to the whole
+record ``L1FilterRecord.load`` reads: the same deep state and probe
+reports, and the same artifacts as a job of one slice.
 """
 
 import json
@@ -32,6 +35,7 @@ from repro.runtime.cache import ResultCache
 from tests.kernels.helpers import (
     PROBE_SHAPES,
     SMALL_CACHES,
+    captured,
     eventful_trace,
     model_state,
 )
@@ -203,8 +207,8 @@ def _artifacts(obs_dir):
 
 
 def test_streamed_and_loaded_jobs_agree_with_probes(cache_root, tmp_path):
-    # The cold job streams several batches; the warm one loads the
-    # sidecar the cold one wrote and replays it whole.
+    # The cold job streams several batches; the warm one reads the
+    # sidecar the cold one wrote in slices of _BATCH records.
     name, scale = "mst", 0.3
     cache = ResultCache(root=cache_root)
     _cold(cache, name, scale)
@@ -228,6 +232,55 @@ def test_streamed_and_loaded_jobs_agree_with_probes(cache_root, tmp_path):
         "l1filter.build",
         "l1filter.save",
     ]
+
+
+@pytest.mark.parametrize("batch", [4096, "divisor"])
+@pytest.mark.parametrize("probed", [False, True])
+def test_warm_job_replays_slices_as_the_whole_record(
+    cache_root, tmp_path, monkeypatch, batch, probed
+):
+    from repro.experiments import table2
+
+    name, scale = "mst", 0.3
+    job = l1_filter_job_for(name, scale=scale)
+    sidecar = ResultCache(root=cache_root).generation_dir / f"{job.hash}.l1f.npz"
+    if not sidecar.exists():
+        l1filter.l1_filter_job(name, scale=scale)
+    whole = l1filter.L1FilterRecord.load(sidecar)
+    if batch == "divisor":
+        # the largest length that divides the record into 3 or more
+        batch = next(
+            size
+            for size in range(whole.records // 3, 0, -1)
+            if whole.records % size == 0
+        )
+    slices = -(-whole.records // batch)
+    assert slices > 2
+    monkeypatch.setattr(l1filter, "_BATCH", batch)
+    baselines = captured(monkeypatch, table2, "SingleCoreHierarchy")
+    chips = captured(monkeypatch, table2, "MultiCoreChip")
+    sliced_dir = tmp_path / "sliced"
+    row = run_table2_for(
+        name, scale=scale, obs_dir=str(sliced_dir) if probed else None
+    )
+    once = _models(probed)
+    for model in once:
+        model.run_filtered(whole)
+    for got, want in zip((*baselines, *chips), once):
+        assert model_state(got) == model_state(want)
+    assert row.migrations == once[1].stats.migrations > 0
+    if probed:
+        lines = (sliced_dir / "phases.jsonl").read_text().splitlines()
+        assert [json.loads(line)["name"] for line in lines] == [
+            "l1filter.load",
+            *["replay.baseline", "replay.chip"] * slices,
+        ]
+        # A job of one slice replays the whole record in one call per
+        # model: the same artifacts.
+        whole_dir = tmp_path / "whole"
+        monkeypatch.setattr(l1filter, "_BATCH", whole.records)
+        assert run_table2_for(name, scale=scale, obs_dir=str(whole_dir)) == row
+        assert _artifacts(sliced_dir) == _artifacts(whole_dir)
 
 
 def _traced_peak(job):

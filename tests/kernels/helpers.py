@@ -120,6 +120,20 @@ def per_access(model, arrays):
     return model
 
 
+def captured(monkeypatch, module, name):
+    """The objects ``module.name()`` makes from now on, in order: how a
+    test gets at the models a job builds for itself."""
+    made = []
+    real = getattr(module, name)
+
+    def make(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(module, name, make)
+    return made
+
+
 def probe_report(probe):
     """Everything a probe reports, as canonical JSON: ``meta``, the
     metrics, every event (``kind``, ``t``, ``seq``, ``args``) and the

@@ -244,7 +244,7 @@ class TestOldenTraceMemo:
     def test_memo_decodes_a_chunk_at_a_time(self, tmp_path, monkeypatch):
         # A memo's words are checked, then read where they lie in the
         # file a chunk at a time: the decode holds one chunk's words and
-        # its temporaries, and one copy block while the CRC is checked,
+        # its temporaries, and one check block while the CRC is checked,
         # never all the words (8 B each).
         import repro.experiments.workloads as workloads
         import repro.olden.heap as heap_module
@@ -255,8 +255,8 @@ class TestOldenTraceMemo:
         spilled = [np.concatenate(c) for c in zip(*spec.array_chunks())]
         monkeypatch.setattr(workloads, "olden_benchmark", None)  # memo only
         monkeypatch.setattr(heap_module, "_CHUNK", 4096)
-        monkeypatch.setattr(file_format, "_COPY_BLOCK", 1 << 16)
-        budget = 24 * 8 * heap_module._CHUNK + 4 * file_format._COPY_BLOCK
+        monkeypatch.setattr(file_format, "_CHECK_BLOCK", 1 << 16)
+        budget = 24 * 8 * heap_module._CHUNK + 4 * file_format._CHECK_BLOCK
         memo = workloads.olden_trace_path("health", 0.2, None)
         assert memo.stat().st_size > 3 * budget
         tracemalloc.start()

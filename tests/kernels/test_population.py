@@ -2,8 +2,8 @@
 
 :func:`~repro.experiments.variants.run_population` runs the workload's
 l1filter job, which simulates the L1s once and leaves the record's
-sidecar, then one job per variant that reads that sidecar for itself
-(``ensure_l1_filter``) and replays it.  Covered here: rows identical to
+sidecar, then one job per variant that reads that sidecar for itself,
+a slice at a time (``record_batches``), and replays it.  Covered here: rows identical to
 each variant replaying a freshly built record on its own
 (``make_variant(v).run_filtered(record)``), serially and over forked or
 spawned workers; each row's ``record_source`` as its own job found the
@@ -12,6 +12,7 @@ record; and that the coordinating process never materialises a record.
 
 import gc
 import weakref
+from contextlib import contextmanager
 
 import pytest
 
@@ -154,32 +155,47 @@ class TestRecordLifetime:
 
     @pytest.fixture
     def materialised(self, monkeypatch):
-        """A weak reference to each record this process loads or
-        builds; forked workers append to their own copies."""
+        """A weak reference to what this process reads or builds of a
+        record: each sidecar read's checked file, and the batches of
+        each build, one list per build; forked workers append to their
+        own copies."""
         refs = []
-        real_load = l1filter.L1FilterRecord.load.__func__
-        real_build = l1filter.build_l1_filter_from_chunks
+        real_read = l1filter._read_sidecar
+        real_filtered = l1filter._filtered
 
-        def load(cls, path):
-            record = real_load(cls, path)
-            refs.append(weakref.ref(record))
-            return record
+        @contextmanager
+        def read(path):
+            with real_read(path) as sidecar:
+                refs.append(weakref.ref(sidecar))
+                yield sidecar
 
-        def build(*args, **kwargs):
-            record = real_build(*args, **kwargs)
-            refs.append(weakref.ref(record))
-            return record
+        def filtered(*args):
+            batches = []
+            refs.append(batches)
+            for batch in real_filtered(*args):
+                batches.append(weakref.ref(batch))
+                yield batch
+                del batch
 
-        monkeypatch.setattr(l1filter.L1FilterRecord, "load", classmethod(load))
-        monkeypatch.setattr(l1filter, "build_l1_filter_from_chunks", build)
+        monkeypatch.setattr(l1filter, "_read_sidecar", read)
+        monkeypatch.setattr(l1filter, "_filtered", filtered)
         return refs
+
+    @staticmethod
+    def alive(refs):
+        return [
+            ref
+            for entry in refs
+            for ref in (entry if isinstance(entry, list) else [entry])
+            if ref() is not None
+        ]
 
     def test_serial(self, materialised):
         result = _population(None)
         assert result.shared_record_loads == COLD_LOADS
         assert len(materialised) == COLD_LOADS
         gc.collect()
-        assert all(ref() is None for ref in materialised)
+        assert self.alive(materialised) == []
 
     def test_forked_workers(self, tmp_path, materialised):
         result = _population(_runtime(tmp_path, jobs=2))

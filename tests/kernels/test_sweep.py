@@ -30,14 +30,14 @@ def test_three_variant_sweep_simulates_l1_once(
     from repro.experiments.variants import VARIANT_NAMES, run_population
 
     builds = []
-    real_build = l1filter.build_l1_filter_from_chunks
+    real_filtered = l1filter._filtered
 
-    def counting_build(*args, **kwargs):
+    def counting_filtered(*args):
         builds.append(1)
-        return real_build(*args, **kwargs)
+        return real_filtered(*args)
 
-    # every L1-filter build, whole-trace or chunked, goes through it
-    monkeypatch.setattr(l1filter, "build_l1_filter_from_chunks", counting_build)
+    # every L1-filter build, whole or in batches, goes through it
+    monkeypatch.setattr(l1filter, "_filtered", counting_filtered)
 
     def sidecar_identity():
         (sidecar,) = tmp_path.rglob("*.l1f.npz")
@@ -93,15 +93,14 @@ def test_fully_cached_population_reads_no_sidecar(runtime, tmp_path, monkeypatch
 
     first = run_population("mst", scale=0.05, runtime=runtime)
     loads = []
-    real_load = l1filter.L1FilterRecord.load.__func__
+    real_read = l1filter._read_sidecar
 
-    def counting_load(cls, path):
+    def counting_read(path):
         loads.append(path)
-        return real_load(cls, path)
+        return real_read(path)
 
-    monkeypatch.setattr(
-        l1filter.L1FilterRecord, "load", classmethod(counting_load)
-    )
+    # every sidecar read, whole or in slices, goes through it
+    monkeypatch.setattr(l1filter, "_read_sidecar", counting_read)
 
     def rerun(**config):
         again = ExperimentRuntime(

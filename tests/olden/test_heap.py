@@ -304,3 +304,20 @@ class TestChunkedDecode:
         monkeypatch.setattr(heap_module, "_CHUNK", chunk)
         assert [_views(trace) for trace in spilled] == whole
 
+
+    @pytest.mark.parametrize("view", ["arrays", "pointer_flags"])
+    def test_whole_views_decode_once(self, traces, monkeypatch, view):
+        # Each whole-trace view reads the words in one pass, not a pass
+        # for its length and another for its values.
+        passes = []
+        pieces = heap_module.RecordedTrace.pieces
+
+        def counted(trace):
+            passes.append(trace)
+            return pieces(trace)
+
+        monkeypatch.setattr(heap_module.RecordedTrace, "pieces", counted)
+        for trace in traces:
+            passes.clear()
+            getattr(trace, view)()
+            assert passes == [trace]
